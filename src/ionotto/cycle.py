@@ -89,6 +89,16 @@ class Tolerances:
     integrator_atol: float = 1e-12
     equilibration_change: float = 1e-8
 
+    def __post_init__(self) -> None:
+        for name in ("integrator_rtol", "integrator_atol", "equilibration_change"):
+            value = getattr(self, name)
+            if not (value > 0 and math.isfinite(value)):
+                raise ValueError(f"{name} must be positive and finite, got {value}")
+        if self.integrator_rtol > 1e-4:
+            raise ValueError(
+                f"integrator_rtol must be <= 1e-4, got {self.integrator_rtol}"
+            )
+
 
 @dataclass(frozen=True)
 class CycleConfig:
@@ -116,7 +126,9 @@ class CycleConfig:
                 "expansion must widen the electronic gap: "
                 f"omega_e_hot {self.omega_e_hot} <= omega_e_cold {self.omega_e_cold}"
             )
-        for name in ("omega_e_cold", "omega_m", "lamb", "kappa", "drive_rabi"):
+        for name in (
+            "omega_e_cold", "omega_e_hot", "omega_m", "lamb", "kappa", "drive_rabi"
+        ):
             value = getattr(self, name)
             if not (value > 0 and math.isfinite(value)):
                 raise ValueError(f"{name} must be positive and finite, got {value}")
@@ -458,6 +470,7 @@ def run_cycle_effective(config: CycleConfig, xi: float) -> CycleResult:
         mixed_hot_gap,
         change_tol=tols.equilibration_change,
         tol=tols.integrator_rtol,
+        atol=tols.integrator_atol,
     )
     e_after_heating = _gap_energy(hot_eq.final_state, ratio)
 
@@ -469,6 +482,7 @@ def run_cycle_effective(config: CycleConfig, xi: float) -> CycleResult:
         mixed_cold_gap,
         change_tol=tols.equilibration_change,
         tol=tols.integrator_rtol,
+        atol=tols.integrator_atol,
     )
     e_after_cooling = _gap_energy(cold_eq.final_state, 1.0)
 
@@ -524,6 +538,7 @@ def _joint_bath_stroke(
         joint0,
         change_tol=config.tolerances.equilibration_change,
         tol=config.tolerances.integrator_rtol,
+        atol=config.tolerances.integrator_atol,
     )
     reduced = partial_trace(report.final_state, layout, keep=(0,))
     number = np.diag(np.arange(n_max, dtype=float)).astype(complex)

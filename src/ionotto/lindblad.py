@@ -20,6 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
+from scipy.sparse.csgraph import connected_components
 
 from .operators import SpaceLayout, hermiticity_defect, is_hermitian
 
@@ -121,6 +122,8 @@ class EquilibrationReport:
     min_eigenvalue: float
     rhs_residual: float
     steps_taken: int = 0
+    # size of the vectorized system the stepper solved
+    sector_dim: int = 0
 
 
 def liouvillian_matrix(model: LindbladModel, *, sparse: bool = False):
@@ -319,7 +322,7 @@ def steady_state(model: LindbladModel) -> np.ndarray:
     if not model.channels or all(rate == 0.0 for rate, _ in model.channels):
         raise ValueError("steady_state needs at least one dissipative channel")
     liou = liouvillian_matrix(model)
-    svals = np.linalg.svd(liou, compute_uv=False)
+    _, svals, vh = np.linalg.svd(liou)
     smax = float(svals[0])
     null_tol = max(smax, 1e-300) * 1e-9
     null_count = int(np.count_nonzero(svals <= null_tol))
@@ -327,7 +330,6 @@ def steady_state(model: LindbladModel) -> np.ndarray:
         raise DegenerateSteadyStateError(
             f"Liouvillian null space has dimension {null_count}, expected 1"
         )
-    _, _, vh = np.linalg.svd(liou)
     rho = vh[-1].conj().reshape(model.dim, model.dim)
     rho = 0.5 * (rho + rho.conj().T)
     tr = np.trace(rho)
@@ -336,6 +338,21 @@ def steady_state(model: LindbladModel) -> np.ndarray:
             "null vector is traceless; no normalizable steady state"
         )
     return (rho / tr).astype(complex)
+
+
+def _state_sector(liou: sp.csr_matrix, y0: np.ndarray, dim: int) -> np.ndarray:
+    """Indices of the vectorized entries that the dynamics from ``y0`` can reach.
+
+    A weak symmetry of the generator (parity, and for phase-insensitive
+    baths a U(1) charge) makes L block-diagonal.  The blocks are the
+    connected components of the sparsity graph |L| + |L|^T.  A block
+    without a nonzero of ``y0`` stays exactly zero for all times, so it is
+    left out of the solve; blocks holding a diagonal entry (the trace) are
+    always kept.
+    """
+    _, labels = connected_components(abs(liou), directed=False)
+    seeds = np.concatenate((np.arange(dim) * (dim + 1), np.flatnonzero(y0)))
+    return np.flatnonzero(np.isin(labels, labels[seeds]))
 
 
 def _slowest_window(model: LindbladModel, window: float | None) -> float:
@@ -359,6 +376,7 @@ def equilibrate(
     change_tol: float = 1e-8,
     max_windows: int | None = None,
     tol: float = 1e-9,
+    atol: float | None = None,
     method: str = "auto",
 ) -> EquilibrationReport:
     """Relax toward the stationary state in windows of fixed duration.
@@ -368,14 +386,19 @@ def equilibrate(
     binding criterion is the window test rather than the horizon.
 
     Two window steppers are available.  ``rk`` integrates each window
-    with :func:`evolve`.  ``implicit`` advances with backward-Euler
-    macro-steps (one sparse LU factorization of I - dt L, then one
-    triangular solve per window); the scheme is L-stable, damps the fast
-    motional scales regardless of stiffness, and shares the exact fixed
-    point L rho = 0 with the true dynamics, which is the quantity every
-    caller extracts.  ``auto`` picks ``implicit`` for joint ion models
-    (dim >= 32), where the rate separation makes explicit stepping take
-    minutes, and ``rk`` otherwise.
+    with :func:`evolve` at relative tolerance ``tol`` and absolute
+    tolerance ``atol``.  ``implicit`` advances with backward-Euler
+    macro-steps: one sparse LU of I - dt L restricted to the components
+    of L that hold the trace or the start state, then one triangular
+    solve per window.  Entries outside those components stay exactly
+    zero, so the restriction changes neither the fixed point nor the
+    window count; ``sector_dim`` reports the size of the solved system.
+    The scheme is L-stable, damps the fast motional scales regardless of
+    stiffness, and shares the exact fixed point L rho = 0 with the true
+    dynamics, which is the quantity every caller extracts.  ``auto``
+    picks ``implicit`` for joint ion models (dim >= 32), where the rate
+    separation makes explicit stepping take minutes, and ``rk``
+    otherwise.
     """
     dt = _slowest_window(model, window)
     rho = _check_state(rho0, model.dim)
@@ -390,7 +413,7 @@ def equilibrate(
         max_drift = 0.0
         change = np.inf
         for w in range(budget):
-            report = evolve(model, rho, dt, tol)
+            report = evolve(model, rho, dt, tol, atol=atol)
             steps += report.steps_taken
             max_drift = max(max_drift, report.max_trace_drift)
             change = trace_norm(report.final_state - rho)
@@ -408,6 +431,7 @@ def equilibrate(
                     min_eigenvalue=float(np.linalg.eigvalsh(rho).min()),
                     rhs_residual=residual,
                     steps_taken=steps,
+                    sector_dim=model.dim**2,
                 )
         raise EquilibrationError(
             f"no equilibration after {budget} windows of {dt:.4g} "
@@ -416,14 +440,20 @@ def equilibrate(
 
     budget = 60 if max_windows is None else max_windows
     liou = liouvillian_matrix(model, sparse=True)
-    d2 = model.dim**2
-    stepper = spla.splu((sp.identity(d2, format="csc", dtype=complex) - dt * liou).tocsc())
     y = rho.reshape(-1).copy()
+    sector = _state_sector(liou, y, model.dim)
+    block = liou[sector][:, sector]
+    stepper = spla.splu(
+        (sp.identity(sector.size, format="csc", dtype=complex) - dt * block).tocsc(),
+        permc_spec="MMD_AT_PLUS_A",
+        options={"SymmetricMode": True},
+    )
     max_drift = 0.0
     change = np.inf
     for w in range(budget):
-        y = stepper.solve(y)
-        mat = y.reshape(model.dim, model.dim)
+        full = np.zeros_like(y)
+        full[sector] = stepper.solve(y[sector])
+        mat = full.reshape(model.dim, model.dim)
         mat = 0.5 * (mat + mat.conj().T)
         y = mat.reshape(-1)
         drift = abs(np.trace(mat) - 1.0)
@@ -443,6 +473,7 @@ def equilibrate(
                 min_eigenvalue=float(np.linalg.eigvalsh(rho).min()),
                 rhs_residual=residual,
                 steps_taken=w + 1,
+                sector_dim=int(sector.size),
             )
     raise EquilibrationError(
         f"no equilibration after {budget} implicit windows of {dt:.4g} "

@@ -11,6 +11,7 @@ regardless of evaluation order.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Any, Mapping, Sequence
@@ -134,6 +135,8 @@ def _quantity(node: Mapping[str, Any], key: str, where: str, units: Sequence[str
     value = entry["value"]
     if not isinstance(value, (int, float)) or isinstance(value, bool):
         raise ConfigError(f"{where}.{key}: value must be a number, got {value!r}")
+    if not math.isfinite(value):
+        raise ConfigError(f"{where}.{key}: value must be finite, got {value!r}")
     return float(value) * _UNIT_FACTORS[unit]
 
 
@@ -182,7 +185,10 @@ def _tolerances(node: Mapping[str, Any], where: str) -> Tolerances:
             if not isinstance(value, (int, float)) or isinstance(value, bool):
                 raise ConfigError(f"{where}.{key}: expected a number, got {value!r}")
             values[key] = float(value)
-    return Tolerances(**values)
+    try:
+        return Tolerances(**values)
+    except ValueError as exc:
+        raise ConfigError(f"{where}: {exc}") from exc
 
 
 def load_config(path: str | Path) -> SweepConfig:

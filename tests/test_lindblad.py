@@ -1,5 +1,9 @@
+from pathlib import Path
+
 import numpy as np
 import pytest
+import scipy.sparse as sp
+import scipy.sparse.linalg as spla
 
 from ionotto.lindblad import (
     DegenerateSteadyStateError,
@@ -25,6 +29,10 @@ from ionotto.operators import (
     thermal_state,
     vacuum_state,
 )
+from ionotto.reservoirs import ReservoirSpec, full_joint_model
+from ionotto.sweep import load_config
+
+CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
 
 H2_ZERO = np.zeros((2, 2), dtype=complex)
 
@@ -251,3 +259,75 @@ class TestLiouvillianMatrix:
 
     def test_trace_norm(self):
         assert abs(trace_norm(np.diag([0.5, -0.5])) - 1.0) < 1e-14
+
+
+def full_space_backward_euler(model, rho0, change_tol=1e-8, budget=60):
+    """Reference window loop: backward Euler on the whole vectorized space."""
+    d = model.dim
+    dt = 5.0 / model.slow_rate
+    liou = liouvillian_matrix(model, sparse=True)
+    lu = spla.splu((sp.identity(d * d, format="csc", dtype=complex) - dt * liou).tocsc())
+    rho = rho0
+    for window in range(1, budget + 1):
+        mat = lu.solve(rho.reshape(-1)).reshape(d, d)
+        mat = 0.5 * (mat + mat.conj().T)
+        change = trace_norm(mat - rho)
+        rho = mat
+        if change < change_tol:
+            return rho, window
+    raise AssertionError("reference loop did not converge")
+
+
+def squeezed_joint_model(n_max):
+    spec = ReservoirSpec.squeezed_thermal(2 * np.pi * 1e-4, 0.4, 0.5)
+    return full_joint_model(spec, 0.01, 2 * np.pi, n_max)
+
+
+class TestSectorRestriction:
+    @pytest.mark.parametrize(
+        "model",
+        [
+            small_joint_model()[0],
+            small_joint_model(n_max=4)[0],
+            squeezed_joint_model(4),
+            squeezed_joint_model(5),
+        ],
+        ids=["thermal-3", "thermal-4", "squeezed-4", "squeezed-5"],
+    )
+    def test_matches_full_space_loop(self, model):
+        n_max = model.layout.dims[1]
+        rho0 = kron(ketbra(2, 1, 1), vacuum_state(n_max), vacuum_state(n_max))
+        report = equilibrate(model, rho0, method="implicit")
+        reference, windows = full_space_backward_euler(model, rho0)
+        assert report.windows == windows
+        assert np.abs(report.final_state - reference).max() < 1e-12
+        assert report.sector_dim < model.dim**2
+
+    @pytest.mark.parametrize("n_max", [4, 5])
+    def test_electronic_coherence_start_state_is_kept(self, n_max):
+        model = squeezed_joint_model(n_max)
+        vac = vacuum_state(n_max)
+        plus = 0.5 * np.ones((2, 2), dtype=complex)
+        coherent = equilibrate(model, kron(plus, vac, vac), method="implicit")
+        ground = equilibrate(model, kron(ketbra(2, 0, 0), vac, vac), method="implicit")
+        reference, windows = full_space_backward_euler(model, kron(plus, vac, vac))
+        assert coherent.windows == windows
+        assert np.abs(coherent.final_state - reference).max() < 1e-12
+        # the start-state coherences live outside the trace sector
+        assert coherent.sector_dim > ground.sector_dim
+        assert np.abs(coherent.final_state - ground.final_state).max() < 1e-7
+
+    @pytest.mark.parametrize("panel, sector_dim", [("fig2a", 572), ("fig2c", 2592)])
+    def test_sector_dim_of_shipped_panels(self, panel, sector_dim):
+        cycle = load_config(CONFIG_DIR / f"{panel}.json").cycle
+        n_max = cycle.fock_dim
+        model = full_joint_model(cycle.hot, cycle.lamb, cycle.kappa, n_max)
+        vac = vacuum_state(n_max)
+        report = equilibrate(model, kron(ketbra(2, 1, 1), vac, vac))
+        assert report.method == "implicit"
+        assert report.sector_dim == sector_dim
+        assert report.rhs_residual < 1e-10
+
+    def test_rk_reports_the_full_space(self):
+        model = thermal_two_level_model(1.0, 0.6)
+        assert equilibrate(model, ketbra(2, 1, 1)).sector_dim == 4

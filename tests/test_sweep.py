@@ -300,6 +300,57 @@ class TestCli:
         assert main(["sweep", str(config), "--output", str(out)]) == 0
         assert "synthetic blow-up" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "section, key, value",
+        [
+            ("hot", "n_occupation", float("nan")),
+            ("cold", "n_occupation", float("inf")),
+            ("engine", "omega_e_hot", float("inf")),
+            ("engine", "omega_e_hot", float("nan")),
+        ],
+    )
+    def test_non_finite_quantity_exit_code(self, tmp_path, capsys, section, key, value):
+        config = write_config(
+            tmp_path, lambda d: d[section][key].update(value=value)
+        )
+        out = tmp_path / "out.csv"
+        assert main(["sweep", str(config), "--output", str(out)]) == 2
+        assert "finite" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "key, value",
+        [
+            ("integrator_rtol", 1.0),
+            ("integrator_rtol", 0.0),
+            ("integrator_rtol", float("nan")),
+            ("integrator_atol", 0.0),
+            ("integrator_atol", -1e-12),
+            ("integrator_atol", float("inf")),
+            ("equilibration_change", -1.0),
+            ("equilibration_change", float("nan")),
+        ],
+    )
+    def test_out_of_range_tolerance_exit_code(self, tmp_path, capsys, key, value):
+        config = write_config(
+            tmp_path, lambda d: d["engine"].update(tolerances={key: value})
+        )
+        assert main(["validate", str(config)]) == 2
+        assert key in capsys.readouterr().err
+
+    def test_valid_tolerances_accepted(self, tmp_path):
+        tolerances = {
+            "integrator_rtol": 1e-4,
+            "integrator_atol": 1e-6,
+            "equilibration_change": 1e-7,
+        }
+        config = write_config(
+            tmp_path, lambda d: d["engine"].update(tolerances=tolerances)
+        )
+        cycle = load_config(config).cycle
+        assert cycle.tolerances.integrator_rtol == 1e-4
+        assert cycle.tolerances.integrator_atol == 1e-6
+
     def test_validate_command(self, capsys):
         assert main(["validate", str(CONFIG_DIR / "fig2c.json")]) == 0
         report = capsys.readouterr().out
