@@ -17,32 +17,28 @@ from .lindblad import liouvillian_matrix, LindbladModel, steady_state
 from .operators import SpaceLayout
 from .reservoirs import (
     ADIABATIC_RATIO_FLOOR,
-    BathKind,
     ReservoirSpec,
+    bath_steady_state,
     channels_from_settings,
     effective_collapse_channels,
-    gibbs_state,
     match_rabi_frequencies,
     spec_theta,
-    squeezed_gibbs_state,
 )
-from .sweep import ConfigError, apply_overrides, emit_csv, load_config, run_sweep
-
-_MODE_BY_NAME = {mode.value: mode for mode in CycleMode}
+from .sweep import (
+    ConfigError,
+    apply_overrides,
+    emit_csv,
+    load_config,
+    parse_modes,
+    run_sweep,
+)
 
 
 def _parse_modes(text: str) -> tuple[CycleMode, ...]:
-    names = [part.strip() for part in text.split(",") if part.strip()]
-    modes = []
-    for name in names:
-        if name not in _MODE_BY_NAME:
-            raise ConfigError(
-                f"unknown mode {name!r} (expected one of {sorted(_MODE_BY_NAME)})"
-            )
-        modes.append(_MODE_BY_NAME[name])
+    modes = parse_modes([part.strip() for part in text.split(",") if part.strip()])
     if not modes:
         raise ConfigError("--modes selected nothing")
-    return tuple(dict.fromkeys(modes))
+    return modes
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -155,18 +151,11 @@ def _cmd_validate(args: argparse.Namespace) -> int:
     return 0
 
 
-def _analytic_bath_state(spec: ReservoirSpec) -> np.ndarray:
-    theta = spec_theta(spec)
-    if spec.kind is BathKind.SQUEEZED_THERMAL:
-        return squeezed_gibbs_state(theta, spec.squeezing)
-    return gibbs_state(theta)
-
-
 def _cmd_steadystate(args: argparse.Namespace) -> int:
     config = load_config(args.config)
     cycle = config.cycle
     for label, spec in (("cold", cycle.cold), ("hot", cycle.hot)):
-        analytic = _analytic_bath_state(spec)
+        analytic = bath_steady_state(spec)
         layout = SpaceLayout((2,))
         model = LindbladModel(
             np.zeros((2, 2), dtype=complex),

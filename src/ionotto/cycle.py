@@ -23,22 +23,21 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field, replace
 from enum import Enum
-from typing import Mapping
+from typing import Callable, Mapping
 
 import numpy as np
 
-from .lindblad import equilibrate, expectation
+from .lindblad import EquilibrationReport, equilibrate, expectation
 from .operators import SpaceLayout, partial_trace, sigma_z, vacuum_state
 from .reservoirs import (
     ADIABATIC_RATIO_FLOOR,
     BathKind,
     ReservoirSpec,
+    bath_steady_state,
     electronic_bath_model,
     full_joint_model,
-    gibbs_state,
     match_rabi_frequencies,
     spec_theta,
-    squeezed_gibbs_state,
 )
 
 __all__ = [
@@ -97,6 +96,12 @@ class Tolerances:
         if self.integrator_rtol > 1e-4:
             raise ValueError(
                 f"integrator_rtol must be <= 1e-4, got {self.integrator_rtol}"
+            )
+        # a looser absolute error would keep the window change above its test
+        if self.integrator_atol > self.equilibration_change:
+            raise ValueError(
+                f"integrator_atol {self.integrator_atol} must not exceed "
+                f"equilibration_change {self.equilibration_change}"
             )
 
 
@@ -440,10 +445,38 @@ def _gap_energy(state: np.ndarray, gap: float) -> float:
     return 0.5 * gap * expectation(sigma_z(), state)
 
 
-def _hot_contact_state(config: CycleConfig) -> np.ndarray:
-    if config.hot.kind is BathKind.SQUEEZED_THERMAL:
-        return squeezed_gibbs_state(config.theta_hot, config.hot.squeezing)
-    return gibbs_state(config.theta_hot)
+def _run_strokes(
+    config: CycleConfig,
+    xi: float,
+    start: np.ndarray,
+    heat: Callable[[np.ndarray], np.ndarray],
+    cool: Callable[[np.ndarray], np.ndarray],
+) -> tuple[StrokeEnergy, float]:
+    """Run the four strokes from ``start`` and book their energies.
+
+    ``heat`` and ``cool`` map the electronic state entering a bath stroke
+    to the state leaving it; they are all that distinguishes the
+    simulated modes.  Returns the stroke energies and the cycle closure,
+    the largest entrywise distance between the final and the start state.
+    """
+    ratio = config.frequency_ratio
+    mixed_hot_gap = apply_transition_mixing(start, xi)
+    hot_state = heat(mixed_hot_gap)
+    mixed_cold_gap = apply_transition_mixing(hot_state, xi)
+    cold_state = cool(mixed_cold_gap)
+
+    e_start = _gap_energy(start, 1.0)
+    e_after_expansion = _gap_energy(mixed_hot_gap, ratio)
+    e_after_heating = _gap_energy(hot_state, ratio)
+    e_after_compression = _gap_energy(mixed_cold_gap, 1.0)
+    e_after_cooling = _gap_energy(cold_state, 1.0)
+    energies = StrokeEnergy(
+        w_expansion=e_after_expansion - e_start,
+        w_compression=e_after_compression - e_after_heating,
+        q_hot=e_after_heating - e_after_expansion,
+        q_cold=e_after_cooling - e_after_compression,
+    )
+    return energies, float(np.abs(cold_state - start).max())
 
 
 def run_cycle_effective(config: CycleConfig, xi: float) -> CycleResult:
@@ -455,50 +488,36 @@ def run_cycle_effective(config: CycleConfig, xi: float) -> CycleResult:
     match :func:`closed_form_thermo` to the equilibration tolerance.
     """
     tols = config.tolerances
-    ratio = config.frequency_ratio
-    hot_model = electronic_bath_model(config.hot)
-    cold_model = electronic_bath_model(config.cold)
+    reports: list[EquilibrationReport] = []
 
-    state_start = gibbs_state(config.theta_cold)
-    e_start = _gap_energy(state_start, 1.0)
+    def contact(spec: ReservoirSpec) -> Callable[[np.ndarray], np.ndarray]:
+        model = electronic_bath_model(spec)
 
-    mixed_hot_gap = apply_transition_mixing(state_start, xi)
-    e_after_expansion = _gap_energy(mixed_hot_gap, ratio)
+        def stroke(state: np.ndarray) -> np.ndarray:
+            reports.append(
+                equilibrate(
+                    model,
+                    state,
+                    change_tol=tols.equilibration_change,
+                    tol=tols.integrator_rtol,
+                    atol=tols.integrator_atol,
+                )
+            )
+            return reports[-1].final_state
 
-    hot_eq = equilibrate(
-        hot_model,
-        mixed_hot_gap,
-        change_tol=tols.equilibration_change,
-        tol=tols.integrator_rtol,
-        atol=tols.integrator_atol,
-    )
-    e_after_heating = _gap_energy(hot_eq.final_state, ratio)
+        return stroke
 
-    mixed_cold_gap = apply_transition_mixing(hot_eq.final_state, xi)
-    e_after_compression = _gap_energy(mixed_cold_gap, 1.0)
-
-    cold_eq = equilibrate(
-        cold_model,
-        mixed_cold_gap,
-        change_tol=tols.equilibration_change,
-        tol=tols.integrator_rtol,
-        atol=tols.integrator_atol,
-    )
-    e_after_cooling = _gap_energy(cold_eq.final_state, 1.0)
-
-    closure = float(
-        np.abs(cold_eq.final_state - state_start).max()
-    )
-    energies = StrokeEnergy(
-        w_expansion=e_after_expansion - e_start,
-        w_compression=e_after_compression - e_after_heating,
-        q_hot=e_after_heating - e_after_expansion,
-        q_cold=e_after_cooling - e_after_compression,
+    energies, closure = _run_strokes(
+        config,
+        xi,
+        bath_steady_state(config.cold),
+        contact(config.hot),
+        contact(config.cold),
     )
     diagnostics = {
         "cycle_closure": closure,
-        "max_trace_drift": max(hot_eq.max_trace_drift, cold_eq.max_trace_drift),
-        "min_eigenvalue": min(hot_eq.min_eigenvalue, cold_eq.min_eigenvalue),
+        "max_trace_drift": max(report.max_trace_drift for report in reports),
+        "min_eigenvalue": min(report.min_eigenvalue for report in reports),
     }
     return _result_from_energies(
         config, xi, CycleMode.EFFECTIVE, energies, diagnostics=diagnostics
@@ -565,10 +584,10 @@ def _joint_bath_stroke(
 def prepare_bath_equilibria(config: CycleConfig) -> BathEquilibria:
     """Equilibrate both bath contacts once under the full joint dynamics."""
     cold_state, cold_flags, cold_diag = _joint_bath_stroke(
-        config, config.cold, gibbs_state(config.theta_cold), "cold"
+        config, config.cold, bath_steady_state(config.cold), "cold"
     )
     hot_state, hot_flags, hot_diag = _joint_bath_stroke(
-        config, config.hot, _hot_contact_state(config), "hot"
+        config, config.hot, bath_steady_state(config.hot), "hot"
     )
     return BathEquilibria(
         cold_state=cold_state,
@@ -590,45 +609,42 @@ def run_cycle_full(
     endpoint does not depend on; otherwise each bath stroke is evolved
     from its actual start state.
     """
-    ratio = config.frequency_ratio
-    if equilibria is None:
-        cold_start, cold_flags, cold_diag = _joint_bath_stroke(
-            config, config.cold, gibbs_state(config.theta_cold), "cold"
+    if equilibria is not None:
+        energies, closure = _run_strokes(
+            config,
+            xi,
+            equilibria.cold_state,
+            lambda _: equilibria.hot_state,
+            lambda _: equilibria.cold_state,
         )
-        state_start = cold_start
-
-        mixed_hot_gap = apply_transition_mixing(state_start, xi)
-        hot_state, hot_flags, hot_diag = _joint_bath_stroke(
-            config, config.hot, mixed_hot_gap, "hot"
-        )
-        mixed_cold_gap = apply_transition_mixing(hot_state, xi)
-        cold_state, cool_flags, cool_diag = _joint_bath_stroke(
-            config, config.cold, mixed_cold_gap, "cold_return"
-        )
-        flags = cold_flags + hot_flags + cool_flags
-        diagnostics = {**cold_diag, **hot_diag, **cool_diag}
-    else:
-        state_start = equilibria.cold_state
-        mixed_hot_gap = apply_transition_mixing(state_start, xi)
-        hot_state = equilibria.hot_state
-        mixed_cold_gap = apply_transition_mixing(hot_state, xi)
-        cold_state = equilibria.cold_state
         flags = equilibria.flags
         diagnostics = dict(equilibria.diagnostics)
+    else:
+        outputs = [
+            _joint_bath_stroke(
+                config, config.cold, bath_steady_state(config.cold), "cold"
+            )
+        ]
 
-    e_start = _gap_energy(state_start, 1.0)
-    e_after_expansion = _gap_energy(mixed_hot_gap, ratio)
-    e_after_heating = _gap_energy(hot_state, ratio)
-    e_after_compression = _gap_energy(mixed_cold_gap, 1.0)
-    e_after_cooling = _gap_energy(cold_state, 1.0)
+        def contact(
+            spec: ReservoirSpec, label: str
+        ) -> Callable[[np.ndarray], np.ndarray]:
+            def stroke(state: np.ndarray) -> np.ndarray:
+                outputs.append(_joint_bath_stroke(config, spec, state, label))
+                return outputs[-1][0]
 
-    diagnostics["cycle_closure"] = float(np.abs(cold_state - state_start).max())
-    energies = StrokeEnergy(
-        w_expansion=e_after_expansion - e_start,
-        w_compression=e_after_compression - e_after_heating,
-        q_hot=e_after_heating - e_after_expansion,
-        q_cold=e_after_cooling - e_after_compression,
-    )
+            return stroke
+
+        energies, closure = _run_strokes(
+            config,
+            xi,
+            outputs[0][0],
+            contact(config.hot, "hot"),
+            contact(config.cold, "cold_return"),
+        )
+        flags = tuple(flag for _, stroke_flags, _ in outputs for flag in stroke_flags)
+        diagnostics = {key: value for *_, diag in outputs for key, value in diag.items()}
+    diagnostics["cycle_closure"] = closure
     return _result_from_energies(
         config, xi, CycleMode.FULL, energies, flags=flags, diagnostics=diagnostics
     )

@@ -127,32 +127,27 @@ class EquilibrationReport:
 
 
 def liouvillian_matrix(model: LindbladModel, *, sparse: bool = False):
-    """Matrix of the generator acting on row-major vectorized states."""
+    """Matrix of the generator acting on row-major vectorized states.
+
+    Dense by default; ``sparse`` builds the same entries in CSR form.
+    """
     d = model.dim
-    h = model.hamiltonian
     if sparse:
+        kron, convert = sp.kron, sp.csr_matrix
         ident = sp.identity(d, format="csr", dtype=complex)
-        hs = sp.csr_matrix(h)
-        liou = -1j * (sp.kron(hs, ident) - sp.kron(ident, hs.T))
-        for rate, op in model.channels:
-            if rate == 0.0:
-                continue
-            ops = sp.csr_matrix(op)
-            opdop = sp.csr_matrix(op.conj().T @ op)
-            liou = liou + rate * sp.kron(ops, ops.conj())
-            liou = liou - (rate / 2.0) * (
-                sp.kron(opdop, ident) + sp.kron(ident, opdop.T)
-            )
-        return liou.tocsr()
-    ident = np.eye(d, dtype=complex)
-    liou = -1j * (np.kron(h, ident) - np.kron(ident, h.T))
+    else:
+        kron, convert = np.kron, np.asarray
+        ident = np.eye(d, dtype=complex)
+    h = convert(model.hamiltonian)
+    liou = -1j * (kron(h, ident) - kron(ident, h.T))
     for rate, op in model.channels:
         if rate == 0.0:
             continue
-        opdop = op.conj().T @ op
-        liou += rate * np.kron(op, op.conj())
-        liou -= (rate / 2.0) * (np.kron(opdop, ident) + np.kron(ident, opdop.T))
-    return liou
+        opdop = convert(op.conj().T @ op)
+        op = convert(op)
+        liou = liou + rate * kron(op, op.conj())
+        liou = liou - (rate / 2.0) * (kron(opdop, ident) + kron(ident, opdop.T))
+    return liou.tocsr() if sparse else liou
 
 
 def expectation(op: np.ndarray, rho: np.ndarray):
@@ -404,78 +399,60 @@ def equilibrate(
     rho = _check_state(rho0, model.dim)
     if method == "auto":
         method = "implicit" if model.dim >= 32 else "rk"
-    if method not in ("rk", "implicit"):
-        raise ValueError(f"unknown equilibration method {method!r}")
-
     if method == "rk":
-        budget = 8 if max_windows is None else max_windows
-        steps = 0
-        max_drift = 0.0
-        change = np.inf
-        for w in range(budget):
+
+        def advance(rho: np.ndarray) -> tuple[np.ndarray, int, float]:
             report = evolve(model, rho, dt, tol, atol=atol)
-            steps += report.steps_taken
-            max_drift = max(max_drift, report.max_trace_drift)
-            change = trace_norm(report.final_state - rho)
-            rho = report.final_state
-            if change < change_tol:
-                liou = liouvillian_matrix(model, sparse=model.dim > 24)
-                residual = float(np.abs(liou.dot(rho.reshape(-1))).max())
-                return EquilibrationReport(
-                    final_state=rho,
-                    method="rk",
-                    windows=w + 1,
-                    window_duration=dt,
-                    last_change=change,
-                    max_trace_drift=max_drift,
-                    min_eigenvalue=float(np.linalg.eigvalsh(rho).min()),
-                    rhs_residual=residual,
-                    steps_taken=steps,
-                    sector_dim=model.dim**2,
-                )
-        raise EquilibrationError(
-            f"no equilibration after {budget} windows of {dt:.4g} "
-            f"(last change {change:.3e}, tol {change_tol:.3e})"
+            return report.final_state, report.steps_taken, report.max_trace_drift
+
+        budget = 8 if max_windows is None else max_windows
+        liou = liouvillian_matrix(model, sparse=model.dim > 24)
+        sector_dim = model.dim**2
+    elif method == "implicit":
+        budget = 60 if max_windows is None else max_windows
+        liou = liouvillian_matrix(model, sparse=True)
+        sector = _state_sector(liou, rho.reshape(-1), model.dim)
+        sector_dim = int(sector.size)
+        block = liou[sector][:, sector]
+        stepper = spla.splu(
+            (sp.identity(sector_dim, format="csc", dtype=complex) - dt * block).tocsc(),
+            permc_spec="MMD_AT_PLUS_A",
+            options={"SymmetricMode": True},
         )
 
-    budget = 60 if max_windows is None else max_windows
-    liou = liouvillian_matrix(model, sparse=True)
-    y = rho.reshape(-1).copy()
-    sector = _state_sector(liou, y, model.dim)
-    block = liou[sector][:, sector]
-    stepper = spla.splu(
-        (sp.identity(sector.size, format="csc", dtype=complex) - dt * block).tocsc(),
-        permc_spec="MMD_AT_PLUS_A",
-        options={"SymmetricMode": True},
-    )
+        def advance(rho: np.ndarray) -> tuple[np.ndarray, int, float]:
+            full = np.zeros(rho.size, dtype=complex)
+            full[sector] = stepper.solve(rho.reshape(-1)[sector])
+            mat = full.reshape(model.dim, model.dim)
+            mat = 0.5 * (mat + mat.conj().T)
+            return mat, 1, float(abs(np.trace(mat) - 1.0))
+
+    else:
+        raise ValueError(f"unknown equilibration method {method!r}")
+
+    steps = 0
     max_drift = 0.0
     change = np.inf
     for w in range(budget):
-        full = np.zeros_like(y)
-        full[sector] = stepper.solve(y[sector])
-        mat = full.reshape(model.dim, model.dim)
-        mat = 0.5 * (mat + mat.conj().T)
-        y = mat.reshape(-1)
-        drift = abs(np.trace(mat) - 1.0)
-        if drift > max_drift:
-            max_drift = float(drift)
-        change = trace_norm(mat - rho)
-        rho = mat
+        new_rho, new_steps, drift = advance(rho)
+        steps += new_steps
+        max_drift = max(max_drift, drift)
+        change = trace_norm(new_rho - rho)
+        rho = new_rho
         if change < change_tol:
-            residual = float(np.abs(liou.dot(y)).max())
             return EquilibrationReport(
                 final_state=rho,
-                method="implicit",
+                method=method,
                 windows=w + 1,
                 window_duration=dt,
                 last_change=change,
                 max_trace_drift=max_drift,
                 min_eigenvalue=float(np.linalg.eigvalsh(rho).min()),
-                rhs_residual=residual,
-                steps_taken=w + 1,
-                sector_dim=int(sector.size),
+                rhs_residual=float(np.abs(liou.dot(rho.reshape(-1))).max()),
+                steps_taken=steps,
+                sector_dim=sector_dim,
             )
     raise EquilibrationError(
-        f"no equilibration after {budget} implicit windows of {dt:.4g} "
+        f"no equilibration after {budget} {method} windows of {dt:.4g} "
         f"(last change {change:.3e}, tol {change_tol:.3e})"
     )

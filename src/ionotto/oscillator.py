@@ -20,14 +20,19 @@ the reservoir synthesis and its full-versus-effective validation.
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
 
 from .lindblad import LindbladModel
 from .operators import SpaceLayout, destroy, ketbra
-from .reservoirs import ADIABATIC_RATIO_FLOOR, BathKind, ReservoirSpec
+from .reservoirs import (
+    BathKind,
+    ReservoirSpec,
+    adiabatic_ratio,
+    sideband_weights,
+    warn_if_not_adiabatic,
+)
 
 __all__ = [
     "VSystemConfig",
@@ -70,25 +75,15 @@ class VSystemConfig:
         object.__setattr__(self, "rabi", rabi)
         if self.fock_dim < 2:
             raise ValueError(f"fock_dim must be at least 2, got {self.fock_dim}")
-        ratio = self.regime_ratio
-        if ratio < ADIABATIC_RATIO_FLOOR:
-            warnings.warn(
-                f"gamma / (lambda * max Omega) = {ratio:.1f} < "
-                f"{ADIABATIC_RATIO_FLOOR:.0f}: adiabatic elimination quality degrades",
-                RuntimeWarning,
-                stacklevel=2,
-            )
+        # one more frame than a plain call: the dataclass-generated __init__
+        warn_if_not_adiabatic(self.regime_ratio, "gamma", stacklevel=4)
 
     @property
     def regime_ratio(self) -> float:
-        ge_max = max(self.rabi[0], self.rabi[1])
-        gf_max = max(self.rabi[2], self.rabi[3])
-        ratios = []
-        if ge_max > 0:
-            ratios.append(self.gamma_ge / (self.lamb * ge_max))
-        if gf_max > 0:
-            ratios.append(self.gamma_gf / (self.lamb * gf_max))
-        return min(ratios) if ratios else math.inf
+        ge1, ge2, gf1, gf2 = self.rabi
+        return adiabatic_ratio(
+            self.lamb, ((self.gamma_ge, ge1, ge2), (self.gamma_gf, gf1, gf2))
+        )
 
 
 @dataclass(frozen=True)
@@ -135,34 +130,11 @@ def match_rabi_for_mode(
         raise ValueError(f"Lamb-Dicke parameter must be > 0, got {lamb}")
     if gamma_ge <= 0 or gamma_gf <= 0:
         raise ValueError("electronic decay rates must be > 0")
-    big_gamma = spec.gamma
-    n = spec.n_occupation
-    down = math.sqrt(big_gamma * (1.0 + n))
-    up = math.sqrt(big_gamma * n)
-    if spec.kind is BathKind.SQUEEZED_THERMAL:
-        mu, nu = spec.mu, spec.nu
-        ge1 = down * mu * math.sqrt(gamma_ge) / lamb
-        ge2 = down * nu * math.sqrt(gamma_ge) / lamb
-        gf1 = up * nu * math.sqrt(gamma_gf) / lamb
-        gf2 = up * mu * math.sqrt(gamma_gf) / lamb
-    else:
-        ge1 = down * math.sqrt(gamma_ge) / lamb
-        ge2 = 0.0
-        gf1 = 0.0
-        gf2 = up * math.sqrt(gamma_gf) / lamb
-    ratios = []
-    if max(ge1, ge2) > 0:
-        ratios.append(gamma_ge / (lamb * max(ge1, ge2)))
-    if max(gf1, gf2) > 0:
-        ratios.append(gamma_gf / (lamb * max(gf1, gf2)))
-    ratio = min(ratios) if ratios else math.inf
-    if ratio < ADIABATIC_RATIO_FLOOR:
-        warnings.warn(
-            f"gamma / (lambda * max Omega) = {ratio:.1f} < "
-            f"{ADIABATIC_RATIO_FLOOR:.0f}: adiabatic elimination quality degrades",
-            RuntimeWarning,
-            stacklevel=2,
-        )
+    ge1, ge2, gf1, gf2 = sideband_weights(spec)
+    ge1, ge2 = (weight * math.sqrt(gamma_ge) / lamb for weight in (ge1, ge2))
+    gf1, gf2 = (weight * math.sqrt(gamma_gf) / lamb for weight in (gf1, gf2))
+    ratio = adiabatic_ratio(lamb, ((gamma_ge, ge1, ge2), (gamma_gf, gf1, gf2)))
+    warn_if_not_adiabatic(ratio, "gamma")
     return ModeLaserSettings(
         rabi_ge1=ge1,
         rabi_ge2=ge2,
@@ -171,7 +143,7 @@ def match_rabi_for_mode(
         lamb=lamb,
         gamma_ge=gamma_ge,
         gamma_gf=gamma_gf,
-        target_rate=big_gamma,
+        target_rate=spec.gamma,
         regime_ratio=ratio,
     )
 

@@ -33,6 +33,9 @@ __all__ = [
     "LaserSettings",
     "theta_from_occupation",
     "spec_theta",
+    "sideband_weights",
+    "adiabatic_ratio",
+    "warn_if_not_adiabatic",
     "match_rabi_frequencies",
     "effective_collapse_channels",
     "slow_relaxation_rate",
@@ -40,6 +43,7 @@ __all__ = [
     "channels_from_settings",
     "full_interaction_hamiltonian",
     "full_joint_model",
+    "bath_steady_state",
     "gibbs_state",
     "squeezed_gibbs_state",
     "ADIABATIC_RATIO_FLOOR",
@@ -196,11 +200,9 @@ class LaserSettings:
     """Four sideband Rabi frequencies realizing one effective bath.
 
     Beams (alpha, 1) sit on the lower sideband and (alpha, 2) on the
-    upper sideband of the electronic transition; together with the fixed
-    initial phase -pi/2 these choices are already folded into the
-    rotating-frame coupling operators, so they are recorded here only as
-    metadata.  ``regime_ratio`` is kappa / (lambda * max Omega), the
-    figure of merit of the adiabatic elimination.
+    upper sideband of the electronic transition.  ``regime_ratio`` is
+    kappa / (lambda * max Omega), the figure of merit of the adiabatic
+    elimination.
     """
 
     rabi_x1: float
@@ -208,8 +210,6 @@ class LaserSettings:
     rabi_y1: float
     rabi_y2: float
     regime_ratio: float
-    phase: float = -math.pi / 2
-    sideband_offsets: tuple[float, float] = (-1.0, +1.0)
 
     @property
     def max_rabi(self) -> float:
@@ -228,6 +228,45 @@ def _occupation_weights(spec: ReservoirSpec) -> tuple[float, float]:
     return down, spec.gamma * n
 
 
+def sideband_weights(spec: ReservoirSpec) -> tuple[float, float, float, float]:
+    """Beam weights (down mu, down nu, up nu, up mu) that realize ``spec``.
+
+    ``down`` and ``up`` are the square roots of the downward and upward
+    rates of :func:`_occupation_weights`; without squeezing mu = 1 and
+    nu = 0, which leaves one beam per pair dark.  Each matching scales
+    the weights by sqrt(decay rate) / lambda of the eliminated system.
+    """
+    down, up = (math.sqrt(weight) for weight in _occupation_weights(spec))
+    mu, nu = spec.mu, spec.nu
+    return down * mu, down * nu, up * nu, up * mu
+
+
+def adiabatic_ratio(lamb: float, pairs: tuple[tuple[float, float, float], ...]) -> float:
+    """Smallest rate / (lambda * max Omega) over (rate, Omega_1, Omega_2) pairs.
+
+    Each beam pair couples to one eliminated decay ``rate``; dark pairs
+    are skipped, so all-dark settings give inf.
+    """
+    ratios = [rate / (lamb * max(o1, o2)) for rate, o1, o2 in pairs if max(o1, o2) > 0]
+    return min(ratios, default=math.inf)
+
+
+def warn_if_not_adiabatic(ratio: float, rate: str, stacklevel: int = 3) -> None:
+    """Warn when ``ratio`` is below ``ADIABATIC_RATIO_FLOOR``.
+
+    ``rate`` names the eliminated decay rate in the message.  The default
+    ``stacklevel`` attributes the warning to the caller of the function
+    that calls this one.
+    """
+    if ratio < ADIABATIC_RATIO_FLOOR:
+        warnings.warn(
+            f"{rate} / (lambda * max Omega) = {ratio:.1f} < "
+            f"{ADIABATIC_RATIO_FLOOR:.0f}: adiabatic elimination quality degrades",
+            RuntimeWarning,
+            stacklevel=stacklevel,
+        )
+
+
 def match_rabi_frequencies(
     spec: ReservoirSpec, lamb: float, kappa: float
 ) -> LaserSettings:
@@ -244,28 +283,10 @@ def match_rabi_frequencies(
         raise ValueError(f"Lamb-Dicke parameter must be > 0, got {lamb}")
     if kappa <= 0:
         raise ValueError(f"motional decay rate must be > 0, got {kappa}")
-    down, up = _occupation_weights(spec)
     root_k = math.sqrt(kappa)
-    if spec.kind is BathKind.SQUEEZED_THERMAL:
-        mu, nu = spec.mu, spec.nu
-        x1 = math.sqrt(down) * mu * root_k / lamb
-        x2 = math.sqrt(down) * nu * root_k / lamb
-        y1 = math.sqrt(up) * nu * root_k / lamb
-        y2 = math.sqrt(up) * mu * root_k / lamb
-    else:
-        x1 = math.sqrt(down) * root_k / lamb
-        x2 = 0.0
-        y1 = 0.0
-        y2 = math.sqrt(up) * root_k / lamb
-    max_rabi = max(x1, x2, y1, y2)
-    ratio = math.inf if max_rabi == 0 else kappa / (lamb * max_rabi)
-    if ratio < ADIABATIC_RATIO_FLOOR:
-        warnings.warn(
-            f"kappa / (lambda * max Omega) = {ratio:.1f} < "
-            f"{ADIABATIC_RATIO_FLOOR:.0f}: adiabatic elimination quality degrades",
-            RuntimeWarning,
-            stacklevel=2,
-        )
+    x1, x2, y1, y2 = (weight * root_k / lamb for weight in sideband_weights(spec))
+    ratio = adiabatic_ratio(lamb, ((kappa, x1, x2), (kappa, y1, y2)))
+    warn_if_not_adiabatic(ratio, "kappa")
     return LaserSettings(x1, x2, y1, y2, regime_ratio=ratio)
 
 
@@ -382,6 +403,14 @@ def full_joint_model(
         layout=layout,
         slow_rate=slow_relaxation_rate(spec),
     )
+
+
+def bath_steady_state(spec: ReservoirSpec) -> np.ndarray:
+    """Stationary electronic state of the effective bath ``spec``."""
+    theta = spec_theta(spec)
+    if spec.kind is BathKind.SQUEEZED_THERMAL:
+        return squeezed_gibbs_state(theta, spec.squeezing)
+    return gibbs_state(theta)
 
 
 def gibbs_state(theta: EffectiveTheta | float) -> np.ndarray:

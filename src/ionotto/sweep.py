@@ -37,6 +37,7 @@ __all__ = [
     "SweepRow",
     "SweepResult",
     "load_config",
+    "parse_modes",
     "run_sweep",
     "emit_csv",
     "CSV_HEADER",
@@ -59,10 +60,26 @@ _STATISTICS_BY_KIND = {
     BathKind.SQUEEZED_THERMAL: Statistics.BOSE_EINSTEIN,
 }
 _MODE_BY_NAME = {mode.value: mode for mode in CycleMode}
+# Row failures kept as error rows: the lindblad solver errors and singular
+# LU factors (RuntimeError), LinAlgError (a ValueError) and arithmetic
+# faults.  Anything else is a programming error and propagates.
+_NUMERICAL_ERRORS = (ArithmeticError, ValueError, RuntimeError)
 
 
 class ConfigError(Exception):
     """A sweep configuration could not be parsed or violates an invariant."""
+
+
+def parse_modes(names: Sequence[str]) -> tuple[CycleMode, ...]:
+    """Cycle modes by name, in first-seen order without repeats."""
+    modes = []
+    for name in names:
+        if name not in _MODE_BY_NAME:
+            raise ConfigError(
+                f"unknown mode {name!r} (expected one of {sorted(_MODE_BY_NAME)})"
+            )
+        modes.append(_MODE_BY_NAME[name])
+    return tuple(dict.fromkeys(modes))
 
 
 @dataclass(frozen=True)
@@ -271,15 +288,10 @@ def load_config(path: str | Path) -> SweepConfig:
             entries = sweep["modes"]
             if not isinstance(entries, list) or not entries:
                 raise ConfigError("sweep.modes: expected a nonempty list of mode names")
-            parsed = []
-            for name in entries:
-                if name not in _MODE_BY_NAME:
-                    raise ConfigError(
-                        f"sweep.modes: unknown mode {name!r} "
-                        f"(expected one of {sorted(_MODE_BY_NAME)})"
-                    )
-                parsed.append(_MODE_BY_NAME[name])
-            modes = tuple(dict.fromkeys(parsed))
+            try:
+                modes = parse_modes(entries)
+            except ConfigError as exc:
+                raise ConfigError(f"sweep.modes: {exc}") from None
         if "output" in sweep:
             if not isinstance(sweep["output"], str):
                 raise ConfigError("sweep.output: expected a path string")
@@ -313,7 +325,7 @@ def run_sweep(config: SweepConfig) -> SweepResult:
     if CycleMode.FULL in config.modes:
         try:
             equilibria = prepare_bath_equilibria(config.cycle)
-        except Exception as exc:  # recorded per row below
+        except _NUMERICAL_ERRORS as exc:  # recorded per row below
             equilibria_error = f"{type(exc).__name__}: {exc}"
 
     rows: dict[tuple[str, float], SweepRow] = {}
@@ -326,7 +338,7 @@ def run_sweep(config: SweepConfig) -> SweepResult:
             try:
                 result = _run_one(config.cycle, mode, xi, equilibria)
                 rows[key] = SweepRow(mode, xi, result)
-            except Exception as exc:
+            except _NUMERICAL_ERRORS as exc:
                 rows[key] = SweepRow(mode, xi, None, f"{type(exc).__name__}: {exc}")
 
     merged = tuple(rows[key] for key in sorted(rows))

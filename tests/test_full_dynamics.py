@@ -1,6 +1,7 @@
 """Full joint dynamics against the eliminated effective dynamics."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -128,6 +129,32 @@ class TestFullCycle:
         equilibria = prepare_bath_equilibria(config)
         result = run_cycle_full(config, 0.02, equilibria=equilibria)
         assert abs(result.energies.first_law_defect) < 1e-9
+        assert result.diagnostics["cycle_closure"] < 1e-8
+
+    def test_uncached_cycle_reports_every_stroke(self):
+        # a slow motional decay lowers the regime ratio of both baths, so
+        # every stroke raises its own flag
+        config = replace(
+            panel_config(ReservoirSpec.thermal(GAMMA, 1.2), fock_dim=4),
+            kappa=0.3 * TWO_PI,
+        )
+        with pytest.warns(RuntimeWarning, match="kappa /"):
+            result = run_cycle_full(config, 0.2)
+        labels = ("cold", "hot", "cold_return")
+        assert result.flags == tuple(f"adiabatic_ratio_low:{label}" for label in labels)
+        expected = {
+            f"{label}_{name}"
+            for label in labels
+            for name in (
+                "regime_ratio",
+                "max_mode_occupation",
+                "lamb_dicke",
+                "trace_drift",
+                "min_eigenvalue",
+                "windows",
+            )
+        }
+        assert set(result.diagnostics) == expected | {"cycle_closure"}
         assert result.diagnostics["cycle_closure"] < 1e-8
 
     def test_matches_closed_form_at_zero_mixing(self):

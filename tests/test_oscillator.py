@@ -30,7 +30,7 @@ from ionotto.oscillator import (
     mode_collapse_channels,
     quadratic_mode_moments,
 )
-from ionotto.reservoirs import ReservoirSpec
+from ionotto.reservoirs import ReservoirSpec, match_rabi_frequencies
 
 TWO_PI = 2 * math.pi
 GAMMA_E = TWO_PI  # fast electronic decays
@@ -81,6 +81,37 @@ class TestModeMatching:
         spec = ReservoirSpec.thermal(TARGET, 0.6)
         settings = match_rabi_for_mode(spec, 0.01, GAMMA_E, GAMMA_E)
         assert settings.regime_ratio >= 50
+
+
+class TestAdiabaticWarning:
+    """Low-ratio warnings name their eliminated rate and point at the caller."""
+
+    def test_match_rabi_frequencies(self):
+        with pytest.warns(RuntimeWarning, match="kappa /") as caught:
+            match_rabi_frequencies(ReservoirSpec.thermal(0.1, 0.6), 0.01, 1.0)
+        assert [w.filename for w in caught] == [__file__]
+
+    def test_match_rabi_for_mode(self):
+        spec = ReservoirSpec.thermal(GAMMA_E / 100, 0.6)
+        with pytest.warns(RuntimeWarning, match="gamma /") as caught:
+            match_rabi_for_mode(spec, 0.01, GAMMA_E, GAMMA_E)
+        assert [w.filename for w in caught] == [__file__]
+
+    def test_v_system_config(self):
+        spec = ReservoirSpec.thermal(GAMMA_E / 100, 0.6)
+        with pytest.warns(RuntimeWarning):
+            settings = match_rabi_for_mode(spec, 0.01, GAMMA_E, GAMMA_E)
+        with pytest.warns(RuntimeWarning, match="gamma /") as caught:
+            VSystemConfig(
+                omega_ge=TWO_PI * 1e6,
+                omega_gf=1.2 * TWO_PI * 1e6,
+                omega_m=10 * TWO_PI,
+                lamb=0.01,
+                gamma_ge=GAMMA_E,
+                gamma_gf=GAMMA_E,
+                rabi=settings.rabi,
+            )
+        assert [w.filename for w in caught] == [__file__]
 
 
 class TestEffectiveModeModel:

@@ -7,6 +7,7 @@ import pytest
 
 from ionotto.cli import main
 from ionotto.cycle import CycleMode, Regime
+from ionotto.lindblad import EquilibrationError
 from ionotto.sweep import (
     CSV_HEADER,
     ConfigError,
@@ -18,6 +19,7 @@ from ionotto.sweep import (
 )
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
+GOLDEN_DIR = Path(__file__).resolve().parent / "golden"
 TWO_PI = 2 * math.pi
 
 
@@ -163,6 +165,72 @@ class TestRunSweep:
         assert abs(
             closed.result.energies.net_work - effective.result.energies.net_work
         ) < 1e-6
+
+    def test_programming_error_propagates(self, tmp_path, monkeypatch):
+        import ionotto.sweep as sweep_module
+
+        def broken(config, xi):
+            raise TypeError("synthetic programming error")
+
+        monkeypatch.setattr(sweep_module, "run_cycle_effective", broken)
+        config = load_config(
+            write_config(
+                tmp_path,
+                lambda d: d.update(sweep={"xi_grid": [0.0], "modes": ["effective"]}),
+            )
+        )
+        with pytest.raises(TypeError, match="synthetic programming error"):
+            run_sweep(config)
+
+    def test_numerical_error_becomes_error_row(self, tmp_path, monkeypatch):
+        import ionotto.sweep as sweep_module
+
+        def stalls(config, xi):
+            raise EquilibrationError("synthetic stall")
+
+        monkeypatch.setattr(sweep_module, "run_cycle_effective", stalls)
+        config = load_config(
+            write_config(
+                tmp_path,
+                lambda d: d.update(
+                    sweep={"xi_grid": [0.0], "modes": ["closed_form", "effective"]}
+                ),
+            )
+        )
+        result = run_sweep(config)
+        (failed,) = result.failed_rows
+        assert failed.mode is CycleMode.EFFECTIVE
+        assert failed.error == "EquilibrationError: synthetic stall"
+        assert len(result.rows) == 2
+
+
+class TestGoldenCsv:
+    """The sweeps of the shipped configs reproduce the committed CSVs.
+
+    Text cells must match exactly; numeric cells may move by pivot-order
+    rounding in the last printed digit, far below 1e-12.
+    """
+
+    TEXT_COLUMNS = ("xi", "mode", "regime", "flags")
+
+    @pytest.mark.parametrize("name", ["fig2a", "fig2b", "fig2c"])
+    def test_matches_golden(self, tmp_path, name):
+        out = tmp_path / f"{name}.csv"
+        emit_csv(run_sweep(load_config(CONFIG_DIR / f"{name}.json")).rows, out)
+        with out.open() as handle:
+            produced = list(csv.DictReader(handle))
+        with (GOLDEN_DIR / f"{name}.csv").open() as handle:
+            golden = list(csv.DictReader(handle))
+        assert out.read_text().splitlines()[0] == CSV_HEADER
+        assert len(produced) == len(golden)
+        for got, want in zip(produced, golden):
+            for column, expected in want.items():
+                if column in self.TEXT_COLUMNS or expected == "":
+                    assert got[column] == expected, (column, want["xi"], want["mode"])
+                else:
+                    assert abs(float(got[column]) - float(expected)) <= 1e-12, (
+                        column, want["xi"], want["mode"]
+                    )
 
 
 class TestEmitCsv:
@@ -338,11 +406,22 @@ class TestCli:
         assert main(["validate", str(config)]) == 2
         assert key in capsys.readouterr().err
 
+    def test_integrator_atol_above_equilibration_change_exit_code(
+        self, tmp_path, capsys
+    ):
+        tolerances = {"integrator_atol": 1e-6, "equilibration_change": 1e-8}
+        config = write_config(
+            tmp_path, lambda d: d["engine"].update(tolerances=tolerances)
+        )
+        assert main(["validate", str(config)]) == 2
+        err = capsys.readouterr().err
+        assert "integrator_atol" in err and "equilibration_change" in err
+
     def test_valid_tolerances_accepted(self, tmp_path):
         tolerances = {
             "integrator_rtol": 1e-4,
             "integrator_atol": 1e-6,
-            "equilibration_change": 1e-7,
+            "equilibration_change": 1e-6,
         }
         config = write_config(
             tmp_path, lambda d: d["engine"].update(tolerances=tolerances)
