@@ -27,7 +27,7 @@ from typing import Callable, Mapping
 
 import numpy as np
 
-from .lindblad import EquilibrationReport, equilibrate, expectation
+from .lindblad import EquilibrationReport, LindbladModel, equilibrate, expectation
 from .operators import SpaceLayout, partial_trace, sigma_z, vacuum_state
 from .reservoirs import (
     ADIABATIC_RATIO_FLOOR,
@@ -112,6 +112,8 @@ class CycleConfig:
     The optical frequencies omega_e_cold and omega_e_hot (rad/us) enter
     the results only through their ratio and through the bath occupation
     numbers; the simulated dynamics run in frames where they drop out.
+    ``fock_dim`` truncates the two motional modes of the full mode: its
+    joint bath solves keep the basis states with n_x + n_y < fock_dim.
     """
 
     omega_e_cold: float
@@ -545,24 +547,40 @@ def _joint_bath_stroke(
     electronic_start: np.ndarray,
     label: str,
 ) -> tuple[np.ndarray, tuple[str, ...], dict[str, float]]:
-    """Equilibrate electron x vacuum x vacuum against one engineered bath."""
+    """Equilibrate electron x vacuum x vacuum against one engineered bath.
+
+    The solve keeps only the joint basis states with n_x + n_y < fock_dim
+    (an excitation-number-restricted truncation; the modes stay near
+    vacuum) and scatters its result back into the box layout.
+    """
     n_max = config.fock_dim
     layout = SpaceLayout((2, n_max, n_max))
     settings = match_rabi_frequencies(spec, config.lamb, config.kappa)
     model = full_joint_model(spec, config.lamb, config.kappa, n_max, settings=settings)
     vac = vacuum_state(n_max)
     joint0 = np.kron(np.kron(electronic_start, vac), vac)
+    excitations = np.add.outer(np.arange(n_max), np.arange(n_max)).ravel()
+    window = np.flatnonzero(np.tile(excitations < n_max, 2))
+    kept = np.ix_(window, window)
+    restricted = LindbladModel(
+        hamiltonian=model.hamiltonian[kept],
+        channels=tuple((rate, op[kept]) for rate, op in model.channels),
+        slow_rate=model.slow_rate,
+    )
     report = equilibrate(
-        model,
-        joint0,
+        restricted,
+        joint0[kept],
         change_tol=config.tolerances.equilibration_change,
         tol=config.tolerances.integrator_rtol,
         atol=config.tolerances.integrator_atol,
+        method="implicit",
     )
-    reduced = partial_trace(report.final_state, layout, keep=(0,))
+    final = np.zeros_like(joint0)
+    final[kept] = report.final_state
+    reduced = partial_trace(final, layout, keep=(0,))
     number = np.diag(np.arange(n_max, dtype=float)).astype(complex)
-    occ_x = expectation(layout.embed(number, 1), report.final_state)
-    occ_y = expectation(layout.embed(number, 2), report.final_state)
+    occ_x = expectation(layout.embed(number, 1), final)
+    occ_y = expectation(layout.embed(number, 2), final)
     max_occ = max(occ_x, occ_y)
     lamb_dicke = config.lamb * math.sqrt(max(max_occ, 0.0))
     flags = []

@@ -74,7 +74,7 @@ def parse_modes(names: Sequence[str]) -> tuple[CycleMode, ...]:
     """Cycle modes by name, in first-seen order without repeats."""
     modes = []
     for name in names:
-        if name not in _MODE_BY_NAME:
+        if not isinstance(name, str) or name not in _MODE_BY_NAME:
             raise ConfigError(
                 f"unknown mode {name!r} (expected one of {sorted(_MODE_BY_NAME)})"
             )

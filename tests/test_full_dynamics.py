@@ -164,7 +164,52 @@ class TestFullCycle:
         assert abs(full.efficiency - closed.efficiency) <= 0.02
 
 
+HOT_SPECS = [
+    ReservoirSpec.thermal(GAMMA, 1.2),
+    ReservoirSpec.negative_temperature(GAMMA, 0.8),
+    ReservoirSpec.squeezed_thermal(GAMMA, 0.4, 0.5),
+]
+
+
+class TestExcitationWindow:
+    """The bath solves keep n_x + n_y < fock_dim; the box model is the oracle."""
+
+    @pytest.mark.parametrize("kappa", [TWO_PI, 0.3 * TWO_PI], ids=["kappa1", "kappa0.3"])
+    @pytest.mark.parametrize("fock_dim, tol", [(4, 1e-10), (5, 1e-12), (6, 1e-12)])
+    @pytest.mark.parametrize("hot", HOT_SPECS, ids=["thermal", "inverted", "squeezed"])
+    @pytest.mark.filterwarnings("ignore:kappa /:RuntimeWarning")
+    def test_matches_box_truncation(self, hot, fock_dim, tol, kappa):
+        config = replace(panel_config(hot, fock_dim=fock_dim), kappa=kappa)
+        equilibria = prepare_bath_equilibria(config)
+        layout = SpaceLayout((2, fock_dim, fock_dim))
+        vac = vacuum_state(fock_dim)
+        for label, spec in (("cold", config.cold), ("hot", config.hot)):
+            model = full_joint_model(spec, config.lamb, kappa, fock_dim)
+            start = kron(effective_bath_state(spec), vac, vac)
+            report = equilibrate(model, start, method="implicit")
+            box = partial_trace(report.final_state, layout, keep=(0,))
+            assert np.abs(getattr(equilibria, f"{label}_state") - box).max() <= tol
+            assert equilibria.diagnostics[f"{label}_windows"] == report.windows
+
+    def test_bath_solves_stay_implicit_below_auto_threshold(self, monkeypatch):
+        # the fock-4 window has dimension 20, where method="auto" picks rk
+        reports = []
+
+        def spy(*args, **kwargs):
+            reports.append(equilibrate(*args, **kwargs))
+            return reports[-1]
+
+        monkeypatch.setattr("ionotto.cycle.equilibrate", spy)
+        prepare_bath_equilibria(panel_config(HOT_SPECS[2], fock_dim=4))
+        assert len(reports) == 2
+        assert all(report.method == "implicit" for report in reports)
+
+
 class TestTruncation:
     def test_steady_populations_converged_at_default_fock(self):
         config = panel_config(ReservoirSpec.squeezed_thermal(GAMMA, 0.4, 0.5))
         assert truncation_shift(config) <= 1e-4
+
+    def test_squeezed_panel_converged_at_fock_8(self):
+        config = panel_config(ReservoirSpec.squeezed_thermal(GAMMA, 0.4, 0.5), fock_dim=8)
+        assert truncation_shift(config) <= 1e-10

@@ -417,6 +417,12 @@ class TestCli:
         err = capsys.readouterr().err
         assert "integrator_atol" in err and "equilibration_change" in err
 
+    @pytest.mark.parametrize("entry", [["x"], {"a": 1}], ids=["list", "object"])
+    def test_non_string_mode_exit_code(self, tmp_path, capsys, entry):
+        config = write_config(tmp_path, lambda d: d["sweep"].update(modes=[entry]))
+        assert main(["validate", str(config)]) == 2
+        assert "sweep.modes" in capsys.readouterr().err
+
     def test_valid_tolerances_accepted(self, tmp_path):
         tolerances = {
             "integrator_rtol": 1e-4,
