@@ -15,7 +15,6 @@ States are vectorized row-major, so vec(A rho B) = (A kron B^T) vec(rho).
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -206,9 +205,6 @@ _DP_ERR = np.array(
 )
 
 
-_MAX_STEPS = 2_000_000
-
-
 def evolve(
     model: LindbladModel,
     rho0: np.ndarray,
@@ -216,7 +212,7 @@ def evolve(
     tol: float = 1e-9,
     *,
     atol: float | None = None,
-    max_steps: int = _MAX_STEPS,
+    max_steps: int = 2_000_000,
 ) -> EvolutionReport:
     """Integrate the master equation to time ``t``.
 
@@ -226,26 +222,13 @@ def evolve(
     step the state is re-symmetrized, rho <- (rho + rho^dag)/2, which
     removes Hermiticity drift without affecting the accuracy order.
     """
-    return _integrate(_rk_generator(model), rho0, t, tol, atol, max_steps)
-
-
-def _rk_generator(model: LindbladModel):
-    # Dense generator is faster below ~a few hundred vectorized entries;
-    # the joint ion models are large and very sparse.
-    return liouvillian_matrix(model, sparse=model.dim > 24)
-
-
-def _integrate(
-    liou, rho0: np.ndarray, t: float, tol: float, atol: float | None, max_steps: int
-) -> EvolutionReport:
-    """:func:`evolve` on a prebuilt generator ``liou``."""
     if not (0.0 < tol <= 1e-4):
         raise ValueError(f"tolerance must lie in (0, 1e-4], got {tol}")
     if t < 0:
         raise ValueError(f"evolution time must be >= 0, got {t}")
     if atol is None:
         atol = tol * 1e-3
-    d = math.isqrt(liou.shape[0])
+    d = model.dim
     rho = _check_state(rho0, d)
     if t == 0.0:
         return EvolutionReport(
@@ -255,7 +238,15 @@ def _integrate(
             min_eigenvalue=float(np.linalg.eigvalsh(rho).min()),
         )
 
-    rhs = liou.dot
+    # Dense generator is faster below ~a few hundred vectorized entries;
+    # the joint ion models are large and very sparse.
+    if d <= 24:
+        liou = liouvillian_matrix(model)
+        rhs = liou.dot
+    else:
+        liou_sp = liouvillian_matrix(model, sparse=True)
+        rhs = liou_sp.dot
+
     y = rho.reshape(-1).copy()
     time_now = 0.0
     k = np.empty((7, y.size), dtype=complex)
@@ -390,33 +381,34 @@ def equilibrate(
     binding criterion is the window test rather than the horizon.
 
     Two window steppers are available.  ``rk`` integrates each window
-    like :func:`evolve`, on one generator built for the whole run, at
-    relative tolerance ``tol`` and absolute tolerance ``atol``.
-    ``implicit`` advances with backward-Euler macro-steps: one sparse
-    LU of I - dt L restricted to the components of L that hold the
-    trace or the start state, then one triangular solve per window.
-    Entries outside those components stay exactly
+    with :func:`evolve` at relative tolerance ``tol`` and absolute
+    tolerance ``atol``.  ``implicit`` advances with backward-Euler
+    macro-steps: one sparse LU of I - dt L restricted to the components
+    of L that hold the trace or the start state, then one triangular
+    solve per window.  Entries outside those components stay exactly
     zero, so the restriction changes neither the fixed point nor the
     window count; ``sector_dim`` reports the size of the solved system.
     The scheme is L-stable, damps the fast motional scales regardless of
     stiffness, and shares the exact fixed point L rho = 0 with the true
     dynamics, which is the quantity every caller extracts.  ``auto``
-    picks ``implicit`` for joint ion models (dim >= 32), where the rate
-    separation makes explicit stepping take minutes, and ``rk``
-    otherwise.
+    picks ``implicit`` for dim >= 32, where the rate separation of the
+    joint ion models makes explicit stepping take minutes, and ``rk``
+    otherwise.  The excitation-window joint models of the full-cycle
+    bath strokes are smaller than that (dim 20 at fock_dim 4) yet just
+    as stiff, so those strokes pass ``implicit`` explicitly.
     """
     dt = _slowest_window(model, window)
     rho = _check_state(rho0, model.dim)
     if method == "auto":
         method = "implicit" if model.dim >= 32 else "rk"
     if method == "rk":
-        liou = _rk_generator(model)
 
         def advance(rho: np.ndarray) -> tuple[np.ndarray, int, float]:
-            report = _integrate(liou, rho, dt, tol, atol, _MAX_STEPS)
+            report = evolve(model, rho, dt, tol, atol=atol)
             return report.final_state, report.steps_taken, report.max_trace_drift
 
         budget = 8 if max_windows is None else max_windows
+        liou = liouvillian_matrix(model, sparse=model.dim > 24)
         sector_dim = model.dim**2
     elif method == "implicit":
         budget = 60 if max_windows is None else max_windows
