@@ -14,13 +14,12 @@ import numpy as np
 
 from .cycle import CycleMode
 from .lindblad import liouvillian_matrix, LindbladModel, steady_state
-from .operators import SpaceLayout
 from .reservoirs import (
     ADIABATIC_RATIO_FLOOR,
     ReservoirSpec,
     bath_steady_state,
     channels_from_settings,
-    effective_collapse_channels,
+    electronic_bath_model,
     match_rabi_frequencies,
     spec_theta,
 )
@@ -85,18 +84,15 @@ def _build_parser() -> argparse.ArgumentParser:
 def _bath_report(label: str, spec: ReservoirSpec, lamb: float, kappa: float) -> list[str]:
     theta = spec_theta(spec)
     settings = match_rabi_frequencies(spec, lamb, kappa)
-    matched = channels_from_settings(settings, lamb, kappa)
-    target = effective_collapse_channels(spec)
-    layout = SpaceLayout((2,))
-    h0 = np.zeros((2, 2), dtype=complex)
-    defect = np.abs(
-        liouvillian_matrix(LindbladModel(h0, matched, layout))
-        - liouvillian_matrix(LindbladModel(h0, target, layout))
-    ).max()
+    target = electronic_bath_model(spec)
+    matched = LindbladModel(
+        target.hamiltonian, channels_from_settings(settings, lamb, kappa)
+    )
+    defect = np.abs(liouvillian_matrix(matched) - liouvillian_matrix(target)).max()
     ratio_ok = "ok" if settings.regime_ratio >= ADIABATIC_RATIO_FLOOR else "LOW"
     return [
         f"[{label}] kind={spec.kind.value} n={spec.n_occupation} r={spec.squeezing}",
-        f"[{label}] theta={theta.theta:+.6f} ({theta.sign})",
+        f"[{label}] theta={theta:+.6f} ({'negative' if theta < 0 else 'positive'})",
         f"[{label}] rabi (x1, x2, y1, y2) rad/us = "
         f"({settings.rabi_x1:.6g}, {settings.rabi_x2:.6g}, "
         f"{settings.rabi_y1:.6g}, {settings.rabi_y2:.6g})",
@@ -156,13 +152,7 @@ def _cmd_steadystate(args: argparse.Namespace) -> int:
     cycle = config.cycle
     for label, spec in (("cold", cycle.cold), ("hot", cycle.hot)):
         analytic = bath_steady_state(spec)
-        layout = SpaceLayout((2,))
-        model = LindbladModel(
-            np.zeros((2, 2), dtype=complex),
-            effective_collapse_channels(spec),
-            layout,
-        )
-        solved = steady_state(model)
+        solved = steady_state(electronic_bath_model(spec))
         deviation = float(np.abs(analytic - solved).max())
         print(f"[{label}] analytic populations (g, e) = "
               f"({analytic[0, 0].real:.9f}, {analytic[1, 1].real:.9f})")

@@ -39,6 +39,11 @@ __all__ = [
     "trace_norm",
 ]
 
+# Largest model dimension whose generator is stored dense.  Larger models
+# (the joint ion models) are big and very sparse: their generator is
+# stored sparse and ``equilibrate``'s ``auto`` steps them implicitly.
+_DENSE_MAX_DIM = 24
+
 
 class DegenerateSteadyStateError(RuntimeError):
     """The Liouvillian null space is not one dimensional."""
@@ -238,14 +243,7 @@ def evolve(
             min_eigenvalue=float(np.linalg.eigvalsh(rho).min()),
         )
 
-    # Dense generator is faster below ~a few hundred vectorized entries;
-    # the joint ion models are large and very sparse.
-    if d <= 24:
-        liou = liouvillian_matrix(model)
-        rhs = liou.dot
-    else:
-        liou_sp = liouvillian_matrix(model, sparse=True)
-        rhs = liou_sp.dot
+    rhs = liouvillian_matrix(model, sparse=d > _DENSE_MAX_DIM).dot
 
     y = rho.reshape(-1).copy()
     time_now = 0.0
@@ -391,16 +389,18 @@ def equilibrate(
     The scheme is L-stable, damps the fast motional scales regardless of
     stiffness, and shares the exact fixed point L rho = 0 with the true
     dynamics, which is the quantity every caller extracts.  ``auto``
-    picks ``implicit`` for dim >= 32, where the rate separation of the
-    joint ion models makes explicit stepping take minutes, and ``rk``
-    otherwise.  The excitation-window joint models of the full-cycle
-    bath strokes are smaller than that (dim 20 at fock_dim 4) yet just
-    as stiff, so those strokes pass ``implicit`` explicitly.
+    picks ``implicit`` for dim > ``_DENSE_MAX_DIM`` (the models whose
+    generator :func:`evolve` stores sparse), where the rate separation
+    of the joint ion models makes explicit stepping take minutes, and
+    ``rk`` otherwise.  The excitation-window joint models of the
+    full-cycle bath strokes can be smaller than that (dim 20 at
+    fock_dim 4) yet are just as stiff, so those strokes pass
+    ``implicit`` explicitly.
     """
     dt = _slowest_window(model, window)
     rho = _check_state(rho0, model.dim)
     if method == "auto":
-        method = "implicit" if model.dim >= 32 else "rk"
+        method = "implicit" if model.dim > _DENSE_MAX_DIM else "rk"
     if method == "rk":
 
         def advance(rho: np.ndarray) -> tuple[np.ndarray, int, float]:
@@ -408,7 +408,7 @@ def equilibrate(
             return report.final_state, report.steps_taken, report.max_trace_drift
 
         budget = 8 if max_windows is None else max_windows
-        liou = liouvillian_matrix(model, sparse=model.dim > 24)
+        liou = liouvillian_matrix(model, sparse=model.dim > _DENSE_MAX_DIM)
         sector_dim = model.dim**2
     elif method == "implicit":
         budget = 60 if max_windows is None else max_windows

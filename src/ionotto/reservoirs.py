@@ -27,9 +27,7 @@ from .operators import SpaceLayout, destroy, sigma_minus, sigma_plus
 
 __all__ = [
     "BathKind",
-    "Statistics",
     "ReservoirSpec",
-    "EffectiveTheta",
     "LaserSettings",
     "theta_from_occupation",
     "spec_theta",
@@ -55,14 +53,12 @@ ADIABATIC_RATIO_FLOOR = 50.0
 
 
 class BathKind(str, Enum):
+    """Engineered bath kind; it fixes the occupation law: Fermi-Dirac for
+    NEGATIVE_TEMPERATURE, Bose-Einstein otherwise."""
+
     THERMAL = "thermal"
     NEGATIVE_TEMPERATURE = "negative_temperature"
     SQUEEZED_THERMAL = "squeezed_thermal"
-
-
-class Statistics(str, Enum):
-    BOSE_EINSTEIN = "bose_einstein"
-    FERMI_DIRAC = "fermi_dirac"
 
 
 @dataclass(frozen=True)
@@ -70,15 +66,14 @@ class ReservoirSpec:
     """Target effective bath for the electronic two-level system.
 
     ``gamma`` is the effective electronic decay rate (rad/us) the lasers
-    must synthesize, ``n_occupation`` the bath occupation under the given
-    statistics, and ``squeezing`` the squeezing parameter r (meaningful
-    only for squeezed thermal baths).
+    must synthesize, ``n_occupation`` the bath occupation under the
+    statistics of ``kind``, and ``squeezing`` the squeezing parameter r
+    (meaningful only for squeezed thermal baths).
     """
 
     kind: BathKind
     gamma: float
     n_occupation: float
-    statistics: Statistics
     squeezing: float = 0.0
 
     def __post_init__(self) -> None:
@@ -86,17 +81,11 @@ class ReservoirSpec:
             raise ValueError(f"gamma must be positive and finite, got {self.gamma}")
         n = self.n_occupation
         if self.kind is BathKind.THERMAL:
-            if self.statistics is not Statistics.BOSE_EINSTEIN:
-                raise ValueError("thermal bath requires Bose-Einstein statistics")
             if n < 0:
                 raise ValueError(f"thermal occupation must be >= 0, got {n}")
             if self.squeezing != 0.0:
                 raise ValueError("thermal bath must have zero squeezing")
         elif self.kind is BathKind.NEGATIVE_TEMPERATURE:
-            if self.statistics is not Statistics.FERMI_DIRAC:
-                raise ValueError(
-                    "negative-temperature bath requires Fermi-Dirac statistics"
-                )
             if not (0.5 < n < 1.0):
                 raise ValueError(
                     "negative-temperature bath requires occupation in (1/2, 1) "
@@ -105,10 +94,6 @@ class ReservoirSpec:
             if self.squeezing != 0.0:
                 raise ValueError("negative-temperature bath must have zero squeezing")
         elif self.kind is BathKind.SQUEEZED_THERMAL:
-            if self.statistics is not Statistics.BOSE_EINSTEIN:
-                raise ValueError(
-                    "squeezed thermal bath requires Bose-Einstein statistics"
-                )
             if n <= 0:
                 raise ValueError(f"squeezed-bath occupation must be > 0, got {n}")
             if self.squeezing <= 0:
@@ -120,25 +105,17 @@ class ReservoirSpec:
 
     @classmethod
     def thermal(cls, gamma: float, n_occupation: float) -> "ReservoirSpec":
-        return cls(BathKind.THERMAL, gamma, n_occupation, Statistics.BOSE_EINSTEIN)
+        return cls(BathKind.THERMAL, gamma, n_occupation)
 
     @classmethod
     def negative_temperature(cls, gamma: float, n_occupation: float) -> "ReservoirSpec":
-        return cls(
-            BathKind.NEGATIVE_TEMPERATURE, gamma, n_occupation, Statistics.FERMI_DIRAC
-        )
+        return cls(BathKind.NEGATIVE_TEMPERATURE, gamma, n_occupation)
 
     @classmethod
     def squeezed_thermal(
         cls, gamma: float, n_occupation: float, squeezing: float
     ) -> "ReservoirSpec":
-        return cls(
-            BathKind.SQUEEZED_THERMAL,
-            gamma,
-            n_occupation,
-            Statistics.BOSE_EINSTEIN,
-            squeezing,
-        )
+        return cls(BathKind.SQUEEZED_THERMAL, gamma, n_occupation, squeezing)
 
     @property
     def mu(self) -> float:
@@ -154,45 +131,33 @@ class ReservoirSpec:
         return 1.0 / (self.mu**2 + self.nu**2)
 
 
-@dataclass(frozen=True)
-class EffectiveTheta:
-    """Dimensionless half inverse temperature, theta = beta hbar omega_e / 2."""
-
-    theta: float
-
-    @property
-    def sign(self) -> str:
-        return "negative" if self.theta < 0 else "positive"
-
-
-def theta_from_occupation(n_occupation: float, statistics: Statistics) -> EffectiveTheta:
-    """Invert the occupation law of the given statistics for theta.
+def theta_from_occupation(n_occupation: float, kind: BathKind) -> float:
+    """Invert the occupation law of ``kind`` for theta = beta hbar omega_e / 2.
 
     Bose-Einstein: n = 1 / (e^{2 theta} - 1), so theta > 0 for any n > 0.
-    Fermi-Dirac:   n = 1 / (e^{2 theta} + 1), so theta < 0 once n > 1/2,
-    which is the apparent-negative-temperature regime.
+    Fermi-Dirac (``NEGATIVE_TEMPERATURE``): n = 1 / (e^{2 theta} + 1), so
+    theta < 0 once n > 1/2, which is the apparent-negative-temperature
+    regime.
     """
     n = float(n_occupation)
-    if statistics is Statistics.BOSE_EINSTEIN:
+    if kind is not BathKind.NEGATIVE_TEMPERATURE:
         if n <= 0:
             raise ValueError(f"Bose-Einstein occupation must be > 0, got {n}")
-        return EffectiveTheta(0.5 * math.log1p(1.0 / n))
-    if statistics is Statistics.FERMI_DIRAC:
-        if not (0.0 < n < 1.0):
-            raise ValueError(f"Fermi-Dirac occupation must lie in (0, 1), got {n}")
-        if abs(n - 0.5) < 1e-12:
-            warnings.warn(
-                "Fermi-Dirac occupation 1/2 gives theta = 0 (infinite temperature)",
-                RuntimeWarning,
-                stacklevel=2,
-            )
-        return EffectiveTheta(0.5 * math.log(1.0 / n - 1.0))
-    raise ValueError(f"unknown statistics {statistics}")
+        return 0.5 * math.log1p(1.0 / n)
+    if not (0.0 < n < 1.0):
+        raise ValueError(f"Fermi-Dirac occupation must lie in (0, 1), got {n}")
+    if abs(n - 0.5) < 1e-12:
+        warnings.warn(
+            "Fermi-Dirac occupation 1/2 gives theta = 0 (infinite temperature)",
+            RuntimeWarning,
+            stacklevel=2,
+        )
+    return 0.5 * math.log(1.0 / n - 1.0)
 
 
-def spec_theta(spec: ReservoirSpec) -> EffectiveTheta:
+def spec_theta(spec: ReservoirSpec) -> float:
     """Theta of the bath described by ``spec`` (pre-squeezing for squeezed)."""
-    return theta_from_occupation(spec.n_occupation, spec.statistics)
+    return theta_from_occupation(spec.n_occupation, spec.kind)
 
 
 @dataclass(frozen=True)
@@ -219,10 +184,8 @@ class LaserSettings:
 def _occupation_weights(spec: ReservoirSpec) -> tuple[float, float]:
     """Downward and upward weights gamma(1 +/- n) and gamma n."""
     n = spec.n_occupation
-    if spec.statistics is Statistics.FERMI_DIRAC:
+    if spec.kind is BathKind.NEGATIVE_TEMPERATURE:
         down = spec.gamma * (1.0 - n)
-        if 1.0 - n < 0:
-            raise ValueError(f"Fermi-Dirac occupation {n} >= 1 gives a negative rate")
     else:
         down = spec.gamma * (1.0 + n)
     return down, spec.gamma * n
@@ -413,13 +376,13 @@ def bath_steady_state(spec: ReservoirSpec) -> np.ndarray:
     return gibbs_state(theta)
 
 
-def gibbs_state(theta: EffectiveTheta | float) -> np.ndarray:
+def gibbs_state(theta: float) -> np.ndarray:
     """Two-level Gibbs state diag(e^theta, e^-theta) / (2 cosh theta).
 
     Written with one-sided exponentials so arbitrarily large theta stays
     finite.
     """
-    th = theta.theta if isinstance(theta, EffectiveTheta) else float(theta)
+    th = float(theta)
     weight = math.exp(-2.0 * abs(th))  # decaying exponential only
     major = 1.0 / (1.0 + weight)
     minor = weight / (1.0 + weight)
@@ -428,7 +391,7 @@ def gibbs_state(theta: EffectiveTheta | float) -> np.ndarray:
     return np.diag([minor, major]).astype(complex)
 
 
-def squeezed_gibbs_state(theta: EffectiveTheta | float, squeezing: float) -> np.ndarray:
+def squeezed_gibbs_state(theta: float, squeezing: float) -> np.ndarray:
     """Stationary state of the squeezed bath contact.
 
     Squeezing mixes the Gibbs populations with weights mu^2 and nu^2,

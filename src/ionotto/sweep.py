@@ -29,7 +29,7 @@ from .cycle import (
     run_cycle_effective,
     run_cycle_full,
 )
-from .reservoirs import BathKind, ReservoirSpec, Statistics
+from .reservoirs import BathKind, ReservoirSpec
 
 __all__ = [
     "ConfigError",
@@ -54,11 +54,6 @@ _UNIT_FACTORS = {
 _FREQUENCY_UNITS = ("rad_per_us", "rad_per_ms")
 
 _KIND_BY_NAME = {kind.value: kind for kind in BathKind}
-_STATISTICS_BY_KIND = {
-    BathKind.THERMAL: Statistics.BOSE_EINSTEIN,
-    BathKind.NEGATIVE_TEMPERATURE: Statistics.FERMI_DIRAC,
-    BathKind.SQUEEZED_THERMAL: Statistics.BOSE_EINSTEIN,
-}
 _MODE_BY_NAME = {mode.value: mode for mode in CycleMode}
 # Row failures kept as error rows: the lindblad solver errors and singular
 # LU factors (RuntimeError), LinAlgError (a ValueError) and arithmetic
@@ -186,7 +181,7 @@ def _reservoir(node: Mapping[str, Any], where: str) -> ReservoirSpec:
     if "squeezing" in node:
         squeezing = _quantity(node, "squeezing", where, ("dimensionless",))
     try:
-        return ReservoirSpec(kind, gamma, n_occ, _STATISTICS_BY_KIND[kind], squeezing)
+        return ReservoirSpec(kind, gamma, n_occ, squeezing)
     except ValueError as exc:
         raise ConfigError(f"{where}: {exc}") from exc
 

@@ -4,7 +4,9 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
+from scipy.linalg import expm
 
+import ionotto.lindblad as lindblad_module
 from ionotto.lindblad import (
     DegenerateSteadyStateError,
     EquilibrationError,
@@ -126,6 +128,25 @@ class TestEvolve:
         report = evolve(model, rho, 0.0)
         assert np.array_equal(report.final_state, rho)
         assert report.steps_taken == 0
+
+    def test_sparse_generator_matches_expm(self, monkeypatch):
+        # a fock-4 box joint model (dim 32) is past the dense size limit
+        spec = ReservoirSpec.thermal(2 * np.pi * 1e-4, 0.8)
+        model = full_joint_model(spec, 0.01, 2 * np.pi, 4)
+        plus = 0.5 * np.ones((2, 2), dtype=complex)
+        rho0 = kron(plus, thermal_state(4, 0.3), vacuum_state(4))
+        built = []
+
+        def spy(model, *, sparse=False):
+            built.append(sparse)
+            return liouvillian_matrix(model, sparse=sparse)
+
+        monkeypatch.setattr(lindblad_module, "liouvillian_matrix", spy)
+        t = 0.3
+        report = evolve(model, rho0, t)
+        assert built == [True]
+        exact = expm(t * liouvillian_matrix(model)) @ rho0.reshape(-1)
+        assert np.abs(report.final_state - exact.reshape(32, 32)).max() < 1e-8
 
 
 class TestExpectation:

@@ -8,7 +8,6 @@ from ionotto.operators import SpaceLayout, ketbra, sigma_z
 from ionotto.reservoirs import (
     BathKind,
     ReservoirSpec,
-    Statistics,
     channels_from_settings,
     effective_collapse_channels,
     electronic_bath_model,
@@ -28,10 +27,6 @@ LAYOUT2 = SpaceLayout((2,))
 
 
 class TestSpecInvariants:
-    def test_thermal_requires_bose_einstein(self):
-        with pytest.raises(ValueError):
-            ReservoirSpec(BathKind.THERMAL, 1.0, 0.5, Statistics.FERMI_DIRAC)
-
     def test_negative_temperature_occupation_window(self):
         with pytest.raises(ValueError):
             ReservoirSpec.negative_temperature(1.0, 0.3)
@@ -45,9 +40,7 @@ class TestSpecInvariants:
 
     def test_thermal_rejects_squeezing(self):
         with pytest.raises(ValueError):
-            ReservoirSpec(
-                BathKind.THERMAL, 1.0, 0.5, Statistics.BOSE_EINSTEIN, squeezing=0.1
-            )
+            ReservoirSpec(BathKind.THERMAL, 1.0, 0.5, squeezing=0.1)
 
     def test_zeta(self):
         spec = ReservoirSpec.squeezed_thermal(1.0, 0.4, 0.5)
@@ -56,30 +49,30 @@ class TestSpecInvariants:
 
 class TestTheta:
     def test_bose_einstein_inversion(self):
-        theta = theta_from_occupation(0.6, Statistics.BOSE_EINSTEIN)
-        assert abs(theta.theta - 0.5 * math.log(8 / 3)) < 1e-15
-        assert abs(theta.theta - 0.490415) < 1e-6
-        assert theta.sign == "positive"
+        theta = theta_from_occupation(0.6, BathKind.THERMAL)
+        assert abs(theta - 0.5 * math.log(8 / 3)) < 1e-15
+        assert abs(theta - 0.490415) < 1e-6
+        assert theta > 0
 
     def test_fermi_dirac_negative_branch(self):
-        theta = theta_from_occupation(0.8, Statistics.FERMI_DIRAC)
-        assert abs(theta.theta + math.log(2.0)) < 1e-15
-        assert theta.sign == "negative"
+        theta = theta_from_occupation(0.8, BathKind.NEGATIVE_TEMPERATURE)
+        assert abs(theta + math.log(2.0)) < 1e-15
+        assert theta < 0
 
     def test_infinite_temperature_limit(self):
-        assert theta_from_occupation(1e9, Statistics.BOSE_EINSTEIN).theta < 1e-9
-        assert theta_from_occupation(1e9, Statistics.BOSE_EINSTEIN).theta > 0
+        assert theta_from_occupation(1e9, BathKind.THERMAL) < 1e-9
+        assert theta_from_occupation(1e9, BathKind.THERMAL) > 0
 
     def test_half_occupation_flagged(self):
         with pytest.warns(RuntimeWarning):
-            theta = theta_from_occupation(0.5, Statistics.FERMI_DIRAC)
-        assert theta.theta == 0.0
+            theta = theta_from_occupation(0.5, BathKind.NEGATIVE_TEMPERATURE)
+        assert theta == 0.0
 
     def test_out_of_range(self):
         with pytest.raises(ValueError):
-            theta_from_occupation(0.0, Statistics.BOSE_EINSTEIN)
+            theta_from_occupation(0.0, BathKind.THERMAL)
         with pytest.raises(ValueError):
-            theta_from_occupation(1.2, Statistics.FERMI_DIRAC)
+            theta_from_occupation(1.2, BathKind.NEGATIVE_TEMPERATURE)
 
 
 class TestMatching:
@@ -173,7 +166,7 @@ class TestEffectiveChannels:
         ):
             rho = steady_state(electronic_bath_model(spec))
             ratio = rho[1, 1].real / rho[0, 0].real
-            assert abs(ratio - math.exp(-2 * spec_theta(spec).theta)) < 1e-10
+            assert abs(ratio - math.exp(-2 * spec_theta(spec))) < 1e-10
 
     def test_slow_rate_formula(self):
         spec = ReservoirSpec.thermal(2.0, 0.6)
@@ -231,20 +224,20 @@ class TestGibbsStates:
         assert np.abs(gibbs_state(400.0) - ketbra(2, 0, 0)).max() < 1e-12
 
     def test_fermi_dirac_round_trip(self):
-        theta = theta_from_occupation(0.8, Statistics.FERMI_DIRAC)
+        theta = theta_from_occupation(0.8, BathKind.NEGATIVE_TEMPERATURE)
         assert abs(gibbs_state(theta)[1, 1].real - 0.8) < 1e-12
 
     def test_squeezed_reduces_to_gibbs(self):
-        theta = theta_from_occupation(0.7, Statistics.BOSE_EINSTEIN)
+        theta = theta_from_occupation(0.7, BathKind.THERMAL)
         assert np.abs(squeezed_gibbs_state(theta, 0.0) - gibbs_state(theta)).max() < 1e-15
 
     def test_strong_squeezing_depolarizes(self):
-        theta = theta_from_occupation(0.7, Statistics.BOSE_EINSTEIN)
+        theta = theta_from_occupation(0.7, BathKind.THERMAL)
         assert np.abs(squeezed_gibbs_state(theta, 20.0) - np.eye(2) / 2).max() < 1e-12
 
     def test_zeta_contraction_identity(self):
         for n, r in [(0.4, 0.5), (1.3, 1.1), (0.05, 2.0)]:
-            theta = theta_from_occupation(n, Statistics.BOSE_EINSTEIN)
+            theta = theta_from_occupation(n, BathKind.THERMAL)
             plain = expectation(sigma_z(), gibbs_state(theta))
             squeezed = expectation(sigma_z(), squeezed_gibbs_state(theta, r))
             zeta = 1.0 / (math.cosh(r) ** 2 + math.sinh(r) ** 2)

@@ -417,6 +417,18 @@ class TestCli:
         err = capsys.readouterr().err
         assert "integrator_atol" in err and "equilibration_change" in err
 
+    def test_integrator_rtol_above_ten_times_equilibration_change_exit_code(
+        self, tmp_path, capsys
+    ):
+        # the default equilibration_change is 1e-8
+        tolerances = {"integrator_rtol": 1e-6}
+        config = write_config(
+            tmp_path, lambda d: d["engine"].update(tolerances=tolerances)
+        )
+        assert main(["validate", str(config)]) == 2
+        err = capsys.readouterr().err
+        assert "integrator_rtol" in err and "equilibration_change" in err
+
     @pytest.mark.parametrize("entry", [["x"], {"a": 1}], ids=["list", "object"])
     def test_non_string_mode_exit_code(self, tmp_path, capsys, entry):
         config = write_config(tmp_path, lambda d: d["sweep"].update(modes=[entry]))
@@ -427,7 +439,7 @@ class TestCli:
         tolerances = {
             "integrator_rtol": 1e-4,
             "integrator_atol": 1e-6,
-            "equilibration_change": 1e-6,
+            "equilibration_change": 1e-5,
         }
         config = write_config(
             tmp_path, lambda d: d["engine"].update(tolerances=tolerances)
