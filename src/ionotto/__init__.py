@@ -16,17 +16,13 @@ from .cycle import (
     Regime,
     StrokeEnergy,
     Tolerances,
-    carrier_propagator_numeric,
     classify_regime,
     closed_form_thermo,
-    engine_efficiency_formula,
     prepare_bath_equilibria,
-    pulse_duration,
     reference_efficiencies,
     run_cycle_closed_form,
     run_cycle_effective,
     run_cycle_full,
-    transition_probability,
 )
 from .lindblad import (
     DegenerateSteadyStateError,
@@ -44,10 +40,8 @@ from .lindblad import (
 from .operators import (
     SpaceLayout,
     destroy,
-    hermitian_propagator,
     kron,
     partial_trace,
-    thermal_state,
 )
 from .oscillator import (
     ModeLaserSettings,
@@ -96,7 +90,6 @@ __all__ = [
     "SweepConfig",
     "Tolerances",
     "VSystemConfig",
-    "carrier_propagator_numeric",
     "channels_from_settings",
     "classify_regime",
     "closed_form_thermo",
@@ -104,7 +97,6 @@ __all__ = [
     "effective_collapse_channels",
     "effective_mode_model",
     "emit_csv",
-    "engine_efficiency_formula",
     "equilibrate",
     "evolve",
     "expectation",
@@ -112,7 +104,6 @@ __all__ = [
     "full_joint_model",
     "full_v_model",
     "gibbs_state",
-    "hermitian_propagator",
     "kron",
     "liouvillian_matrix",
     "load_config",
@@ -120,7 +111,6 @@ __all__ = [
     "match_rabi_frequencies",
     "partial_trace",
     "prepare_bath_equilibria",
-    "pulse_duration",
     "quadratic_mode_moments",
     "reference_efficiencies",
     "run_cycle_closed_form",
@@ -130,6 +120,4 @@ __all__ = [
     "squeezed_gibbs_state",
     "steady_state",
     "theta_from_occupation",
-    "thermal_state",
-    "transition_probability",
 ]

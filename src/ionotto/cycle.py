@@ -21,7 +21,7 @@ All energies are reported in units of hbar * omega_c.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from enum import Enum
 from typing import Callable, Mapping
 
@@ -48,14 +48,9 @@ __all__ = [
     "StrokeEnergy",
     "CycleResult",
     "BathEquilibria",
-    "transition_probability",
-    "pulse_duration",
-    "rabi_mixing_unitary",
     "apply_transition_mixing",
-    "carrier_propagator_numeric",
     "closed_form_thermo",
     "classify_regime",
-    "engine_efficiency_formula",
     "reference_efficiencies",
     "run_cycle_closed_form",
     "run_cycle_effective",
@@ -66,6 +61,8 @@ __all__ = [
 
 # Validity ceiling for lambda * sqrt(max <a^dag a>) after a joint run.
 LAMB_DICKE_CEILING = 0.1
+# Energies closer to zero than this count as zero when classifying a regime.
+_REGIME_TOL = 1e-12
 
 
 class CycleMode(str, Enum):
@@ -125,10 +122,8 @@ class CycleConfig:
 
     omega_e_cold: float
     omega_e_hot: float
-    omega_m: float
     lamb: float
     kappa: float
-    drive_rabi: float
     cold: ReservoirSpec
     hot: ReservoirSpec
     fock_dim: int = 6
@@ -140,16 +135,16 @@ class CycleConfig:
                 "expansion must widen the electronic gap: "
                 f"omega_e_hot {self.omega_e_hot} <= omega_e_cold {self.omega_e_cold}"
             )
-        for name in (
-            "omega_e_cold", "omega_e_hot", "omega_m", "lamb", "kappa", "drive_rabi"
-        ):
+        for name in ("omega_e_cold", "omega_e_hot", "lamb", "kappa"):
             value = getattr(self, name)
             if not (value > 0 and math.isfinite(value)):
                 raise ValueError(f"{name} must be positive and finite, got {value}")
         if self.cold.kind is not BathKind.THERMAL:
             raise ValueError("the cold reservoir must be a thermal bath")
-        if self.cold.n_occupation <= 0:
-            raise ValueError("the cold reservoir needs occupation > 0")
+        # theta, and with it every mode, is undefined at zero occupation
+        for label, spec in (("cold", self.cold), ("hot", self.hot)):
+            if spec.n_occupation <= 0:
+                raise ValueError(f"the {label} reservoir needs occupation > 0")
         if self.fock_dim < 2:
             raise ValueError(f"fock_dim must be at least 2, got {self.fock_dim}")
 
@@ -203,33 +198,6 @@ class CycleResult:
     diagnostics: Mapping[str, float] | None = None
 
 
-def transition_probability(drive_rabi: float, tau_prime: float) -> float:
-    """Carrier-pulse transition probability sin^2(Omega tau' / 2)."""
-    if drive_rabi <= 0:
-        raise ValueError(f"drive Rabi frequency must be > 0, got {drive_rabi}")
-    if tau_prime < 0:
-        raise ValueError(f"pulse duration must be >= 0, got {tau_prime}")
-    return math.sin(drive_rabi * tau_prime / 2.0) ** 2
-
-
-def pulse_duration(drive_rabi: float, xi: float) -> float:
-    """Inverse of :func:`transition_probability` on the first half period."""
-    if drive_rabi <= 0:
-        raise ValueError(f"drive Rabi frequency must be > 0, got {drive_rabi}")
-    if not 0.0 <= xi <= 1.0:
-        raise ValueError(f"transition probability must lie in [0, 1], got {xi}")
-    return 2.0 * math.asin(math.sqrt(xi)) / drive_rabi
-
-
-def rabi_mixing_unitary(xi: float) -> np.ndarray:
-    """Rotating-frame carrier unitary with |<e|U|g>|^2 = xi."""
-    if not 0.0 <= xi <= 1.0:
-        raise ValueError(f"transition probability must lie in [0, 1], got {xi}")
-    half = math.asin(math.sqrt(xi))
-    c, s = math.cos(half), math.sin(half)
-    return np.array([[c, -1j * s], [-1j * s, c]], dtype=complex)
-
-
 def apply_transition_mixing(state: np.ndarray, xi: float) -> np.ndarray:
     """Population map of the carrier pulse on a diagonal two-level state.
 
@@ -245,88 +213,6 @@ def apply_transition_mixing(state: np.ndarray, xi: float) -> np.ndarray:
     return np.diag(
         [(1.0 - xi) * p_g + xi * p_e, (1.0 - xi) * p_e + xi * p_g]
     ).astype(complex)
-
-
-# Fourth-order commutator-free scheme: two exponentials per step with
-# Gauss-Legendre nodes, coefficients 1/4 +/- sqrt(3)/6.
-_CF4_NODE_OFFSET = math.sqrt(3.0) / 6.0
-_CF4_A1 = 0.25 + _CF4_NODE_OFFSET
-_CF4_A2 = 0.25 - _CF4_NODE_OFFSET
-
-
-def _su2_exponentials(cx: np.ndarray, cy: np.ndarray, cz: np.ndarray) -> np.ndarray:
-    """Stacked exp(-i (cx sx + cy sy + cz sz)) via the axis-angle form."""
-    angle = np.sqrt(cx**2 + cy**2 + cz**2)
-    small = angle < 1e-30
-    sinc = np.where(small, 1.0, np.sin(angle) / np.where(small, 1.0, angle))
-    out = np.zeros(cx.shape + (2, 2), dtype=complex)
-    cos = np.cos(angle)
-    out[..., 0, 0] = cos + 1j * cz * sinc
-    out[..., 1, 1] = cos - 1j * cz * sinc
-    out[..., 0, 1] = -sinc * (1j * cx + cy)
-    out[..., 1, 0] = -sinc * (1j * cx - cy)
-    return out
-
-
-def carrier_propagator_numeric(
-    drive_rabi: float,
-    tau_prime: float,
-    steps: int = 4096,
-    omega_e: float | None = None,
-) -> np.ndarray:
-    """Time-ordered carrier propagator in the lab frame.
-
-    Integrates the gap Hamiltonian plus the resonant drive, whose
-    noncommuting time dependence requires genuine time ordering, as a
-    product of short-step fourth-order commutator-free exponentials.
-    The transition probability |<e|U|g>|^2 must reproduce the closed form
-    sin^2(Omega tau'/2) for any electronic frequency; ``omega_e``
-    defaults to a modest multiple of the drive so the product stays well
-    conditioned (the physical optical frequency is irrelevant here).
-    """
-    if steps < 100:
-        raise ValueError(f"need at least 100 steps, got {steps}")
-    if drive_rabi <= 0:
-        raise ValueError(f"drive Rabi frequency must be > 0, got {drive_rabi}")
-    if tau_prime < 0:
-        raise ValueError(f"pulse duration must be >= 0, got {tau_prime}")
-    if tau_prime == 0.0:
-        return np.eye(2, dtype=complex)
-    if omega_e is None:
-        omega_e = 5.0 * drive_rabi
-    h = tau_prime / steps
-    starts = h * np.arange(steps)
-    # two-point Gauss-Legendre nodes 1/2 -/+ sqrt(3)/6 on each step
-    t1 = starts + (0.5 - _CF4_NODE_OFFSET) * h
-    t2 = starts + (0.5 + _CF4_NODE_OFFSET) * h
-
-    def factor(w1: float, w2: float) -> np.ndarray:
-        # combined generator h * (w1 H(t1) + w2 H(t2)) as sx, sy, sz parts
-        cx = 0.5 * drive_rabi * h * (w1 * np.cos(omega_e * t1) + w2 * np.cos(omega_e * t2))
-        cy = -0.5 * drive_rabi * h * (w1 * np.sin(omega_e * t1) + w2 * np.sin(omega_e * t2))
-        cz = 0.5 * omega_e * h * (w1 + w2) * np.ones_like(t1)
-        return _su2_exponentials(cx, cy, cz)
-
-    # per step: exp(X2) exp(X1), applied after all earlier steps
-    first = factor(_CF4_A1, _CF4_A2)
-    second = factor(_CF4_A2, _CF4_A1)
-    product = second @ first
-    # pairwise time-ordered reduction; an odd leftover is the latest
-    # factor of the current round and moves into the left carry
-    carry = np.eye(2, dtype=complex)
-    while product.shape[0] > 1:
-        if product.shape[0] % 2:
-            carry = carry @ product[-1]
-            product = product[:-1]
-        product = product[1::2] @ product[0::2]
-    return carry @ product[0]
-
-
-def _closed_form_factors(config: CycleConfig, xi: float) -> tuple[float, float, float]:
-    """T_c = tanh(theta_c), signed T_h = zeta tanh(theta_h) and u = 1 - 2 xi."""
-    t_c = math.tanh(config.theta_cold)
-    t_h = config.zeta * math.tanh(config.theta_hot)
-    return t_c, t_h, 1.0 - 2.0 * xi
 
 
 def closed_form_thermo(config: CycleConfig, xi: float) -> StrokeEnergy:
@@ -345,7 +231,9 @@ def closed_form_thermo(config: CycleConfig, xi: float) -> StrokeEnergy:
     if not 0.0 <= xi <= 1.0:
         raise ValueError(f"transition probability must lie in [0, 1], got {xi}")
     ratio = config.frequency_ratio
-    t_c, t_h, survival = _closed_form_factors(config, xi)
+    t_c = math.tanh(config.theta_cold)
+    t_h = config.zeta * math.tanh(config.theta_hot)
+    survival = 1.0 - 2.0 * xi
     return StrokeEnergy(
         w_expansion=0.5 * t_c * (1.0 - ratio * survival),
         w_compression=0.5 * t_h * (ratio - survival),
@@ -354,9 +242,7 @@ def closed_form_thermo(config: CycleConfig, xi: float) -> StrokeEnergy:
     )
 
 
-def classify_regime(
-    w_net: float, q_hot: float, q_cold: float, tol: float = 1e-12
-) -> Regime:
+def classify_regime(w_net: float, q_hot: float, q_cold: float) -> Regime:
     """Thermal-machine label from the signs of (W_net, Q_hot, Q_cold).
 
     Work extracted (W < 0) makes an engine, or a double absorption when
@@ -366,19 +252,19 @@ def classify_regime(
     fall through to the heater label.  The map is total over every sign
     combination.
     """
-    if w_net < -tol:
-        if q_hot > tol and q_cold > tol:
+    if w_net < -_REGIME_TOL:
+        if q_hot > _REGIME_TOL and q_cold > _REGIME_TOL:
             return Regime.DOUBLE_ABSORPTION
         return Regime.HEAT_ENGINE
-    if w_net > tol:
-        if q_hot < -tol and q_cold > tol:
+    if w_net > _REGIME_TOL:
+        if q_hot < -_REGIME_TOL and q_cold > _REGIME_TOL:
             return Regime.REFRIGERATOR
-        if q_hot > tol and q_cold < -tol:
+        if q_hot > _REGIME_TOL and q_cold < -_REGIME_TOL:
             return Regime.ACCELERATOR
         return Regime.HEATER
-    if q_hot > tol and q_cold < -tol:
+    if q_hot > _REGIME_TOL and q_cold < -_REGIME_TOL:
         return Regime.ACCELERATOR
-    if q_hot < -tol and q_cold > tol:
+    if q_hot < -_REGIME_TOL and q_cold > _REGIME_TOL:
         return Regime.REFRIGERATOR
     return Regime.HEATER
 
@@ -393,20 +279,6 @@ def _efficiency_from_energies(energies: StrokeEnergy, regime: Regime) -> float |
         return None
     absorbed = max(energies.q_hot, 0.0) + max(energies.q_cold, 0.0)
     return -energies.net_work / absorbed
-
-
-def engine_efficiency_formula(config: CycleConfig, xi: float) -> float:
-    """Closed-form engine efficiency, one bracket for every bath kind.
-
-    eta = 1 - (omega_c / omega_h) * (T_c - u T_h) / (u T_c - T_h) with
-    u = 1 - 2 xi and the signed, squeezing-contracted T_h; specializing
-    T_h reproduces the published thermal, inverted and squeezed forms.
-    Meaningful in the work-extracting regime (the bracket denominator is
-    proportional to Q_hot).
-    """
-    t_c, t_h, survival = _closed_form_factors(config, xi)
-    bracket = (t_c - survival * t_h) / (survival * t_c - t_h)
-    return 1.0 - bracket / config.frequency_ratio
 
 
 def reference_efficiencies(config: CycleConfig) -> tuple[float, float | None]:
@@ -677,16 +549,3 @@ def run_cycle_full(
         config, xi, CycleMode.FULL, energies, flags=flags, diagnostics=diagnostics
     )
 
-
-def truncation_shift(config: CycleConfig, extra: int = 2) -> float:
-    """Largest steady-population move when the Fock truncation grows.
-
-    Reruns both bath equilibrations at fock_dim + ``extra`` and returns
-    the largest absolute change of the reduced electronic populations; a
-    converged truncation keeps this below 1e-4.
-    """
-    base = prepare_bath_equilibria(config)
-    larger = prepare_bath_equilibria(replace(config, fock_dim=config.fock_dim + extra))
-    shift_cold = np.abs(np.diag(base.cold_state - larger.cold_state).real).max()
-    shift_hot = np.abs(np.diag(base.hot_state - larger.hot_state).real).max()
-    return float(max(shift_cold, shift_hot))

@@ -43,6 +43,8 @@ __all__ = [
 # (the joint ion models) are big and very sparse: their generator is
 # stored sparse and ``equilibrate``'s ``auto`` steps them implicitly.
 _DENSE_MAX_DIM = 24
+# Accepted-step budget of one ``evolve`` call.
+_MAX_STEPS = 2_000_000
 
 
 class DegenerateSteadyStateError(RuntimeError):
@@ -217,7 +219,6 @@ def evolve(
     tol: float = 1e-9,
     *,
     atol: float | None = None,
-    max_steps: int = 2_000_000,
 ) -> EvolutionReport:
     """Integrate the master equation to time ``t``.
 
@@ -284,9 +285,9 @@ def evolve(
             drift = abs(y[diag_idx].sum() - 1.0)
             if drift > max_drift:
                 max_drift = float(drift)
-        if steps >= max_steps:
+        if steps >= _MAX_STEPS:
             raise IntegrationError(
-                f"step budget {max_steps} exhausted at t = {time_now:.6g}; "
+                f"step budget {_MAX_STEPS} exhausted at t = {time_now:.6g}; "
                 "for long stiff relaxations use equilibrate()"
             )
         factor = 0.9 * err ** -0.2 if err > 0 else 5.0

@@ -31,10 +31,7 @@ __all__ = [
     "sigma_minus",
     "sigma_plus",
     "vacuum_state",
-    "thermal_state",
-    "hermitian_propagator",
     "hermiticity_defect",
-    "unitarity_defect",
     "is_hermitian",
 ]
 
@@ -152,24 +149,6 @@ def vacuum_state(n_max: int) -> np.ndarray:
     return ketbra(n_max, 0, 0)
 
 
-def thermal_state(n_max: int, nbar: float) -> np.ndarray:
-    """Truncated thermal mode state with target mean occupation ``nbar``.
-
-    Populations follow the geometric law p_k ~ (nbar / (1 + nbar))^k,
-    renormalized over the truncated ladder, so the realized mean sits
-    slightly below ``nbar``; the discrepancy is the truncation error.
-    """
-    if n_max < 2:
-        raise ValueError(f"Fock truncation must be at least 2, got {n_max}")
-    if nbar < 0:
-        raise ValueError(f"mean occupation must be nonnegative, got {nbar}")
-    if nbar == 0:
-        return vacuum_state(n_max)
-    q = nbar / (1.0 + nbar)
-    weights = q ** np.arange(n_max)
-    return np.diag(weights / weights.sum()).astype(complex)
-
-
 def hermiticity_defect(a: np.ndarray) -> float:
     """Largest elementwise deviation from a = a^dag."""
     return float(np.abs(a - a.conj().T).max())
@@ -178,22 +157,3 @@ def hermiticity_defect(a: np.ndarray) -> float:
 def is_hermitian(a: np.ndarray, tol: float = 1e-10) -> bool:
     return a.shape[0] == a.shape[1] and hermiticity_defect(a) <= tol
 
-
-def unitarity_defect(u: np.ndarray) -> float:
-    """Largest elementwise deviation of u^dag u from the identity."""
-    return float(np.abs(u.conj().T @ u - np.eye(u.shape[0])).max())
-
-
-def hermitian_propagator(h: np.ndarray, t: float) -> np.ndarray:
-    """exp(-i h t) through the eigendecomposition of a Hermitian ``h``.
-
-    Eigendecomposition keeps the result unitary to solver precision for
-    any step length, unlike truncated series expansions.
-    """
-    defect = hermiticity_defect(h)
-    if defect > 1e-10:
-        raise ValueError(
-            f"generator is not Hermitian (max deviation {defect:.3e})"
-        )
-    w, v = np.linalg.eigh(h)
-    return (v * np.exp(-1j * w * t)) @ v.conj().T

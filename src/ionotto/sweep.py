@@ -136,7 +136,7 @@ def _quantity(node: Mapping[str, Any], key: str, where: str, units: Sequence[str
     if "value" not in entry or "unit" not in entry:
         raise ConfigError(f"{where}.{key}: a quantity needs 'value' and 'unit'")
     unit = entry["unit"]
-    if unit not in _UNIT_FACTORS:
+    if not isinstance(unit, str) or unit not in _UNIT_FACTORS:
         raise ConfigError(
             f"{where}.{key}: unit {unit!r} not in whitelist {sorted(_UNIT_FACTORS)}"
         )
@@ -169,7 +169,7 @@ def _reservoir(node: Mapping[str, Any], where: str) -> ReservoirSpec:
     if "kind" not in node:
         raise ConfigError(f"{where}: missing required key 'kind'")
     kind_name = node["kind"]
-    if kind_name not in _KIND_BY_NAME:
+    if not isinstance(kind_name, str) or kind_name not in _KIND_BY_NAME:
         raise ConfigError(
             f"{where}.kind: unknown bath kind {kind_name!r} "
             f"(expected one of {sorted(_KIND_BY_NAME)})"
@@ -225,16 +225,7 @@ def load_config(path: str | Path) -> SweepConfig:
     engine = _require_mapping(document["engine"], "engine")
     _reject_unknown(
         engine,
-        (
-            "omega_e_cold",
-            "omega_e_hot",
-            "omega_m",
-            "lambda",
-            "kappa",
-            "drive_rabi",
-            "fock_dim",
-            "tolerances",
-        ),
+        ("omega_e_cold", "omega_e_hot", "lambda", "kappa", "fock_dim", "tolerances"),
         "engine",
     )
     tolerances = Tolerances()
@@ -244,10 +235,8 @@ def load_config(path: str | Path) -> SweepConfig:
         cycle = CycleConfig(
             omega_e_cold=_quantity(engine, "omega_e_cold", "engine", _FREQUENCY_UNITS),
             omega_e_hot=_quantity(engine, "omega_e_hot", "engine", _FREQUENCY_UNITS),
-            omega_m=_quantity(engine, "omega_m", "engine", _FREQUENCY_UNITS),
             lamb=_quantity(engine, "lambda", "engine", ("dimensionless",)),
             kappa=_quantity(engine, "kappa", "engine", _FREQUENCY_UNITS),
-            drive_rabi=_quantity(engine, "drive_rabi", "engine", _FREQUENCY_UNITS),
             cold=_reservoir(document["cold"], "cold"),
             hot=_reservoir(document["hot"], "hot"),
             fock_dim=_integer(engine, "fock_dim", "engine", default=6),

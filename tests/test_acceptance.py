@@ -16,15 +16,12 @@ from ionotto.cycle import (
     CycleConfig,
     Regime,
     apply_transition_mixing,
-    carrier_propagator_numeric,
     closed_form_thermo,
     prepare_bath_equilibria,
-    rabi_mixing_unitary,
     reference_efficiencies,
     run_cycle_closed_form,
     run_cycle_effective,
     run_cycle_full,
-    transition_probability,
 )
 from ionotto.lindblad import LindbladModel, equilibrate, evolve, steady_state
 from ionotto.operators import (
@@ -55,6 +52,11 @@ from ionotto.reservoirs import (
     match_rabi_frequencies,
     spec_theta,
     squeezed_gibbs_state,
+)
+from oracles import (
+    carrier_propagator_numeric,
+    rabi_mixing_unitary,
+    transition_probability,
 )
 from ionotto.lindblad import liouvillian_matrix, expectation
 
@@ -87,10 +89,8 @@ def panel_config(hot: ReservoirSpec, fock_dim: int = 6) -> CycleConfig:
     return CycleConfig(
         omega_e_cold=TWO_PI * 1e6,
         omega_e_hot=1.5 * TWO_PI * 1e6,
-        omega_m=10 * TWO_PI,
         lamb=0.01,
         kappa=TWO_PI,
-        drive_rabi=0.01 * TWO_PI,
         cold=ReservoirSpec.thermal(GAMMA, 0.6),
         hot=hot,
         fock_dim=fock_dim,
@@ -219,10 +219,8 @@ def test_criterion_4_closed_form_identities():
             config = CycleConfig(
                 omega_e_cold=1.0,
                 omega_e_hot=ratio,
-                omega_m=1.0,
                 lamb=0.01,
                 kappa=1.0,
-                drive_rabi=0.1,
                 cold=ReservoirSpec.thermal(1e-3, rng.uniform(0.02, 4.0)),
                 hot=hot,
             )

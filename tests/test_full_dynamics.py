@@ -14,7 +14,6 @@ from ionotto.cycle import (
     run_cycle_closed_form,
     run_cycle_effective,
     run_cycle_full,
-    truncation_shift,
 )
 from ionotto.lindblad import equilibrate
 from ionotto.operators import SpaceLayout, kron, partial_trace, vacuum_state
@@ -25,6 +24,7 @@ from ionotto.reservoirs import (
     spec_theta,
     squeezed_gibbs_state,
 )
+from oracles import truncation_shift
 
 TWO_PI = 2 * math.pi
 GAMMA = TWO_PI * 1e-4
@@ -34,10 +34,8 @@ def panel_config(hot: ReservoirSpec, fock_dim: int = 6) -> CycleConfig:
     return CycleConfig(
         omega_e_cold=TWO_PI * 1e6,
         omega_e_hot=1.5 * TWO_PI * 1e6,
-        omega_m=10 * TWO_PI,
         lamb=0.01,
         kappa=TWO_PI,
-        drive_rabi=0.01 * TWO_PI,
         cold=ReservoirSpec.thermal(GAMMA, 0.6),
         hot=hot,
         fock_dim=fock_dim,

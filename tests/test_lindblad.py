@@ -21,18 +21,17 @@ from ionotto.lindblad import (
 from ionotto.operators import (
     SpaceLayout,
     destroy,
-    hermitian_propagator,
     ketbra,
     kron,
     number_op,
     sigma_minus,
     sigma_plus,
     sigma_z,
-    thermal_state,
     vacuum_state,
 )
 from ionotto.reservoirs import ReservoirSpec, full_joint_model
 from ionotto.sweep import load_config
+from oracles import hermitian_propagator, thermal_state
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
 

@@ -4,7 +4,6 @@ import pytest
 from ionotto.operators import (
     SpaceLayout,
     destroy,
-    hermitian_propagator,
     hermiticity_defect,
     ketbra,
     kron,
@@ -13,10 +12,9 @@ from ionotto.operators import (
     sigma_minus,
     sigma_plus,
     sigma_z,
-    thermal_state,
-    unitarity_defect,
     vacuum_state,
 )
+from oracles import hermitian_propagator, thermal_state, unitarity_defect
 
 
 def random_complex(rng, shape):

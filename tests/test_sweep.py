@@ -69,9 +69,18 @@ class TestLoadConfig:
         with pytest.raises(ConfigError, match="extra"):
             load_config(path)
 
-    def test_unknown_engine_key(self, tmp_path):
-        path = write_config(tmp_path, lambda d: d["engine"].update(typo=1))
-        with pytest.raises(ConfigError, match="typo"):
+    @pytest.mark.parametrize(
+        "key, value",
+        [
+            ("typo", 1),
+            ("omega_m", {"value": 62.83185307179586, "unit": "rad_per_us"}),
+            ("drive_rabi", {"value": 0.06283185307179587, "unit": "rad_per_us"}),
+        ],
+        ids=["typo", "omega_m", "drive_rabi"],
+    )
+    def test_unknown_engine_key(self, tmp_path, key, value):
+        path = write_config(tmp_path, lambda d: d["engine"].update({key: value}))
+        with pytest.raises(ConfigError, match=key):
             load_config(path)
 
     def test_unit_whitelist(self, tmp_path):
@@ -434,6 +443,36 @@ class TestCli:
         config = write_config(tmp_path, lambda d: d["sweep"].update(modes=[entry]))
         assert main(["validate", str(config)]) == 2
         assert "sweep.modes" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "section, key, entry",
+        [
+            ("hot", "kind", ["thermal"]),
+            ("hot", "kind", {"name": "thermal"}),
+            ("engine", "kappa", {"value": 6.283185307179586, "unit": ["rad_per_us"]}),
+            ("hot", "gamma", {"value": 0.6283185307179586, "unit": {"u": 1}}),
+        ],
+        ids=["kind-list", "kind-object", "unit-list", "unit-object"],
+    )
+    def test_non_string_kind_or_unit_exit_code(
+        self, tmp_path, capsys, section, key, entry
+    ):
+        config = write_config(tmp_path, lambda d: d[section].update({key: entry}))
+        assert main(["validate", str(config)]) == 2
+        assert f"{section}.{key}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["validate", "sweep"])
+    def test_zero_hot_occupation_exit_code(self, tmp_path, capsys, command):
+        config = write_config(
+            tmp_path, lambda d: d["hot"]["n_occupation"].update(value=0.0)
+        )
+        out = tmp_path / "out.csv"
+        args = [command, str(config)]
+        if command == "sweep":
+            args += ["--modes", "closed_form", "--output", str(out)]
+        assert main(args) == 2
+        assert "hot reservoir needs occupation > 0" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_valid_tolerances_accepted(self, tmp_path):
         tolerances = {
