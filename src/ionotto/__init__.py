@@ -15,7 +15,6 @@ from .cycle import (
     CycleResult,
     Regime,
     StrokeEnergy,
-    Tolerances,
     classify_regime,
     closed_form_thermo,
     prepare_bath_equilibria,
@@ -88,7 +87,6 @@ __all__ = [
     "SpaceLayout",
     "StrokeEnergy",
     "SweepConfig",
-    "Tolerances",
     "VSystemConfig",
     "channels_from_settings",
     "classify_regime",

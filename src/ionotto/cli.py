@@ -111,8 +111,12 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         output=args.output,
         fock_dim=args.fock_dim,
     )
-    result = run_sweep(config)
     output = config.output_path or Path("sweep.csv")
+    if output.is_dir():
+        raise ConfigError(f"cannot write {output}: it is a directory")
+    if not output.parent.is_dir():
+        raise ConfigError(f"cannot write {output}: no directory {output.parent}")
+    result = run_sweep(config)
     emit_csv(result.rows, output)
     print(f"wrote {len(result.rows)} rows to {output}")
     if result.flags:

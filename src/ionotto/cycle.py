@@ -21,7 +21,7 @@ All energies are reported in units of hbar * omega_c.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 from typing import Callable, Mapping
 
@@ -43,7 +43,6 @@ from .reservoirs import (
 __all__ = [
     "CycleMode",
     "Regime",
-    "Tolerances",
     "CycleConfig",
     "StrokeEnergy",
     "CycleResult",
@@ -80,36 +79,6 @@ class Regime(str, Enum):
 
 
 @dataclass(frozen=True)
-class Tolerances:
-    integrator_rtol: float = 1e-9
-    integrator_atol: float = 1e-12
-    equilibration_change: float = 1e-8
-
-    def __post_init__(self) -> None:
-        for name in ("integrator_rtol", "integrator_atol", "equilibration_change"):
-            value = getattr(self, name)
-            if not (value > 0 and math.isfinite(value)):
-                raise ValueError(f"{name} must be positive and finite, got {value}")
-        if self.integrator_rtol > 1e-4:
-            raise ValueError(
-                f"integrator_rtol must be <= 1e-4, got {self.integrator_rtol}"
-            )
-        # a looser absolute error would keep the window change above its test
-        if self.integrator_atol > self.equilibration_change:
-            raise ValueError(
-                f"integrator_atol {self.integrator_atol} must not exceed "
-                f"equilibration_change {self.equilibration_change}"
-            )
-        # measured on the shipped panels: rtol = 10 x change keeps every
-        # effective window test reachable, 30 x already fails some rows
-        if self.integrator_rtol > 10.0 * self.equilibration_change:
-            raise ValueError(
-                f"integrator_rtol {self.integrator_rtol} must not exceed "
-                f"10 x equilibration_change {self.equilibration_change}"
-            )
-
-
-@dataclass(frozen=True)
 class CycleConfig:
     """All engine parameters.
 
@@ -127,7 +96,6 @@ class CycleConfig:
     cold: ReservoirSpec
     hot: ReservoirSpec
     fock_dim: int = 6
-    tolerances: Tolerances = field(default_factory=Tolerances)
 
     def __post_init__(self) -> None:
         if self.omega_e_hot <= self.omega_e_cold:
@@ -371,22 +339,13 @@ def run_cycle_effective(config: CycleConfig, xi: float) -> CycleResult:
     population mixing.  Energies are booked at the stroke boundaries and
     match :func:`closed_form_thermo` to the equilibration tolerance.
     """
-    tols = config.tolerances
     reports: list[EquilibrationReport] = []
 
     def contact(spec: ReservoirSpec) -> Callable[[np.ndarray], np.ndarray]:
         model = electronic_bath_model(spec)
 
         def stroke(state: np.ndarray) -> np.ndarray:
-            reports.append(
-                equilibrate(
-                    model,
-                    state,
-                    change_tol=tols.equilibration_change,
-                    tol=tols.integrator_rtol,
-                    atol=tols.integrator_atol,
-                )
-            )
+            reports.append(equilibrate(model, state))
             return reports[-1].final_state
 
         return stroke
@@ -449,14 +408,7 @@ def _joint_bath_stroke(
         channels=tuple((rate, op[kept]) for rate, op in model.channels),
         slow_rate=model.slow_rate,
     )
-    report = equilibrate(
-        restricted,
-        joint0[kept],
-        change_tol=config.tolerances.equilibration_change,
-        tol=config.tolerances.integrator_rtol,
-        atol=config.tolerances.integrator_atol,
-        method="implicit",
-    )
+    report = equilibrate(restricted, joint0[kept], method="implicit")
     final = np.zeros_like(joint0)
     final[kept] = report.final_state
     reduced = partial_trace(final, layout, keep=(0,))

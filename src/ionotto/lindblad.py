@@ -45,6 +45,10 @@ __all__ = [
 _DENSE_MAX_DIM = 24
 # Accepted-step budget of one ``evolve`` call.
 _MAX_STEPS = 2_000_000
+# Relative and absolute per-step error targets of ``equilibrate``'s ``rk``
+# windows.
+_RK_RTOL = 1e-9
+_RK_ATOL = 1e-12
 
 
 class DegenerateSteadyStateError(RuntimeError):
@@ -369,8 +373,6 @@ def equilibrate(
     window: float | None = None,
     change_tol: float = 1e-8,
     max_windows: int | None = None,
-    tol: float = 1e-9,
-    atol: float | None = None,
     method: str = "auto",
 ) -> EquilibrationReport:
     """Relax toward the stationary state in windows of fixed duration.
@@ -380,8 +382,8 @@ def equilibrate(
     binding criterion is the window test rather than the horizon.
 
     Two window steppers are available.  ``rk`` integrates each window
-    with :func:`evolve` at relative tolerance ``tol`` and absolute
-    tolerance ``atol``.  ``implicit`` advances with backward-Euler
+    with :func:`evolve` at relative tolerance 1e-9 and absolute
+    tolerance 1e-12.  ``implicit`` advances with backward-Euler
     macro-steps: one sparse LU of I - dt L restricted to the components
     of L that hold the trace or the start state, then one triangular
     solve per window.  Entries outside those components stay exactly
@@ -405,7 +407,7 @@ def equilibrate(
     if method == "rk":
 
         def advance(rho: np.ndarray) -> tuple[np.ndarray, int, float]:
-            report = evolve(model, rho, dt, tol, atol=atol)
+            report = evolve(model, rho, dt, _RK_RTOL, atol=_RK_ATOL)
             return report.final_state, report.steps_taken, report.max_trace_drift
 
         budget = 8 if max_windows is None else max_windows

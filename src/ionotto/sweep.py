@@ -23,7 +23,6 @@ from .cycle import (
     CycleConfig,
     CycleMode,
     CycleResult,
-    Tolerances,
     prepare_bath_equilibria,
     run_cycle_closed_form,
     run_cycle_effective,
@@ -52,6 +51,9 @@ _UNIT_FACTORS = {
     "dimensionless": 1.0,
 }
 _FREQUENCY_UNITS = ("rad_per_us", "rad_per_ms")
+
+# Longest xi grid that ``xi_points`` may request.
+_MAX_XI_POINTS = 100_000
 
 _KIND_BY_NAME = {kind.value: kind for kind in BathKind}
 _MODE_BY_NAME = {mode.value: mode for mode in CycleMode}
@@ -85,13 +87,14 @@ class SweepConfig:
     output_path: Path | None
 
     def __post_init__(self) -> None:
-        grid = tuple(float(x) for x in self.xi_grid)
-        if not grid:
+        if not self.xi_grid:
             raise ConfigError("xi grid is empty")
-        if any(not 0.0 <= x <= 1.0 for x in grid):
-            raise ConfigError(f"xi grid values must lie in [0, 1]: {grid}")
-        if list(grid) != sorted(grid):
-            raise ConfigError("xi grid must be sorted ascending")
+        # compared before float(), which overflows on very large integers
+        if any(not 0.0 <= x <= 1.0 for x in self.xi_grid):
+            raise ConfigError("xi grid values must lie in [0, 1]")
+        grid = tuple(float(x) for x in self.xi_grid)
+        if any(b <= a for a, b in zip(grid, grid[1:])):
+            raise ConfigError(f"xi grid must be sorted strictly ascending: {grid}")
         object.__setattr__(self, "xi_grid", grid)
         if not self.modes:
             raise ConfigError("no cycle modes selected")
@@ -128,6 +131,26 @@ def _reject_unknown(node: Mapping[str, Any], allowed: Sequence[str], where: str)
         raise ConfigError(f"{where}: unknown keys {unknown} (allowed: {sorted(allowed)})")
 
 
+def _number(value: Any, where: str) -> float:
+    if not isinstance(value, (int, float)) or isinstance(value, bool):
+        raise ConfigError(f"{where}: value must be a number, got {value!r}")
+    try:
+        number = float(value)
+    except OverflowError:
+        raise ConfigError(
+            f"{where}: value must be finite, got an integer too large for a float"
+        ) from None
+    if not math.isfinite(number):
+        raise ConfigError(f"{where}: value must be finite, got {value!r}")
+    return number
+
+
+def _xi_linspace(start: float, stop: float, points: int, where: str) -> tuple[float, ...]:
+    if not 1 <= points <= _MAX_XI_POINTS:
+        raise ConfigError(f"{where}: need 1 to {_MAX_XI_POINTS} xi points, got {points}")
+    return tuple(np.linspace(start, stop, points))
+
+
 def _quantity(node: Mapping[str, Any], key: str, where: str, units: Sequence[str]) -> float:
     if key not in node:
         raise ConfigError(f"{where}: missing required key {key!r}")
@@ -144,12 +167,7 @@ def _quantity(node: Mapping[str, Any], key: str, where: str, units: Sequence[str
         raise ConfigError(
             f"{where}.{key}: unit {unit!r} not valid here (expected one of {list(units)})"
         )
-    value = entry["value"]
-    if not isinstance(value, (int, float)) or isinstance(value, bool):
-        raise ConfigError(f"{where}.{key}: value must be a number, got {value!r}")
-    if not math.isfinite(value):
-        raise ConfigError(f"{where}.{key}: value must be finite, got {value!r}")
-    return float(value) * _UNIT_FACTORS[unit]
+    return _number(entry["value"], f"{where}.{key}") * _UNIT_FACTORS[unit]
 
 
 def _integer(node: Mapping[str, Any], key: str, where: str, default: int | None = None) -> int:
@@ -186,23 +204,6 @@ def _reservoir(node: Mapping[str, Any], where: str) -> ReservoirSpec:
         raise ConfigError(f"{where}: {exc}") from exc
 
 
-def _tolerances(node: Mapping[str, Any], where: str) -> Tolerances:
-    node = _require_mapping(node, where)
-    allowed = ("integrator_rtol", "integrator_atol", "equilibration_change")
-    _reject_unknown(node, allowed, where)
-    values = {}
-    for key in allowed:
-        if key in node:
-            value = node[key]
-            if not isinstance(value, (int, float)) or isinstance(value, bool):
-                raise ConfigError(f"{where}.{key}: expected a number, got {value!r}")
-            values[key] = float(value)
-    try:
-        return Tolerances(**values)
-    except ValueError as exc:
-        raise ConfigError(f"{where}: {exc}") from exc
-
-
 def load_config(path: str | Path) -> SweepConfig:
     """Parse and validate a sweep configuration file."""
     path = Path(path)
@@ -216,6 +217,8 @@ def load_config(path: str | Path) -> SweepConfig:
         raise ConfigError(
             f"{path}: JSON parse error at line {exc.lineno}, column {exc.colno}: {exc.msg}"
         ) from exc
+    except ValueError as exc:  # an integer literal past the digit limit
+        raise ConfigError(f"{path}: {exc}") from exc
     document = _require_mapping(document, str(path))
     _reject_unknown(document, ("engine", "cold", "hot", "sweep"), str(path))
     for key in ("engine", "cold", "hot"):
@@ -225,12 +228,9 @@ def load_config(path: str | Path) -> SweepConfig:
     engine = _require_mapping(document["engine"], "engine")
     _reject_unknown(
         engine,
-        ("omega_e_cold", "omega_e_hot", "lambda", "kappa", "fock_dim", "tolerances"),
+        ("omega_e_cold", "omega_e_hot", "lambda", "kappa", "fock_dim"),
         "engine",
     )
-    tolerances = Tolerances()
-    if "tolerances" in engine:
-        tolerances = _tolerances(engine["tolerances"], "engine.tolerances")
     try:
         cycle = CycleConfig(
             omega_e_cold=_quantity(engine, "omega_e_cold", "engine", _FREQUENCY_UNITS),
@@ -240,7 +240,6 @@ def load_config(path: str | Path) -> SweepConfig:
             cold=_reservoir(document["cold"], "cold"),
             hot=_reservoir(document["hot"], "hot"),
             fock_dim=_integer(engine, "fock_dim", "engine", default=6),
-            tolerances=tolerances,
         )
     except ValueError as exc:
         raise ConfigError(f"{path}: {exc}") from exc
@@ -259,15 +258,14 @@ def load_config(path: str | Path) -> SweepConfig:
                 isinstance(x, (int, float)) and not isinstance(x, bool) for x in grid
             ):
                 raise ConfigError("sweep.xi_grid: expected a list of numbers")
-            xi_grid = tuple(float(x) for x in grid)
+            xi_grid = tuple(grid)
         elif "xi_points" in sweep or "xi_max" in sweep:
-            points = _integer(sweep, "xi_points", "sweep", default=41)
-            if points < 1:
-                raise ConfigError(f"sweep.xi_points: need at least 1 point, got {points}")
-            xi_max = sweep.get("xi_max", 0.5)
-            if not isinstance(xi_max, (int, float)) or isinstance(xi_max, bool):
-                raise ConfigError(f"sweep.xi_max: expected a number, got {xi_max!r}")
-            xi_grid = tuple(np.linspace(0.0, float(xi_max), points))
+            xi_grid = _xi_linspace(
+                0.0,
+                _number(sweep.get("xi_max", 0.5), "sweep.xi_max"),
+                _integer(sweep, "xi_points", "sweep", default=41),
+                "sweep.xi_points",
+            )
         if "modes" in sweep:
             entries = sweep["modes"]
             if not isinstance(entries, list) or not entries:
@@ -401,9 +399,7 @@ def apply_overrides(
         cycle = replace(cycle, fock_dim=fock_dim)
     xi_grid = config.xi_grid
     if xi_points is not None:
-        if xi_points < 1:
-            raise ConfigError(f"need at least 1 xi point, got {xi_points}")
-        xi_grid = tuple(np.linspace(xi_grid[0], xi_grid[-1], xi_points))
+        xi_grid = _xi_linspace(xi_grid[0], xi_grid[-1], xi_points, "--xi-points")
     return SweepConfig(
         cycle=cycle,
         xi_grid=xi_grid,

@@ -1,5 +1,4 @@
 import math
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -10,7 +9,6 @@ from ionotto.cycle import (
     CycleConfig,
     CycleMode,
     Regime,
-    Tolerances,
     apply_transition_mixing,
     classify_regime,
     closed_form_thermo,
@@ -319,25 +317,6 @@ class TestEffectiveCycle:
 
     def test_mode_label(self):
         assert run_cycle_effective(CONFIG_THERMAL, 0.1).mode is CycleMode.EFFECTIVE
-
-    def test_integrator_atol_reaches_the_bath_strokes(self, monkeypatch):
-        equilibrate = cycle_module.equilibrate
-        steps = []
-
-        def counting(*args, **kwargs):
-            report = equilibrate(*args, **kwargs)
-            steps.append(report.steps_taken)
-            return report
-
-        monkeypatch.setattr(cycle_module, "equilibrate", counting)
-        run_cycle_effective(CONFIG_THERMAL, 0.2)
-        tight = sum(steps)
-        steps.clear()
-        # still below equilibration_change, so the window test stays reachable
-        loose = replace(CONFIG_THERMAL, tolerances=Tolerances(integrator_atol=1e-8))
-        run_cycle_effective(loose, 0.2)
-        assert len(steps) == 2
-        assert sum(steps) < tight
 
 
 MOVED_TO_ORACLES = (

@@ -75,8 +75,9 @@ class TestLoadConfig:
             ("typo", 1),
             ("omega_m", {"value": 62.83185307179586, "unit": "rad_per_us"}),
             ("drive_rabi", {"value": 0.06283185307179587, "unit": "rad_per_us"}),
+            ("tolerances", {"integrator_rtol": 1e-9}),
         ],
-        ids=["typo", "omega_m", "drive_rabi"],
+        ids=["typo", "omega_m", "drive_rabi", "tolerances"],
     )
     def test_unknown_engine_key(self, tmp_path, key, value):
         path = write_config(tmp_path, lambda d: d["engine"].update({key: value}))
@@ -127,11 +128,13 @@ class TestLoadConfig:
         assert config.xi_grid == (0.0, 0.1, 0.25)
 
     def test_unsorted_xi_grid_rejected(self, tmp_path):
-        def mutate(d):
-            d["sweep"] = {"xi_grid": [0.3, 0.1]}
+        for grid in ([0.3, 0.1], [0.0, 0.1, 0.1, 0.2]):
 
-        with pytest.raises(ConfigError, match="sorted"):
-            load_config(write_config(tmp_path, mutate))
+            def mutate(d):
+                d["sweep"] = {"xi_grid": grid}
+
+            with pytest.raises(ConfigError, match="sorted"):
+                load_config(write_config(tmp_path, mutate))
 
     def test_out_of_range_xi_rejected(self, tmp_path):
         def mutate(d):
@@ -384,6 +387,8 @@ class TestCli:
             ("cold", "n_occupation", float("inf")),
             ("engine", "omega_e_hot", float("inf")),
             ("engine", "omega_e_hot", float("nan")),
+            pytest.param("cold", "gamma", 10**400, id="cold-gamma-huge_int"),
+            pytest.param("engine", "kappa", -(10**400), id="engine-kappa-huge_negative_int"),
         ],
     )
     def test_non_finite_quantity_exit_code(self, tmp_path, capsys, section, key, value):
@@ -396,47 +401,54 @@ class TestCli:
         assert not out.exists()
 
     @pytest.mark.parametrize(
-        "key, value",
+        "sweep, where",
         [
-            ("integrator_rtol", 1.0),
-            ("integrator_rtol", 0.0),
-            ("integrator_rtol", float("nan")),
-            ("integrator_atol", 0.0),
-            ("integrator_atol", -1e-12),
-            ("integrator_atol", float("inf")),
-            ("equilibration_change", -1.0),
-            ("equilibration_change", float("nan")),
+            ({"xi_grid": [0.0, 10**400]}, "xi grid"),
+            ({"xi_max": 10**400}, "sweep.xi_max"),
+            ({"xi_points": 10**400}, "sweep.xi_points"),
         ],
+        ids=["xi_grid", "xi_max", "xi_points"],
     )
-    def test_out_of_range_tolerance_exit_code(self, tmp_path, capsys, key, value):
-        config = write_config(
-            tmp_path, lambda d: d["engine"].update(tolerances={key: value})
-        )
+    def test_huge_integer_xi_exit_code(self, tmp_path, capsys, sweep, where):
+        config = write_config(tmp_path, lambda d: d.update(sweep=sweep))
         assert main(["validate", str(config)]) == 2
-        assert key in capsys.readouterr().err
+        assert where in capsys.readouterr().err
 
-    def test_integrator_atol_above_equilibration_change_exit_code(
-        self, tmp_path, capsys
-    ):
-        tolerances = {"integrator_atol": 1e-6, "equilibration_change": 1e-8}
-        config = write_config(
-            tmp_path, lambda d: d["engine"].update(tolerances=tolerances)
-        )
+    def test_integer_past_the_digit_limit_exit_code(self, tmp_path, capsys):
+        config = write_config(tmp_path)
+        text = config.read_text().replace('"fock_dim": 6', '"fock_dim": ' + "7" * 5000)
+        config.write_text(text)
         assert main(["validate", str(config)]) == 2
-        err = capsys.readouterr().err
-        assert "integrator_atol" in err and "equilibration_change" in err
+        assert "digits" in capsys.readouterr().err
 
-    def test_integrator_rtol_above_ten_times_equilibration_change_exit_code(
-        self, tmp_path, capsys
-    ):
-        # the default equilibration_change is 1e-8
-        tolerances = {"integrator_rtol": 1e-6}
+    def test_xi_points_override_on_one_point_grid_exit_code(self, tmp_path, capsys):
         config = write_config(
-            tmp_path, lambda d: d["engine"].update(tolerances=tolerances)
+            tmp_path,
+            lambda d: d.update(sweep={"xi_grid": [0.2], "modes": ["closed_form"]}),
         )
-        assert main(["validate", str(config)]) == 2
-        err = capsys.readouterr().err
-        assert "integrator_rtol" in err and "equilibration_change" in err
+        out = tmp_path / "out.csv"
+        assert main(["sweep", str(config), "--xi-points", "3", "--output", str(out)]) == 2
+        assert "strictly ascending" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("target", ["missing-dir", "directory"])
+    def test_unwritable_output_exit_code(self, tmp_path, monkeypatch, capsys, target):
+        import ionotto.cli as cli_module
+
+        def no_sweep(config):
+            raise AssertionError("run_sweep ran before the output path was checked")
+
+        monkeypatch.setattr(cli_module, "run_sweep", no_sweep)
+        config = write_config(tmp_path)
+        out_dir = tmp_path / "out"
+        if target == "directory":
+            out_dir.mkdir()
+            out = out_dir
+        else:
+            out = out_dir / "x.csv"
+        assert main(["sweep", str(config), "--output", str(out)]) == 2
+        assert str(out) in capsys.readouterr().err
+        assert not out_dir.exists() or not any(out_dir.iterdir())
 
     @pytest.mark.parametrize("entry", [["x"], {"a": 1}], ids=["list", "object"])
     def test_non_string_mode_exit_code(self, tmp_path, capsys, entry):
@@ -473,19 +485,6 @@ class TestCli:
         assert main(args) == 2
         assert "hot reservoir needs occupation > 0" in capsys.readouterr().err
         assert not out.exists()
-
-    def test_valid_tolerances_accepted(self, tmp_path):
-        tolerances = {
-            "integrator_rtol": 1e-4,
-            "integrator_atol": 1e-6,
-            "equilibration_change": 1e-5,
-        }
-        config = write_config(
-            tmp_path, lambda d: d["engine"].update(tolerances=tolerances)
-        )
-        cycle = load_config(config).cycle
-        assert cycle.tolerances.integrator_rtol == 1e-4
-        assert cycle.tolerances.integrator_atol == 1e-6
 
     def test_validate_command(self, capsys):
         assert main(["validate", str(CONFIG_DIR / "fig2c.json")]) == 0
