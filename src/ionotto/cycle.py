@@ -62,6 +62,9 @@ __all__ = [
 LAMB_DICKE_CEILING = 0.1
 # Energies closer to zero than this count as zero when classifying a regime.
 _REGIME_TOL = 1e-12
+# Largest motional truncation: the full-mode joint operators grow as
+# fock_dim**4 and take about 380 MB of memory at 32.
+_MAX_FOCK_DIM = 32
 
 
 class CycleMode(str, Enum):
@@ -113,8 +116,10 @@ class CycleConfig:
         for label, spec in (("cold", self.cold), ("hot", self.hot)):
             if spec.n_occupation <= 0:
                 raise ValueError(f"the {label} reservoir needs occupation > 0")
-        if self.fock_dim < 2:
-            raise ValueError(f"fock_dim must be at least 2, got {self.fock_dim}")
+        if not 2 <= self.fock_dim <= _MAX_FOCK_DIM:
+            raise ValueError(
+                f"fock_dim must lie in [2, {_MAX_FOCK_DIM}], got {self.fock_dim}"
+            )
 
     @property
     def frequency_ratio(self) -> float:

@@ -16,6 +16,7 @@ States are vectorized row-major, so vec(A rho B) = (A kron B^T) vec(rho).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 import scipy.sparse as sp
@@ -71,6 +72,9 @@ class LindbladModel:
     ``slow_rate`` is optional metadata: the slowest relaxation rate of the
     model, used to size equilibration windows.  Builders that know the
     engineered bath parameters fill it in.
+
+    The generator is built once per model, on first use, and cached; the
+    model's arrays must therefore not be mutated after construction.
     """
 
     hamiltonian: np.ndarray
@@ -108,6 +112,11 @@ class LindbladModel:
     @property
     def dim(self) -> int:
         return self.hamiltonian.shape[0]
+
+    @cached_property
+    def generator(self):
+        """:func:`liouvillian_matrix`, sparse for dim > ``_DENSE_MAX_DIM``."""
+        return liouvillian_matrix(self, sparse=self.dim > _DENSE_MAX_DIM)
 
 
 @dataclass(frozen=True)
@@ -199,21 +208,32 @@ def _check_state(rho: np.ndarray, dim: int) -> np.ndarray:
     return rho
 
 
-# Dormand-Prince 4(5) tableau with the first-same-as-last property.
-_DP_C = np.array([0.0, 1 / 5, 3 / 10, 4 / 5, 8 / 9, 1.0, 1.0])
+# Dormand-Prince 4(5) tableau with the first-same-as-last property.  The
+# rows are cast to complex once: the stage products would cast them anyway.
 _DP_A = [
-    np.array([]),
-    np.array([1 / 5]),
-    np.array([3 / 40, 9 / 40]),
-    np.array([44 / 45, -56 / 15, 32 / 9]),
-    np.array([19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729]),
-    np.array([9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656]),
-    np.array([35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84]),
+    np.array(row, dtype=complex)
+    for row in (
+        [],
+        [1 / 5],
+        [3 / 40, 9 / 40],
+        [44 / 45, -56 / 15, 32 / 9],
+        [19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729],
+        [9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656],
+        [35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84],
+    )
 ]
-_DP_B5 = np.array([35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84, 0.0])
-_DP_ERR = np.array(
-    [71 / 57600, 0.0, -71 / 16695, 71 / 1920, -17253 / 339200, 22 / 525, -1 / 40]
+_DP_B5 = np.array(
+    [35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84, 0.0], dtype=complex
 )
+_DP_ERR = np.array(
+    [71 / 57600, 0.0, -71 / 16695, 71 / 1920, -17253 / 339200, 22 / 525, -1 / 40],
+    dtype=complex,
+)
+
+
+def _rms(v: np.ndarray) -> float:
+    """Root mean square of |v|."""
+    return np.sqrt(np.add.reduce(np.abs(v) ** 2) / v.size)
 
 
 def evolve(
@@ -230,7 +250,8 @@ def evolve(
     density matrix with per-step local error below ``tol`` (relative) and
     ``atol`` (absolute, default ``tol * 1e-3``).  After every accepted
     step the state is re-symmetrized, rho <- (rho + rho^dag)/2, which
-    removes Hermiticity drift without affecting the accuracy order.
+    removes Hermiticity drift without affecting the accuracy order.  The
+    right-hand side is the model's cached :attr:`LindbladModel.generator`.
     """
     if not (0.0 < tol <= 1e-4):
         raise ValueError(f"tolerance must lie in (0, 1e-4], got {tol}")
@@ -248,43 +269,71 @@ def evolve(
             min_eigenvalue=float(np.linalg.eigvalsh(rho).min()),
         )
 
-    rhs = liouvillian_matrix(model, sparse=d > _DENSE_MAX_DIM).dot
+    gen = model.generator
+    if sp.issparse(gen):
+
+        def rhs(y: np.ndarray, out: np.ndarray) -> None:
+            out[:] = gen.dot(y)
+
+    else:
+
+        def rhs(y: np.ndarray, out: np.ndarray) -> None:
+            np.dot(gen, y, out=out)
 
     y = rho.reshape(-1).copy()
     time_now = 0.0
     k = np.empty((7, y.size), dtype=complex)
-    k[0] = rhs(y)
-    if not np.all(np.isfinite(k[0])):
+    rhs(y, k[0])
+    if not np.isfinite(k[0]).all():
         raise IntegrationError("non-finite derivative at the initial state")
 
     # standard starting-step heuristic
     scale0 = atol + tol * np.abs(y)
-    d0 = np.sqrt(np.mean(np.abs(y / scale0) ** 2))
-    d1 = np.sqrt(np.mean(np.abs(k[0] / scale0) ** 2))
+    d0 = _rms(y / scale0)
+    d1 = _rms(k[0] / scale0)
     h = min(t, 0.01 * d0 / d1 if d1 > 0 else t * 1e-3)
 
+    # per-step work buffers; every sum keeps the order of the plain
+    # expressions in the comments
+    yi = np.empty_like(y)
+    y5 = np.empty_like(y)
+    err_vec = np.empty_like(y)
+    abs_y = np.empty(y.size)
+    scale = np.empty(y.size)
     steps = 0
     max_drift = 0.0
     diag_idx = np.arange(d) * (d + 1)
     while time_now < t:
         h = min(h, t - time_now)
         for stage in range(1, 7):
-            yi = y + h * (k[:stage].T @ _DP_A[stage])
-            k[stage] = rhs(yi)
-        y5 = y + h * (k.T @ _DP_B5)
-        err_vec = h * (k.T @ _DP_ERR)
-        if not np.all(np.isfinite(y5)):
+            # yi = y + h * (k[:stage].T @ _DP_A[stage])
+            np.dot(_DP_A[stage], k[:stage], out=yi)
+            np.multiply(h, yi, out=yi)
+            np.add(y, yi, out=yi)
+            rhs(yi, k[stage])
+        # y5 = y + h * (k.T @ _DP_B5); err_vec = h * (k.T @ _DP_ERR)
+        np.dot(_DP_B5, k, out=y5)
+        np.multiply(h, y5, out=y5)
+        np.add(y, y5, out=y5)
+        np.dot(_DP_ERR, k, out=err_vec)
+        np.multiply(h, err_vec, out=err_vec)
+        if not np.isfinite(y5).all():
             raise IntegrationError(
                 f"non-finite state entries at t = {time_now:.6g}"
             )
-        scale = atol + tol * np.maximum(np.abs(y), np.abs(y5))
-        err = np.sqrt(np.mean(np.abs(err_vec / scale) ** 2))
+        # scale = atol + tol * max(|y|, |y5|)
+        np.abs(y, out=abs_y)
+        np.abs(y5, out=scale)
+        np.maximum(abs_y, scale, out=scale)
+        np.multiply(tol, scale, out=scale)
+        np.add(atol, scale, out=scale)
+        err = _rms(np.divide(err_vec, scale, out=err_vec))
         if err <= 1.0:
             time_now += h
             mat = y5.reshape(d, d)
             mat = 0.5 * (mat + mat.conj().T)
             y = mat.reshape(-1)
-            k[0] = rhs(y)  # re-evaluate: symmetrization invalidates FSAL
+            rhs(y, k[0])  # re-evaluate: symmetrization invalidates FSAL
             steps += 1
             drift = abs(y[diag_idx].sum() - 1.0)
             if drift > max_drift:
@@ -411,7 +460,7 @@ def equilibrate(
             return report.final_state, report.steps_taken, report.max_trace_drift
 
         budget = 8 if max_windows is None else max_windows
-        liou = liouvillian_matrix(model, sparse=model.dim > _DENSE_MAX_DIM)
+        liou = model.generator
         sector_dim = model.dim**2
     elif method == "implicit":
         budget = 60 if max_windows is None else max_windows

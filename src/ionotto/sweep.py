@@ -394,9 +394,10 @@ def apply_overrides(
     """Command-line overrides on top of a loaded configuration."""
     cycle = config.cycle
     if fock_dim is not None:
-        if fock_dim < 2:
-            raise ConfigError(f"fock_dim must be at least 2, got {fock_dim}")
-        cycle = replace(cycle, fock_dim=fock_dim)
+        try:
+            cycle = replace(cycle, fock_dim=fock_dim)
+        except ValueError as exc:
+            raise ConfigError(f"--fock-dim: {exc}") from exc
     xi_grid = config.xi_grid
     if xi_points is not None:
         xi_grid = _xi_linspace(xi_grid[0], xi_grid[-1], xi_points, "--xi-points")

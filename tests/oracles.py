@@ -14,6 +14,15 @@ from dataclasses import replace
 import numpy as np
 
 from ionotto.cycle import CycleConfig, prepare_bath_equilibria
+from ionotto.lindblad import (
+    _DENSE_MAX_DIM,
+    _MAX_STEPS,
+    EvolutionReport,
+    IntegrationError,
+    LindbladModel,
+    _check_state,
+    liouvillian_matrix,
+)
 from ionotto.operators import hermiticity_defect, vacuum_state
 
 
@@ -186,3 +195,112 @@ def hermitian_propagator(h: np.ndarray, t: float) -> np.ndarray:
         )
     w, v = np.linalg.eigh(h)
     return (v * np.exp(-1j * w * t)) @ v.conj().T
+
+
+# Dormand-Prince 4(5) tableau with the first-same-as-last property.
+_DP_A = [
+    np.array([]),
+    np.array([1 / 5]),
+    np.array([3 / 40, 9 / 40]),
+    np.array([44 / 45, -56 / 15, 32 / 9]),
+    np.array([19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729]),
+    np.array([9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656]),
+    np.array([35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84]),
+]
+_DP_B5 = np.array([35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84, 0.0])
+_DP_ERR = np.array(
+    [71 / 57600, 0.0, -71 / 16695, 71 / 1920, -17253 / 339200, 22 / 525, -1 / 40]
+)
+
+
+def reference_evolve(
+    model: LindbladModel,
+    rho0: np.ndarray,
+    t: float,
+    tol: float = 1e-9,
+    *,
+    atol: float | None = None,
+) -> EvolutionReport:
+    """The Dormand-Prince 4(5) loop of :func:`ionotto.lindblad.evolve`,
+    written with plain array expressions and a per-call generator.
+
+    :func:`~ionotto.lindblad.evolve` trims numpy calls from this loop
+    (cached generator, preallocated buffers, ``out=`` arguments) and must
+    keep every sum in the same order, so the two agree bit for bit.
+    """
+    if not (0.0 < tol <= 1e-4):
+        raise ValueError(f"tolerance must lie in (0, 1e-4], got {tol}")
+    if t < 0:
+        raise ValueError(f"evolution time must be >= 0, got {t}")
+    if atol is None:
+        atol = tol * 1e-3
+    d = model.dim
+    rho = _check_state(rho0, d)
+    if t == 0.0:
+        return EvolutionReport(
+            final_state=rho.copy(),
+            steps_taken=0,
+            max_trace_drift=float(abs(np.trace(rho) - 1.0)),
+            min_eigenvalue=float(np.linalg.eigvalsh(rho).min()),
+        )
+
+    rhs = liouvillian_matrix(model, sparse=d > _DENSE_MAX_DIM).dot
+
+    y = rho.reshape(-1).copy()
+    time_now = 0.0
+    k = np.empty((7, y.size), dtype=complex)
+    k[0] = rhs(y)
+    if not np.all(np.isfinite(k[0])):
+        raise IntegrationError("non-finite derivative at the initial state")
+
+    # standard starting-step heuristic
+    scale0 = atol + tol * np.abs(y)
+    d0 = np.sqrt(np.mean(np.abs(y / scale0) ** 2))
+    d1 = np.sqrt(np.mean(np.abs(k[0] / scale0) ** 2))
+    h = min(t, 0.01 * d0 / d1 if d1 > 0 else t * 1e-3)
+
+    steps = 0
+    max_drift = 0.0
+    diag_idx = np.arange(d) * (d + 1)
+    while time_now < t:
+        h = min(h, t - time_now)
+        for stage in range(1, 7):
+            yi = y + h * (k[:stage].T @ _DP_A[stage])
+            k[stage] = rhs(yi)
+        y5 = y + h * (k.T @ _DP_B5)
+        err_vec = h * (k.T @ _DP_ERR)
+        if not np.all(np.isfinite(y5)):
+            raise IntegrationError(
+                f"non-finite state entries at t = {time_now:.6g}"
+            )
+        scale = atol + tol * np.maximum(np.abs(y), np.abs(y5))
+        err = np.sqrt(np.mean(np.abs(err_vec / scale) ** 2))
+        if err <= 1.0:
+            time_now += h
+            mat = y5.reshape(d, d)
+            mat = 0.5 * (mat + mat.conj().T)
+            y = mat.reshape(-1)
+            k[0] = rhs(y)  # re-evaluate: symmetrization invalidates FSAL
+            steps += 1
+            drift = abs(y[diag_idx].sum() - 1.0)
+            if drift > max_drift:
+                max_drift = float(drift)
+        if steps >= _MAX_STEPS:
+            raise IntegrationError(
+                f"step budget {_MAX_STEPS} exhausted at t = {time_now:.6g}; "
+                "for long stiff relaxations use equilibrate()"
+            )
+        factor = 0.9 * err ** -0.2 if err > 0 else 5.0
+        h *= min(5.0, max(0.2, factor))
+        if h <= t * 1e-15:
+            raise IntegrationError(
+                f"step size underflow at t = {time_now:.6g} (stiff blow-up)"
+            )
+
+    final = y.reshape(d, d)
+    return EvolutionReport(
+        final_state=final,
+        steps_taken=steps,
+        max_trace_drift=max_drift,
+        min_eigenvalue=float(np.linalg.eigvalsh(final).min()),
+    )

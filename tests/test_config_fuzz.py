@@ -1,9 +1,11 @@
-"""Config fuzz: one bad leaf in a shipped config never crashes the loader.
+"""Config fuzz: one bad leaf in a shipped config never crashes the CLI.
 
 Each example replaces one leaf of ``configs/fig2a.json`` with a drawn
 value.  ``ionotto validate`` must then either accept the config (exit
 code 0) or reject it as a configuration error (exit code 2); any other
-exception is a loader hole.
+exception is a loader hole.  A config that ``validate`` accepts must
+also get through a one-point closed-form ``ionotto sweep`` with exit
+code 0 or 2.
 """
 
 import json
@@ -66,4 +68,11 @@ def test_one_bad_leaf_exits_0_or_2(tmp_path, leaf, value):
     parent[leaf[-1]] = value
     path = tmp_path / "fuzzed.json"
     path.write_text(json.dumps(document))
-    assert main(["validate", str(path)]) in (0, 2)
+    code = main(["validate", str(path)])
+    assert code in (0, 2)
+    if code == 0:
+        output = tmp_path / "fuzzed.csv"
+        assert main(
+            ["sweep", str(path), "--modes", "closed_form", "--xi-points", "1",
+             "--output", str(output)]
+        ) in (0, 2)

@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -282,6 +283,12 @@ class TestReferenceEfficiencies:
                 cold=ReservoirSpec.thermal(1e-3, 0.6),
                 hot=ReservoirSpec.thermal(1e-3, 1.2),
             )
+
+    @pytest.mark.parametrize("fock_dim", [1, 33])
+    def test_fock_dim_out_of_range_rejected(self, fock_dim):
+        with pytest.raises(ValueError, match=r"fock_dim must lie in \[2, 32\]"):
+            replace(CONFIG_THERMAL, fock_dim=fock_dim)
+        assert replace(CONFIG_THERMAL, fock_dim=32).fock_dim == 32
 
 
 class TestEffectiveCycle:

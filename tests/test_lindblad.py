@@ -7,7 +7,9 @@ import scipy.sparse.linalg as spla
 from scipy.linalg import expm
 
 import ionotto.lindblad as lindblad_module
+from ionotto.cycle import apply_transition_mixing, run_cycle_effective
 from ionotto.lindblad import (
+    _DENSE_MAX_DIM,
     DegenerateSteadyStateError,
     EquilibrationError,
     LindbladModel,
@@ -29,13 +31,40 @@ from ionotto.operators import (
     sigma_z,
     vacuum_state,
 )
-from ionotto.reservoirs import ReservoirSpec, full_joint_model
+from ionotto.reservoirs import (
+    ReservoirSpec,
+    bath_steady_state,
+    electronic_bath_model,
+    full_joint_model,
+)
 from ionotto.sweep import load_config
-from oracles import hermitian_propagator, thermal_state
+from oracles import hermitian_propagator, reference_evolve, thermal_state
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
 
 H2_ZERO = np.zeros((2, 2), dtype=complex)
+
+
+@pytest.fixture
+def built(monkeypatch):
+    """The ``sparse`` flag of every generator that lindblad builds."""
+    flags = []
+
+    def spy(model, *, sparse=False):
+        flags.append(sparse)
+        return liouvillian_matrix(model, sparse=sparse)
+
+    monkeypatch.setattr(lindblad_module, "liouvillian_matrix", spy)
+    return flags
+
+
+def sparse_joint_start():
+    """A fock-4 box joint model (dim 32, past the dense size limit) and a
+    start state with electronic coherence."""
+    spec = ReservoirSpec.thermal(2 * np.pi * 1e-4, 0.8)
+    model = full_joint_model(spec, 0.01, 2 * np.pi, 4)
+    plus = 0.5 * np.ones((2, 2), dtype=complex)
+    return model, kron(plus, thermal_state(4, 0.3), vacuum_state(4))
 
 
 def thermal_two_level_model(gamma, n):
@@ -128,24 +157,77 @@ class TestEvolve:
         assert np.array_equal(report.final_state, rho)
         assert report.steps_taken == 0
 
-    def test_sparse_generator_matches_expm(self, monkeypatch):
-        # a fock-4 box joint model (dim 32) is past the dense size limit
-        spec = ReservoirSpec.thermal(2 * np.pi * 1e-4, 0.8)
-        model = full_joint_model(spec, 0.01, 2 * np.pi, 4)
-        plus = 0.5 * np.ones((2, 2), dtype=complex)
-        rho0 = kron(plus, thermal_state(4, 0.3), vacuum_state(4))
-        built = []
-
-        def spy(model, *, sparse=False):
-            built.append(sparse)
-            return liouvillian_matrix(model, sparse=sparse)
-
-        monkeypatch.setattr(lindblad_module, "liouvillian_matrix", spy)
+    def test_sparse_generator_matches_expm(self, built):
+        model, rho0 = sparse_joint_start()
         t = 0.3
         report = evolve(model, rho0, t)
         assert built == [True]
         exact = expm(t * liouvillian_matrix(model)) @ rho0.reshape(-1)
         assert np.abs(report.final_state - exact.reshape(32, 32)).max() < 1e-8
+
+
+class TestEvolveMatchesReference:
+    """``evolve`` keeps the arithmetic of the plain reference loop bit for bit."""
+
+    @staticmethod
+    def assert_same_bits(model, rho0, t, *args, **kwargs):
+        report = evolve(model, rho0, t, *args, **kwargs)
+        reference = reference_evolve(model, rho0, t, *args, **kwargs)
+        assert report.final_state.tobytes() == reference.final_state.tobytes()
+        assert report.steps_taken == reference.steps_taken > 0
+        assert report.max_trace_drift == reference.max_trace_drift
+        assert report.min_eigenvalue == reference.min_eigenvalue
+
+    @pytest.mark.parametrize("panel", ["fig2a", "fig2b", "fig2c"])
+    def test_shipped_bath_windows(self, panel):
+        cycle = load_config(CONFIG_DIR / f"{panel}.json").cycle
+        model = electronic_bath_model(cycle.hot)
+        window = 5.0 / model.slow_rate
+        plus = 0.5 * np.ones((2, 2), dtype=complex)
+        starts = [
+            apply_transition_mixing(bath_steady_state(cycle.cold), xi)
+            for xi in (0.0, 0.13, 0.37, 0.5)
+        ]
+        for rho0 in starts + [plus]:
+            # equilibrate's rk window, and evolve at its default tolerances
+            self.assert_same_bits(model, rho0, window, 1e-9, atol=1e-12)
+            self.assert_same_bits(model, rho0, 0.3 * window)
+
+    def test_sparse_joint_model(self):
+        model, rho0 = sparse_joint_start()
+        assert model.dim > _DENSE_MAX_DIM
+        self.assert_same_bits(model, rho0, 0.3)
+
+
+class TestGenerator:
+    @pytest.mark.parametrize("dim", [_DENSE_MAX_DIM, _DENSE_MAX_DIM + 1])
+    def test_dense_up_to_the_size_rule(self, dim, built):
+        model = LindbladModel(
+            np.diag(np.arange(dim)).astype(complex), ((0.3, destroy(dim)),)
+        )
+        generator = model.generator
+        assert model.generator is generator
+        sparse = dim > _DENSE_MAX_DIM
+        assert built == [sparse]
+        assert sp.issparse(generator) == sparse
+        expected = liouvillian_matrix(model, sparse=sparse)
+        if sparse:
+            generator, expected = generator.toarray(), expected.toarray()
+        assert np.array_equal(generator, expected)
+
+    def test_equilibrate_builds_one_generator(self, built):
+        cycle = load_config(CONFIG_DIR / "fig2c.json").cycle
+        start = apply_transition_mixing(bath_steady_state(cycle.cold), 0.3)
+        report = equilibrate(electronic_bath_model(cycle.hot), start)
+        assert report.method == "rk"
+        assert report.windows > 1
+        assert built == [False]
+
+    def test_effective_row_builds_two_generators(self, built):
+        cycle = load_config(CONFIG_DIR / "fig2a.json").cycle
+        for rows, xi in enumerate((0.1, 0.3), start=1):
+            run_cycle_effective(cycle, xi)
+            assert built == [False] * (2 * rows)
 
 
 class TestExpectation:

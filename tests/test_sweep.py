@@ -486,6 +486,35 @@ class TestCli:
         assert "hot reservoir needs occupation > 0" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize(
+        "fock_dim, command",
+        [
+            (10**400, "validate"),
+            (10**400, "sweep"),
+            (33, "validate"),
+            (33, "sweep"),
+            (33, "override"),
+            (1, "override"),
+        ],
+        ids=["huge-validate", "huge-sweep", "33-validate", "33-sweep",
+             "33-override", "1-override"],
+    )
+    def test_fock_dim_out_of_range_exit_code(self, tmp_path, capsys, fock_dim, command):
+        out = tmp_path / "out.csv"
+        if command == "override":
+            config = write_config(tmp_path)
+            args = ["sweep", str(config), "--fock-dim", str(fock_dim)]
+        else:
+            config = write_config(
+                tmp_path, lambda d: d["engine"].update(fock_dim=fock_dim)
+            )
+            args = [command, str(config)]
+        if command != "validate":
+            args += ["--modes", "full", "--xi-points", "1", "--output", str(out)]
+        assert main(args) == 2
+        assert "fock_dim must lie in [2, 32]" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_validate_command(self, capsys):
         assert main(["validate", str(CONFIG_DIR / "fig2c.json")]) == 0
         report = capsys.readouterr().out
