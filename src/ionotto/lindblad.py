@@ -15,6 +15,7 @@ States are vectorized row-major, so vec(A rho B) = (A kron B^T) vec(rho).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -231,9 +232,11 @@ _DP_ERR = np.array(
 )
 
 
-def _rms(v: np.ndarray) -> float:
-    """Root mean square of |v|."""
-    return np.sqrt(np.add.reduce(np.abs(v) ** 2) / v.size)
+def _rms(v: np.ndarray, buf: np.ndarray) -> float:
+    """Root mean square of |v|; ``buf`` is real scratch of v's size."""
+    np.abs(v, out=buf)
+    np.multiply(buf, buf, out=buf)
+    return math.sqrt(np.add.reduce(buf) / buf.size)
 
 
 def evolve(
@@ -252,13 +255,17 @@ def evolve(
     step the state is re-symmetrized, rho <- (rho + rho^dag)/2, which
     removes Hermiticity drift without affecting the accuracy order.  The
     right-hand side is the model's cached :attr:`LindbladModel.generator`.
+    ``t`` must be finite and ``atol`` finite and positive; a non-finite
+    error estimate raises :class:`IntegrationError`.
     """
     if not (0.0 < tol <= 1e-4):
         raise ValueError(f"tolerance must lie in (0, 1e-4], got {tol}")
-    if t < 0:
-        raise ValueError(f"evolution time must be >= 0, got {t}")
+    if not (0.0 <= t < math.inf):
+        raise ValueError(f"evolution time must be finite and >= 0, got {t}")
     if atol is None:
         atol = tol * 1e-3
+    if not (0.0 < atol < math.inf):
+        raise ValueError(f"absolute tolerance must be finite and > 0, got {atol}")
     d = model.dim
     rho = _check_state(rho0, d)
     if t == 0.0:
@@ -269,54 +276,64 @@ def evolve(
             min_eigenvalue=float(np.linalg.eigvalsh(rho).min()),
         )
 
+    t = float(t)  # step control runs on Python floats
     gen = model.generator
-    if sp.issparse(gen):
-
-        def rhs(y: np.ndarray, out: np.ndarray) -> None:
-            out[:] = gen.dot(y)
-
-    else:
-
-        def rhs(y: np.ndarray, out: np.ndarray) -> None:
-            np.dot(gen, y, out=out)
-
+    dense = not sp.issparse(gen)
     y = rho.reshape(-1).copy()
     time_now = 0.0
     k = np.empty((7, y.size), dtype=complex)
-    rhs(y, k[0])
-    if not np.isfinite(k[0]).all():
+    k0 = k[0]
+    k0[:] = gen.dot(y)
+    if not np.isfinite(k0).all():
         raise IntegrationError("non-finite derivative at the initial state")
-
-    # standard starting-step heuristic
-    scale0 = atol + tol * np.abs(y)
-    d0 = _rms(y / scale0)
-    d1 = _rms(k[0] / scale0)
-    h = min(t, 0.01 * d0 / d1 if d1 > 0 else t * 1e-3)
 
     # per-step work buffers; every sum keeps the order of the plain
     # expressions in the comments
     yi = np.empty_like(y)
     y5 = np.empty_like(y)
     err_vec = np.empty_like(y)
+    conj_t = np.empty((d, d), dtype=complex)
     abs_y = np.empty(y.size)
     scale = np.empty(y.size)
+    sq = np.empty(y.size)
+    y_mat = y.reshape(d, d)
+    y5_mat = y5.reshape(d, d)
+    # (tableau row, k[:stage], k[stage]) of stages 1 to 6
+    stages = [(_DP_A[stage], k[:stage], k[stage]) for stage in range(1, 7)]
+    # h, tol, atol and 1/2 as 0-d arrays of the dtype each ufunc casts
+    # them to: the same values, without a scalar conversion per call
+    h_c = np.empty((), dtype=complex)
+    tol_a = np.array(tol, dtype=float)
+    atol_a = np.array(atol, dtype=float)
+    half = np.array(0.5, dtype=complex)
+
+    # standard starting-step heuristic
+    scale0 = atol + tol * np.abs(y)
+    d0 = _rms(y / scale0, sq)
+    d1 = _rms(k0 / scale0, sq)
+    h = min(t, 0.01 * d0 / d1 if d1 > 0 else t * 1e-3)
+
     steps = 0
     max_drift = 0.0
     diag_idx = np.arange(d) * (d + 1)
     while time_now < t:
         h = min(h, t - time_now)
-        for stage in range(1, 7):
+        h_c[()] = h
+        for row, k_done, k_next in stages:
             # yi = y + h * (k[:stage].T @ _DP_A[stage])
-            np.dot(_DP_A[stage], k[:stage], out=yi)
-            np.multiply(h, yi, out=yi)
+            row.dot(k_done, out=yi)
+            np.multiply(h_c, yi, out=yi)
             np.add(y, yi, out=yi)
-            rhs(yi, k[stage])
+            if dense:
+                gen.dot(yi, out=k_next)
+            else:
+                k_next[:] = gen.dot(yi)
         # y5 = y + h * (k.T @ _DP_B5); err_vec = h * (k.T @ _DP_ERR)
-        np.dot(_DP_B5, k, out=y5)
-        np.multiply(h, y5, out=y5)
+        _DP_B5.dot(k, out=y5)
+        np.multiply(h_c, y5, out=y5)
         np.add(y, y5, out=y5)
-        np.dot(_DP_ERR, k, out=err_vec)
-        np.multiply(h, err_vec, out=err_vec)
+        _DP_ERR.dot(k, out=err_vec)
+        np.multiply(h_c, err_vec, out=err_vec)
         if not np.isfinite(y5).all():
             raise IntegrationError(
                 f"non-finite state entries at t = {time_now:.6g}"
@@ -325,15 +342,24 @@ def evolve(
         np.abs(y, out=abs_y)
         np.abs(y5, out=scale)
         np.maximum(abs_y, scale, out=scale)
-        np.multiply(tol, scale, out=scale)
-        np.add(atol, scale, out=scale)
-        err = _rms(np.divide(err_vec, scale, out=err_vec))
+        np.multiply(tol_a, scale, out=scale)
+        np.add(atol_a, scale, out=scale)
+        err = _rms(np.divide(err_vec, scale, out=err_vec), sq)
+        if not math.isfinite(err):
+            raise IntegrationError(
+                f"non-finite error estimate at t = {time_now:.6g}"
+            )
         if err <= 1.0:
             time_now += h
-            mat = y5.reshape(d, d)
-            mat = 0.5 * (mat + mat.conj().T)
-            y = mat.reshape(-1)
-            rhs(y, k[0])  # re-evaluate: symmetrization invalidates FSAL
+            # y = 0.5 * (y5 + y5^dag), written into y's own buffer
+            np.conjugate(y5_mat.T, out=conj_t)
+            np.add(y5_mat, conj_t, out=y_mat)
+            np.multiply(half, y_mat, out=y_mat)
+            # re-evaluate: symmetrization invalidates FSAL
+            if dense:
+                gen.dot(y, out=k0)
+            else:
+                k0[:] = gen.dot(y)
             steps += 1
             drift = abs(y[diag_idx].sum() - 1.0)
             if drift > max_drift:
@@ -345,17 +371,17 @@ def evolve(
             )
         factor = 0.9 * err ** -0.2 if err > 0 else 5.0
         h *= min(5.0, max(0.2, factor))
-        if h <= t * 1e-15:
+        # a last step that only closes a rounding gap to t is not an underflow
+        if time_now < t and h <= t * 1e-15:
             raise IntegrationError(
                 f"step size underflow at t = {time_now:.6g} (stiff blow-up)"
             )
 
-    final = y.reshape(d, d)
     return EvolutionReport(
-        final_state=final,
+        final_state=y_mat,
         steps_taken=steps,
         max_trace_drift=max_drift,
-        min_eigenvalue=float(np.linalg.eigvalsh(final).min()),
+        min_eigenvalue=float(np.linalg.eigvalsh(y_mat).min()),
     )
 
 
@@ -404,13 +430,17 @@ def _state_sector(liou: sp.csr_matrix, y0: np.ndarray, dim: int) -> np.ndarray:
 
 def _slowest_window(model: LindbladModel, window: float | None) -> float:
     if window is not None:
-        if window <= 0:
-            raise ValueError(f"window duration must be > 0, got {window}")
+        if not (0.0 < window < math.inf):
+            raise ValueError(f"window duration must be finite and > 0, got {window}")
         return float(window)
-    if model.slow_rate is None or model.slow_rate <= 0:
+    if model.slow_rate is None:
         raise ValueError(
             "equilibrate needs an explicit window when the model carries "
             "no slow_rate metadata"
+        )
+    if not (0.0 < model.slow_rate < math.inf):
+        raise ValueError(
+            f"model slow_rate must be finite and > 0, got {model.slow_rate}"
         )
     return 5.0 / model.slow_rate
 

@@ -19,6 +19,7 @@ import math
 import warnings
 from dataclasses import dataclass
 from enum import Enum
+from functools import cached_property
 
 import numpy as np
 
@@ -129,6 +130,20 @@ class ReservoirSpec:
     def zeta(self) -> float:
         """Contraction of <sigma_z> caused by squeezing: 1 / (mu^2 + nu^2)."""
         return 1.0 / (self.mu**2 + self.nu**2)
+
+    @cached_property
+    def bath_model(self) -> LindbladModel:
+        """Two-level model of the bare bath contact, in the rotating frame.
+
+        Built once per spec, on first use, so its cached generator serves
+        every effective row that shares the spec.
+        """
+        return LindbladModel(
+            hamiltonian=np.zeros((2, 2), dtype=complex),
+            channels=effective_collapse_channels(self),
+            layout=SpaceLayout((2,)),
+            slow_rate=slow_relaxation_rate(self),
+        )
 
 
 def theta_from_occupation(n_occupation: float, kind: BathKind) -> float:
@@ -290,13 +305,8 @@ def slow_relaxation_rate(spec: ReservoirSpec) -> float:
 
 
 def electronic_bath_model(spec: ReservoirSpec) -> LindbladModel:
-    """Two-level model of the bare bath contact, in the rotating frame."""
-    return LindbladModel(
-        hamiltonian=np.zeros((2, 2), dtype=complex),
-        channels=effective_collapse_channels(spec),
-        layout=SpaceLayout((2,)),
-        slow_rate=slow_relaxation_rate(spec),
-    )
+    """Two-level model of the bare bath contact: ``spec.bath_model``."""
+    return spec.bath_model
 
 
 def _coupling_operators(

@@ -12,6 +12,7 @@ from ionotto.lindblad import (
     _DENSE_MAX_DIM,
     DegenerateSteadyStateError,
     EquilibrationError,
+    IntegrationError,
     LindbladModel,
     equilibrate,
     evolve,
@@ -150,6 +151,44 @@ class TestEvolve:
         with pytest.raises(ValueError):
             evolve(model, good, -1.0)
 
+    @pytest.mark.parametrize("t", [np.nan, np.inf])
+    def test_non_finite_time_rejected(self, t):
+        model = thermal_two_level_model(1.0, 0.5)
+        with pytest.raises(ValueError, match="finite"):
+            evolve(model, np.eye(2, dtype=complex) / 2, t)
+
+    @pytest.mark.parametrize("atol", [0.0, -1e-12, np.nan, np.inf])
+    def test_bad_absolute_tolerance_rejected(self, atol):
+        model = thermal_two_level_model(1.0, 0.5)
+        with pytest.raises(ValueError, match="absolute tolerance"):
+            evolve(model, ketbra(2, 1, 1), 1.0, atol=atol)
+
+    def test_closing_a_rounding_gap_is_not_an_underflow(self):
+        # the steps here end one rounding error short of t; the tiny step
+        # that closes the gap used to raise "step size underflow"
+        model = electronic_bath_model(ReservoirSpec.thermal(1.0, 2.625))
+        rho0 = np.diag([0.98328621, 1 - 0.98328621]).astype(complex)
+        t = 0.0016
+        report = evolve(model, rho0, t)
+        exact = expm(t * liouvillian_matrix(model)) @ rho0.reshape(-1)
+        assert np.abs(report.final_state - exact.reshape(2, 2)).max() < 1e-12
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_error_estimate_raises(self, bad, monkeypatch):
+        # the first step's error norm (the third norm evolve takes, after
+        # the two of the starting-step heuristic) comes out non-finite; a
+        # nan used to grow the step and retry it forever
+        real_rms = lindblad_module._rms
+        norms = []
+
+        def rms(*args):
+            norms.append(real_rms(*args))
+            return bad if len(norms) == 3 else norms[-1]
+
+        monkeypatch.setattr(lindblad_module, "_rms", rms)
+        with pytest.raises(IntegrationError, match="error estimate"):
+            evolve(thermal_two_level_model(1.0, 0.5), ketbra(2, 1, 1), 1.0)
+
     def test_zero_time_is_identity(self):
         model = thermal_two_level_model(1.0, 0.5)
         rho = np.diag([0.25, 0.75]).astype(complex)
@@ -224,10 +263,13 @@ class TestGenerator:
         assert built == [False]
 
     def test_effective_row_builds_two_generators(self, built):
+        # a freshly loaded config: its specs have not built a bath model yet
         cycle = load_config(CONFIG_DIR / "fig2a.json").cycle
-        for rows, xi in enumerate((0.1, 0.3), start=1):
+        for xi in (0.0, 0.1, 0.3, 0.5):
             run_cycle_effective(cycle, xi)
-            assert built == [False] * (2 * rows)
+        # one dense generator per bath spec, over all rows
+        assert built == [False, False]
+        assert electronic_bath_model(cycle.hot) is cycle.hot.bath_model
 
 
 class TestExpectation:
@@ -344,6 +386,18 @@ class TestEquilibrate:
     def test_needs_window_or_slow_rate(self):
         model = LindbladModel(H2_ZERO, ((1.0, sigma_minus()),))
         with pytest.raises(ValueError):
+            equilibrate(model, ketbra(2, 1, 1))
+
+    @pytest.mark.parametrize("window", [np.nan, np.inf, 0.0, -1.0])
+    def test_bad_window_rejected(self, window):
+        model = thermal_two_level_model(1.0, 0.6)
+        with pytest.raises(ValueError, match="window"):
+            equilibrate(model, ketbra(2, 1, 1), window=window)
+
+    @pytest.mark.parametrize("slow_rate", [np.nan, np.inf])
+    def test_non_finite_slow_rate_rejected(self, slow_rate):
+        model = LindbladModel(H2_ZERO, ((1.0, sigma_minus()),), slow_rate=slow_rate)
+        with pytest.raises(ValueError, match="slow_rate"):
             equilibrate(model, ketbra(2, 1, 1))
 
 
