@@ -85,6 +85,9 @@ class LindbladModel:
 
     def __post_init__(self) -> None:
         h = np.asarray(self.hamiltonian, dtype=complex)
+        # before the Hermiticity test, which nan entries would pass
+        if not np.isfinite(h).all():
+            raise ValueError("Hamiltonian has non-finite entries")
         defect = hermiticity_defect(h)
         if defect > 1e-10:
             raise ValueError(
@@ -101,6 +104,8 @@ class LindbladModel:
                     f"collapse operator shape {op.shape} does not match "
                     f"Hamiltonian shape {h.shape}"
                 )
+            if not np.isfinite(op).all():
+                raise ValueError("collapse operator has non-finite entries")
             chans.append((rate, op))
         if self.layout is not None and self.layout.dim != h.shape[0]:
             raise ValueError(
@@ -197,6 +202,8 @@ def _check_state(rho: np.ndarray, dim: int) -> np.ndarray:
     rho = np.asarray(rho, dtype=complex)
     if rho.shape != (dim, dim):
         raise ValueError(f"state shape {rho.shape} does not match model dim {dim}")
+    if not np.isfinite(rho).all():
+        raise ValueError("initial state has non-finite entries")
     defect = hermiticity_defect(rho)
     if defect > 1e-10:
         raise ValueError(f"initial state is not Hermitian (deviation {defect:.3e})")
@@ -386,24 +393,45 @@ def evolve(
 
 
 def steady_state(model: LindbladModel) -> np.ndarray:
-    """Stationary state as the null vector of the dense generator.
+    """Stationary state as the null vector of the generator.
 
-    Singular-value decomposition locates the null space; a null-space
-    dimension other than one is reported, never silently resolved.  The
-    returned state is Hermitian with unit trace.
+    A weak symmetry of the generator (a thermal bath conserves the
+    coherence order, a squeezed one the parity) splits it into the blocks
+    of :func:`_block_labels`.  Each block gets a dense singular-value
+    decomposition; permuting L to block-diagonal form keeps its singular
+    values, so the pooled values locate the null space of the whole L.
+    A null-space dimension other than one is reported, never silently
+    resolved.  The null vector comes from the block holding the smallest
+    singular value.  The returned state is Hermitian with unit trace.
+    Works on dense and sparse generators alike; each block is decomposed
+    dense, so the cost follows the largest block.
     """
     if not model.channels or all(rate == 0.0 for rate, _ in model.channels):
         raise ValueError("steady_state needs at least one dissipative channel")
-    liou = liouvillian_matrix(model)
-    _, svals, vh = np.linalg.svd(liou)
-    smax = float(svals[0])
+    gen = model.generator
+    labels = _block_labels(gen)
+    sparse = sp.issparse(gen)
+    svals = []
+    smin = math.inf
+    for label in range(labels.max() + 1):
+        block = np.flatnonzero(labels == label)
+        sub = gen[block][:, block].toarray() if sparse else gen[np.ix_(block, block)]
+        _, block_svals, vh = np.linalg.svd(sub)
+        svals.append(block_svals)
+        if block_svals[-1] < smin:
+            smin = block_svals[-1]
+            null_block, null_vec = block, vh[-1]
+    svals = np.concatenate(svals)
+    smax = float(svals.max())
     null_tol = max(smax, 1e-300) * 1e-9
     null_count = int(np.count_nonzero(svals <= null_tol))
     if null_count != 1:
         raise DegenerateSteadyStateError(
             f"Liouvillian null space has dimension {null_count}, expected 1"
         )
-    rho = vh[-1].conj().reshape(model.dim, model.dim)
+    vec = np.zeros(model.dim**2, dtype=complex)
+    vec[null_block] = null_vec.conj()
+    rho = vec.reshape(model.dim, model.dim)
     rho = 0.5 * (rho + rho.conj().T)
     tr = np.trace(rho)
     if abs(tr) < 1e-12 * np.linalg.norm(rho):
@@ -413,17 +441,25 @@ def steady_state(model: LindbladModel) -> np.ndarray:
     return (rho / tr).astype(complex)
 
 
-def _state_sector(liou: sp.csr_matrix, y0: np.ndarray, dim: int) -> np.ndarray:
-    """Indices of the vectorized entries that the dynamics from ``y0`` can reach.
+def _block_labels(liou) -> np.ndarray:
+    """Block label of every vectorized entry under the generator ``liou``.
 
     A weak symmetry of the generator (parity, and for phase-insensitive
     baths a U(1) charge) makes L block-diagonal.  The blocks are the
-    connected components of the sparsity graph |L| + |L|^T.  A block
-    without a nonzero of ``y0`` stays exactly zero for all times, so it is
-    left out of the solve; blocks holding a diagonal entry (the trace) are
-    always kept.
+    connected components of the sparsity graph |L| + |L|^T.
     """
-    _, labels = connected_components(abs(liou), directed=False)
+    _, labels = connected_components(sp.csr_matrix(abs(liou)), directed=False)
+    return labels
+
+
+def _state_sector(liou: sp.csr_matrix, y0: np.ndarray, dim: int) -> np.ndarray:
+    """Indices of the vectorized entries that the dynamics from ``y0`` can reach.
+
+    A block of :func:`_block_labels` without a nonzero of ``y0`` stays
+    exactly zero for all times, so it is left out of the solve; blocks
+    holding a diagonal entry (the trace) are always kept.
+    """
+    labels = _block_labels(liou)
     seeds = np.concatenate((np.arange(dim) * (dim + 1), np.flatnonzero(y0)))
     return np.flatnonzero(np.isin(labels, labels[seeds]))
 

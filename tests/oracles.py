@@ -17,6 +17,7 @@ from ionotto.cycle import CycleConfig, prepare_bath_equilibria
 from ionotto.lindblad import (
     _DENSE_MAX_DIM,
     _MAX_STEPS,
+    DegenerateSteadyStateError,
     EvolutionReport,
     IntegrationError,
     LindbladModel,
@@ -305,3 +306,35 @@ def reference_evolve(
         max_trace_drift=max_drift,
         min_eigenvalue=float(np.linalg.eigvalsh(final).min()),
     )
+
+
+def reference_steady_state(model: LindbladModel) -> np.ndarray:
+    """Stationary state as the null vector of the dense generator.
+
+    Singular-value decomposition locates the null space; a null-space
+    dimension other than one is reported, never silently resolved.  The
+    returned state is Hermitian with unit trace.
+
+    One SVD of the whole dense Liouvillian: the reference that
+    :func:`ionotto.lindblad.steady_state`, which decomposes the blocks of
+    the generator one at a time, must agree with.
+    """
+    if not model.channels or all(rate == 0.0 for rate, _ in model.channels):
+        raise ValueError("steady_state needs at least one dissipative channel")
+    liou = liouvillian_matrix(model)
+    _, svals, vh = np.linalg.svd(liou)
+    smax = float(svals[0])
+    null_tol = max(smax, 1e-300) * 1e-9
+    null_count = int(np.count_nonzero(svals <= null_tol))
+    if null_count != 1:
+        raise DegenerateSteadyStateError(
+            f"Liouvillian null space has dimension {null_count}, expected 1"
+        )
+    rho = vh[-1].conj().reshape(model.dim, model.dim)
+    rho = 0.5 * (rho + rho.conj().T)
+    tr = np.trace(rho)
+    if abs(tr) < 1e-12 * np.linalg.norm(rho):
+        raise DegenerateSteadyStateError(
+            "null vector is traceless; no normalizable steady state"
+        )
+    return (rho / tr).astype(complex)

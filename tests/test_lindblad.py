@@ -32,6 +32,7 @@ from ionotto.operators import (
     sigma_z,
     vacuum_state,
 )
+from ionotto.oscillator import effective_mode_model, match_rabi_for_mode
 from ionotto.reservoirs import (
     ReservoirSpec,
     bath_steady_state,
@@ -57,6 +58,28 @@ def built(monkeypatch):
 
     monkeypatch.setattr(lindblad_module, "liouvillian_matrix", spy)
     return flags
+
+
+@pytest.fixture
+def svd_shapes(monkeypatch):
+    """The shape of every matrix handed to ``np.linalg.svd``."""
+    shapes = []
+    svd = np.linalg.svd
+
+    def spy(a, *args, **kwargs):
+        shapes.append(a.shape)
+        return svd(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", spy)
+    return shapes
+
+
+NON_FINITE = [np.nan, np.inf, -np.inf]
+
+
+def non_finite_state(value):
+    """A two-level state whose excited population is ``value``."""
+    return np.diag([1.0, value]).astype(complex)
 
 
 def sparse_joint_start():
@@ -91,6 +114,19 @@ class TestModelValidation:
     def test_rejects_shape_mismatch(self):
         with pytest.raises(ValueError):
             LindbladModel(H2_ZERO, ((1.0, destroy(3)),))
+
+    @pytest.mark.parametrize("value", NON_FINITE)
+    def test_rejects_non_finite_hamiltonian(self, value):
+        h = np.array([[0.0, value], [np.conj(value), 0.0]], dtype=complex)
+        with pytest.raises(ValueError, match="Hamiltonian has non-finite"):
+            LindbladModel(h, ((1.0, sigma_minus()),))
+
+    @pytest.mark.parametrize("value", NON_FINITE)
+    def test_rejects_non_finite_collapse_operator(self, value):
+        op = sigma_minus()
+        op[1, 0] = value
+        with pytest.raises(ValueError, match="collapse operator has non-finite"):
+            LindbladModel(H2_ZERO, ((1.0, op),))
 
 
 class TestEvolve:
@@ -156,6 +192,12 @@ class TestEvolve:
         model = thermal_two_level_model(1.0, 0.5)
         with pytest.raises(ValueError, match="finite"):
             evolve(model, np.eye(2, dtype=complex) / 2, t)
+
+    @pytest.mark.parametrize("value", NON_FINITE)
+    def test_non_finite_state_rejected(self, value):
+        model = thermal_two_level_model(1.0, 0.5)
+        with pytest.raises(ValueError, match="state has non-finite"):
+            evolve(model, non_finite_state(value), 1.0)
 
     @pytest.mark.parametrize("atol", [0.0, -1e-12, np.nan, np.inf])
     def test_bad_absolute_tolerance_rejected(self, atol):
@@ -297,6 +339,12 @@ class TestExpectation:
         assert isinstance(value, complex)
 
 
+def mode_model(spec, fock):
+    """Effective mode model of ``spec``, matched in the adiabatic regime."""
+    settings = match_rabi_for_mode(spec, 0.01, 2 * np.pi, 2 * np.pi)
+    return effective_mode_model(spec, settings, fock)
+
+
 class TestSteadyState:
     def test_zero_temperature_decay(self):
         model = LindbladModel(sigma_z() * 0.7, ((1.0, sigma_minus()),))
@@ -331,6 +379,32 @@ class TestSteadyState:
         model = LindbladModel(np.zeros((3, 3), dtype=complex), ((1.0, zero_op),))
         with pytest.raises(DegenerateSteadyStateError):
             steady_state(model)
+
+    def test_thermal_mode_decomposes_by_coherence_order(self, svd_shapes):
+        # a thermal bath conserves m - n: 39 blocks of 20 - |m - n| entries
+        model = mode_model(ReservoirSpec.thermal(2 * np.pi * 2.5e-4, 0.6), 20)
+        steady_state(model)
+        sizes = sorted(rows for rows, _ in svd_shapes)
+        assert all(rows == cols for rows, cols in svd_shapes)
+        assert sizes == sorted(20 - abs(k) for k in range(-19, 20))
+
+    def test_squeezed_mode_decomposes_by_parity(self, svd_shapes):
+        spec = ReservoirSpec.squeezed_thermal(2 * np.pi * 2e-4, 0.4, 0.5)
+        steady_state(mode_model(spec, 20))
+        assert svd_shapes == [(200, 200), (200, 200)]
+
+    def test_sparse_generator_matches_implicit_equilibration(self, svd_shapes):
+        # dim 32 is past the dense size limit: blocks are cut from the
+        # sparse generator, and no SVD sees the whole 1024 x 1024 matrix
+        model, _ = sparse_joint_start()
+        assert sp.issparse(model.generator)
+        direct = steady_state(model)
+        assert max(rows for rows, _ in svd_shapes) < model.dim**2
+        assert sum(rows for rows, _ in svd_shapes) == model.dim**2
+        vac = vacuum_state(4)
+        start = kron(ketbra(2, 0, 0), vac, vac)
+        relaxed = equilibrate(model, start, method="implicit", change_tol=1e-13)
+        assert np.abs(direct - relaxed.final_state).max() < 1e-10
 
 
 def small_joint_model(kappa=2 * np.pi, gamma=2 * np.pi * 5e-3, n=0.8, n_max=3):
@@ -393,6 +467,13 @@ class TestEquilibrate:
         model = thermal_two_level_model(1.0, 0.6)
         with pytest.raises(ValueError, match="window"):
             equilibrate(model, ketbra(2, 1, 1), window=window)
+
+    @pytest.mark.parametrize("method", ["rk", "implicit"])
+    @pytest.mark.parametrize("value", NON_FINITE)
+    def test_non_finite_state_rejected(self, method, value):
+        model = thermal_two_level_model(1.0, 0.6)
+        with pytest.raises(ValueError, match="state has non-finite"):
+            equilibrate(model, non_finite_state(value), method=method)
 
     @pytest.mark.parametrize("slow_rate", [np.nan, np.inf])
     def test_non_finite_slow_rate_rejected(self, slow_rate):
