@@ -2,6 +2,7 @@
 
 import math
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -19,13 +20,16 @@ from ionotto.lindblad import equilibrate
 from ionotto.operators import SpaceLayout, kron, partial_trace, vacuum_state
 from ionotto.reservoirs import (
     ReservoirSpec,
+    bath_steady_state,
     full_joint_model,
     gibbs_state,
     spec_theta,
     squeezed_gibbs_state,
 )
+from ionotto.sweep import load_config
 from oracles import truncation_shift
 
+CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
 TWO_PI = 2 * math.pi
 GAMMA = TWO_PI * 1e-4
 
@@ -82,6 +86,18 @@ class TestAdiabaticElimination:
             np.diag(full_bath_state(spec, 2 * TWO_PI) - target).real
         ).max()
         assert err_doubled < err
+
+    @pytest.mark.parametrize("panel", ["fig2a", "fig2b"])
+    def test_unsqueezed_baths_match_effective_to_rounding(self, panel):
+        # thermal and inverted baths carry no elimination correction: at
+        # fock 6 the reduced bath states equal the effective ones to 1e-13
+        # (measured 1.9e-15), far inside the 1e-2 of criterion 3
+        config = load_config(CONFIG_DIR / f"{panel}.json").cycle
+        assert config.fock_dim == 6
+        equilibria = prepare_bath_equilibria(config)
+        for label, spec in (("cold", config.cold), ("hot", config.hot)):
+            state = getattr(equilibria, f"{label}_state")
+            assert np.abs(state - bath_steady_state(spec)).max() <= 1e-13
 
     def test_zero_temperature_bath_cools_to_ground(self):
         spec = ReservoirSpec.thermal(GAMMA, 1e-12)

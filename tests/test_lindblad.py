@@ -1,3 +1,4 @@
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -7,7 +8,12 @@ import scipy.sparse.linalg as spla
 from scipy.linalg import expm
 
 import ionotto.lindblad as lindblad_module
-from ionotto.cycle import apply_transition_mixing, run_cycle_effective
+import ionotto.cycle as cycle_module
+from ionotto.cycle import (
+    apply_transition_mixing,
+    prepare_bath_equilibria,
+    run_cycle_effective,
+)
 from ionotto.lindblad import (
     _DENSE_MAX_DIM,
     DegenerateSteadyStateError,
@@ -40,7 +46,12 @@ from ionotto.reservoirs import (
     full_joint_model,
 )
 from ionotto.sweep import load_config
-from oracles import hermitian_propagator, reference_evolve, thermal_state
+from oracles import (
+    hermitian_propagator,
+    reference_evolve,
+    reference_window_loop,
+    thermal_state,
+)
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
 
@@ -58,6 +69,19 @@ def built(monkeypatch):
 
     monkeypatch.setattr(lindblad_module, "liouvillian_matrix", spy)
     return flags
+
+
+@pytest.fixture
+def trace_norms(monkeypatch):
+    """The shape of every matrix handed to ``trace_norm`` by lindblad."""
+    shapes = []
+
+    def spy(a):
+        shapes.append(a.shape)
+        return trace_norm(a)
+
+    monkeypatch.setattr(lindblad_module, "trace_norm", spy)
+    return shapes
 
 
 @pytest.fixture
@@ -304,6 +328,17 @@ class TestGenerator:
         assert report.windows > 1
         assert built == [False]
 
+    @pytest.mark.parametrize("n_max, sparse", [(3, False), (4, True)])
+    def test_implicit_equilibrations_build_one_generator(self, n_max, sparse, built):
+        # dim 18 keeps the cached generator dense (the implicit solve takes
+        # it in CSR form), dim 32 stores it sparse
+        model, _ = small_joint_model(n_max=n_max)
+        vac = vacuum_state(n_max)
+        for start in (ketbra(2, 0, 0), ketbra(2, 1, 1)):
+            report = equilibrate(model, kron(start, vac, vac), method="implicit")
+            assert report.method == "implicit"
+        assert built == [sparse]
+
     def test_effective_row_builds_two_generators(self, built):
         # a freshly loaded config: its specs have not built a bath model yet
         cycle = load_config(CONFIG_DIR / "fig2a.json").cycle
@@ -481,13 +516,142 @@ class TestEquilibrate:
         with pytest.raises(ValueError, match="slow_rate"):
             equilibrate(model, ketbra(2, 1, 1))
 
+    def test_frobenius_pretest_skips_trace_norms(self, trace_norms):
+        spec = ReservoirSpec.squeezed_thermal(2 * np.pi * 2e-4, 0.4, 0.5)
+        report = equilibrate(mode_model(spec, 48), vacuum_state(48), change_tol=1e-10)
+        assert report.method == "implicit"
+        assert report.windows > 5
+        assert 1 <= len(trace_norms) <= 2
+
+    def test_exhausted_budget_reports_the_exact_last_change(self, trace_norms):
+        model = thermal_two_level_model(1.0, 0.6)
+        kwargs = {"window": 0.01, "max_windows": 3}
+        with pytest.raises(EquilibrationError) as exhausted:
+            equilibrate(model, ketbra(2, 1, 1), **kwargs)
+        # only the last window takes the exact norm
+        assert trace_norms == [(2, 2)]
+        with pytest.raises(EquilibrationError) as reference:
+            reference_window_loop(model, ketbra(2, 1, 1), **kwargs)
+        assert str(exhausted.value) == str(reference.value)
+
+
+def assert_same_report(report, reference):
+    assert report.final_state.tobytes() == reference.final_state.tobytes()
+    for name in (
+        "method",
+        "windows",
+        "window_duration",
+        "last_change",
+        "max_trace_drift",
+        "min_eigenvalue",
+        "rhs_residual",
+        "steps_taken",
+        "sector_dim",
+    ):
+        assert getattr(report, name) == getattr(reference, name), name
+
+
+class TestEquilibrateMatchesWindowLoop:
+    """The Frobenius pre-test changes no window count and no bit."""
+
+    @pytest.mark.parametrize("panel", ["fig2a", "fig2b", "fig2c"])
+    def test_bath_models_rk(self, panel):
+        cycle = load_config(CONFIG_DIR / f"{panel}.json").cycle
+        model = electronic_bath_model(cycle.hot)
+        start = apply_transition_mixing(bath_steady_state(cycle.cold), 0.3)
+        # a start that is Hermitian only to 1e-11, as the input check allows
+        skewed = start + 1e-11 * ketbra(2, 0, 1)
+        for rho0 in (start, skewed, ketbra(2, 1, 1)):
+            report = equilibrate(model, rho0)
+            assert report.method == "rk"
+            assert_same_report(report, reference_window_loop(model, rho0))
+
+    def test_start_hermitian_to_the_input_tolerance(self):
+        # the start's upper coherence is off by 1e-10, the most the input
+        # check allows; trace_norm's eigvalsh reads the lower triangle, so
+        # the first change measures 1.0e-12 although its Frobenius norm is
+        # 9.9e-11, and the window must still pass at change_tol 1e-11
+        cycle = load_config(CONFIG_DIR / "fig2a.json").cycle
+        model = electronic_bath_model(cycle.hot)
+        rho0 = bath_steady_state(cycle.hot) + 1e-10 * ketbra(2, 0, 1)
+        report = equilibrate(model, rho0, change_tol=1e-11)
+        assert report.windows == 1
+        assert_same_report(report, reference_window_loop(model, rho0, change_tol=1e-11))
+
+    @pytest.mark.parametrize("method", ["rk", "implicit"])
+    def test_change_just_below_the_tolerance_passes(self, method):
+        # change_tol a hair above the exact change of the converging window:
+        # the pre-test must not skip that window
+        spec = ReservoirSpec.squeezed_thermal(2 * np.pi * 2e-4, 0.4, 0.5)
+        model = mode_model(spec, 6)
+        rho0 = vacuum_state(6)
+        first = reference_window_loop(model, rho0, method=method)
+        tol = first.last_change * (1 + 1e-9)
+        report = equilibrate(model, rho0, method=method, change_tol=tol)
+        assert report.windows == first.windows > 2
+        reference = reference_window_loop(model, rho0, method=method, change_tol=tol)
+        assert_same_report(report, reference)
+
+    @pytest.mark.parametrize("fock", [12, 48])
+    @pytest.mark.parametrize(
+        "spec",
+        [
+            ReservoirSpec.thermal(2 * np.pi * 2.5e-4, 0.6),
+            ReservoirSpec.squeezed_thermal(2 * np.pi * 2e-4, 0.4, 0.5),
+        ],
+        ids=["thermal", "squeezed"],
+    )
+    def test_mode_models_implicit(self, spec, fock):
+        model = mode_model(spec, fock)
+        kwargs = {"method": "implicit", "change_tol": 1e-10}
+        report = equilibrate(model, vacuum_state(fock), **kwargs)
+        assert report.windows > 5
+        reference = reference_window_loop(model, vacuum_state(fock), **kwargs)
+        assert_same_report(report, reference)
+
+    @pytest.mark.parametrize("fock_dim", [4, 6])
+    @pytest.mark.parametrize("panel", ["fig2a", "fig2c"])
+    def test_joint_window_models_implicit(self, panel, fock_dim, monkeypatch):
+        solves = []
+
+        def spy(model, rho0, **kwargs):
+            solves.append((model, rho0, kwargs, equilibrate(model, rho0, **kwargs)))
+            return solves[-1][-1]
+
+        monkeypatch.setattr(cycle_module, "equilibrate", spy)
+        cycle = load_config(CONFIG_DIR / f"{panel}.json").cycle
+        prepare_bath_equilibria(replace(cycle, fock_dim=fock_dim))
+        assert len(solves) == 2
+        for model, rho0, kwargs, report in solves:
+            assert report.method == "implicit"
+            assert_same_report(report, reference_window_loop(model, rho0, **kwargs))
+
 
 class TestLiouvillianMatrix:
     def test_sparse_matches_dense(self):
         model = thermal_two_level_model(0.7, 0.4)
         dense = liouvillian_matrix(model)
         sparse = liouvillian_matrix(model, sparse=True).toarray()
-        assert np.abs(dense - sparse).max() < 1e-15
+        assert np.array_equal(dense, sparse)
+
+    def test_builds_no_kronecker_product(self, monkeypatch):
+        models = [
+            thermal_two_level_model(0.7, 0.4),
+            small_joint_model()[0],
+            mode_model(ReservoirSpec.squeezed_thermal(2 * np.pi * 2e-4, 0.4, 0.5), 6),
+        ]
+        calls = []
+
+        def spy(*args, **kwargs):
+            calls.append(args)
+            raise AssertionError("a Kronecker product was formed")
+
+        monkeypatch.setattr(np, "kron", spy)
+        monkeypatch.setattr(sp, "kron", spy)
+        for model in models:
+            liouvillian_matrix(model)
+            liouvillian_matrix(model, sparse=True)
+        assert calls == []
 
     def test_generator_annihilates_steady_state(self):
         model = thermal_two_level_model(1.0, 0.6)

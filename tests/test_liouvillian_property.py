@@ -1,0 +1,183 @@
+"""Property: ``liouvillian_matrix`` reproduces the sum of Kronecker products.
+
+Random models of dim 1-12: a Hermitian Hamiltonian with structural zeros
+and up to three channels, each sparse, diagonal-only or dense, with rates
+that may be zero.  Entries come from a grid with signed zeros and with
+negative, imaginary and fractional parts.
+
+The dense output equals ``reference_liouvillian``, and every nonzero entry
+is bit-equal to it.  The sparse output is, to the bit, the canonical CSR
+form of the dense reference's nonzeros.  Against the sparse reference it
+has the same structure once the reference drops its stored zeros, and the
+same values: that reference keeps explicit zeros inside the BSR blocks
+that ``sp.kron`` builds for half-full factors (every identity of dim 1 or
+2), and because its sums skip absent entries, a zero real or imaginary part
+can carry the opposite sign there.  On every model the library builds, the
+two reference forms agree bit for bit, and the ``test_shipped_*`` tests
+compare the sparse output with the sparse reference directly.
+"""
+
+import math
+from dataclasses import replace
+from pathlib import Path
+
+import numpy as np
+import pytest
+import scipy.sparse as sp
+
+pytest.importorskip("hypothesis")
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import ionotto.cycle as cycle_module
+from ionotto.cycle import prepare_bath_equilibria
+from ionotto.lindblad import (
+    _DENSE_MAX_DIM,
+    EquilibrationReport,
+    LindbladModel,
+    liouvillian_matrix,
+)
+from ionotto.oscillator import (
+    VSystemConfig,
+    effective_mode_model,
+    full_v_model,
+    match_rabi_for_mode,
+)
+from ionotto.reservoirs import ReservoirSpec, electronic_bath_model
+from ionotto.sweep import load_config
+from oracles import reference_liouvillian
+
+CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
+PANELS = ("fig2a", "fig2b", "fig2c")
+TWO_PI = 2 * math.pi
+
+GRID = np.array([0.0, -0.0, 0.5, 1.0, -1.0, 2.0, -1.0 / 3.0])
+
+
+def grid_matrix(rng, dim, shape):
+    """A complex matrix on the grid: sparse, diagonal-only or dense."""
+    values = rng.choice(GRID, (dim, dim)) + 1j * rng.choice(GRID, (dim, dim))
+    if shape == "diagonal":
+        return np.diag(np.diag(values))
+    if shape == "sparse":
+        return np.where(rng.random((dim, dim)) < 0.25, values, 0.0)
+    return values
+
+
+@st.composite
+def random_models(draw):
+    dim = draw(st.integers(1, 12))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    shapes = st.sampled_from(["sparse", "diagonal", "dense"])
+    rates = st.sampled_from([0.0, 0.3, 1.0, 2.5])
+    half = grid_matrix(rng, dim, draw(shapes))
+    channels = tuple(
+        (draw(rates), grid_matrix(rng, dim, draw(shapes)))
+        for _ in range(draw(st.integers(0, 3)))
+    )
+    return LindbladModel(half + half.conj().T, channels)
+
+
+def assert_dense_bits(dense, reference):
+    assert dense.shape == reference.shape and dense.flags.c_contiguous
+    assert np.array_equal(dense, reference)
+    nonzero = reference != 0
+    assert dense[nonzero].tobytes() == reference[nonzero].tobytes()
+
+
+def assert_same_csr(matrix, reference):
+    assert isinstance(matrix, sp.csr_matrix) and matrix.shape == reference.shape
+    for name in ("indptr", "indices", "data"):
+        assert getattr(matrix, name).tobytes() == getattr(reference, name).tobytes()
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(model=random_models())
+def test_assembly_matches_kronecker_sum(model):
+    reference = reference_liouvillian(model)
+    assert_dense_bits(liouvillian_matrix(model), reference)
+    sparse = liouvillian_matrix(model, sparse=True)
+    assert_same_csr(sparse, sp.csr_matrix(reference))
+    stored = reference_liouvillian(model, sparse=True)
+    stored.eliminate_zeros()
+    assert np.array_equal(sparse.indptr, stored.indptr)
+    assert np.array_equal(sparse.indices, stored.indices)
+    assert np.array_equal(sparse.data, stored.data)
+
+
+# The oscillator models of the benchmark's mode workload: bath rates at
+# regime ratio 50 (thermal) and 53 (squeezed), electronic decays 2 pi.
+MODE_SPECS = {
+    "thermal": ReservoirSpec.thermal(TWO_PI * 2.5e-4, 0.6),
+    "squeezed": ReservoirSpec.squeezed_thermal(TWO_PI * 2e-4, 0.4, 0.5),
+}
+
+
+def mode_model(kind, fock):
+    settings = match_rabi_for_mode(MODE_SPECS[kind], 0.01, TWO_PI, TWO_PI)
+    return effective_mode_model(MODE_SPECS[kind], settings, fock)
+
+
+def v_model(kind, fock):
+    settings = match_rabi_for_mode(MODE_SPECS[kind], 0.01, TWO_PI, TWO_PI)
+    config = VSystemConfig(
+        omega_ge=TWO_PI * 1e6,
+        omega_gf=1.2 * TWO_PI * 1e6,
+        omega_m=10 * TWO_PI,
+        lamb=0.01,
+        gamma_ge=TWO_PI,
+        gamma_gf=TWO_PI,
+        rabi=settings.rabi,
+        fock_dim=fock,
+    )
+    return full_v_model(config, settings, fock)
+
+
+def window_models(panel, fock_dim, monkeypatch):
+    """The cold and hot excitation-window models of the full-mode bath
+    strokes, taken from ``prepare_bath_equilibria`` without solving them."""
+    models = []
+
+    def capture(model, rho0, **kwargs):
+        models.append(model)
+        return EquilibrationReport(rho0, "implicit", 1, 1.0, 0.0, 0.0, 0.0, 0.0)
+
+    monkeypatch.setattr(cycle_module, "equilibrate", capture)
+    config = load_config(CONFIG_DIR / f"{panel}.json").cycle
+    prepare_bath_equilibria(replace(config, fock_dim=fock_dim))
+    return models
+
+
+def assert_matches_reference(model):
+    """Sparse output against the sparse reference to the bit, structure
+    included; the dense output too while the dense reference stays small."""
+    sparse = liouvillian_matrix(model, sparse=True)
+    assert_same_csr(sparse, reference_liouvillian(model, sparse=True))
+    if model.dim <= _DENSE_MAX_DIM:
+        assert_dense_bits(liouvillian_matrix(model), reference_liouvillian(model))
+
+
+@pytest.mark.parametrize("kind, fock", [("thermal", 20), ("squeezed", 48)])
+def test_shipped_mode_models(kind, fock):
+    assert_matches_reference(mode_model(kind, fock))
+
+
+@pytest.mark.parametrize("kind, fock", [("thermal", 20), ("squeezed", 16)])
+def test_shipped_full_v_models(kind, fock):
+    assert_matches_reference(v_model(kind, fock))
+
+
+@pytest.mark.parametrize("panel", PANELS)
+def test_shipped_bath_models(panel):
+    cycle = load_config(CONFIG_DIR / f"{panel}.json").cycle
+    for spec in (cycle.cold, cycle.hot):
+        assert_matches_reference(electronic_bath_model(spec))
+
+
+@pytest.mark.parametrize("fock_dim", [6, 7, 8])
+@pytest.mark.parametrize("panel", PANELS)
+def test_shipped_window_models(panel, fock_dim, monkeypatch):
+    models = window_models(panel, fock_dim, monkeypatch)
+    assert [model.dim for model in models] == [fock_dim * (fock_dim + 1)] * 2
+    for model in models:
+        assert_matches_reference(model)
