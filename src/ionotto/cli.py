@@ -19,7 +19,6 @@ from .reservoirs import (
     ReservoirSpec,
     bath_steady_state,
     channels_from_settings,
-    electronic_bath_model,
     match_rabi_frequencies,
     spec_theta,
 )
@@ -84,7 +83,7 @@ def _build_parser() -> argparse.ArgumentParser:
 def _bath_report(label: str, spec: ReservoirSpec, lamb: float, kappa: float) -> list[str]:
     theta = spec_theta(spec)
     settings = match_rabi_frequencies(spec, lamb, kappa)
-    target = electronic_bath_model(spec)
+    target = spec.bath_model
     matched = LindbladModel(
         target.hamiltonian, channels_from_settings(settings, lamb, kappa)
     )
@@ -156,7 +155,7 @@ def _cmd_steadystate(args: argparse.Namespace) -> int:
     cycle = config.cycle
     for label, spec in (("cold", cycle.cold), ("hot", cycle.hot)):
         analytic = bath_steady_state(spec)
-        solved = steady_state(electronic_bath_model(spec))
+        solved = steady_state(spec.bath_model)
         deviation = float(np.abs(analytic - solved).max())
         print(f"[{label}] analytic populations (g, e) = "
               f"({analytic[0, 0].real:.9f}, {analytic[1, 1].real:.9f})")

@@ -28,13 +28,12 @@ from typing import Callable, Mapping
 import numpy as np
 
 from .lindblad import EquilibrationReport, LindbladModel, equilibrate, expectation
-from .operators import number_op, partial_trace, sigma_z, vacuum_state
+from .operators import SpaceLayout, number_op, partial_trace, sigma_z, vacuum_state
 from .reservoirs import (
     ADIABATIC_RATIO_FLOOR,
     BathKind,
     ReservoirSpec,
     bath_steady_state,
-    electronic_bath_model,
     full_joint_model,
     match_rabi_frequencies,
     spec_theta,
@@ -347,7 +346,7 @@ def run_cycle_effective(config: CycleConfig, xi: float) -> CycleResult:
     reports: list[EquilibrationReport] = []
 
     def contact(spec: ReservoirSpec) -> Callable[[np.ndarray], np.ndarray]:
-        model = electronic_bath_model(spec)
+        model = spec.bath_model
 
         def stroke(state: np.ndarray) -> np.ndarray:
             reports.append(equilibrate(model, state))
@@ -388,12 +387,9 @@ class BathEquilibria:
 
 
 def _joint_bath_stroke(
-    config: CycleConfig,
-    spec: ReservoirSpec,
-    electronic_start: np.ndarray,
-    label: str,
+    config: CycleConfig, spec: ReservoirSpec, label: str
 ) -> tuple[np.ndarray, tuple[str, ...], dict[str, float]]:
-    """Equilibrate electron x vacuum x vacuum against one engineered bath.
+    """Equilibrate bath steady state x vacuum x vacuum against one bath.
 
     The solve keeps only the joint basis states with n_x + n_y < fock_dim
     (an excitation-number-restricted truncation; the modes stay near
@@ -402,9 +398,9 @@ def _joint_bath_stroke(
     n_max = config.fock_dim
     settings = match_rabi_frequencies(spec, config.lamb, config.kappa)
     model = full_joint_model(spec, config.lamb, config.kappa, n_max, settings=settings)
-    layout = model.layout
+    layout = SpaceLayout((2, n_max, n_max))
     vac = vacuum_state(n_max)
-    joint0 = np.kron(np.kron(electronic_start, vac), vac)
+    joint0 = np.kron(np.kron(bath_steady_state(spec), vac), vac)
     excitations = np.add.outer(np.arange(n_max), np.arange(n_max)).ravel()
     window = np.flatnonzero(np.tile(excitations < n_max, 2))
     kept = np.ix_(window, window)
@@ -440,12 +436,8 @@ def _joint_bath_stroke(
 
 def prepare_bath_equilibria(config: CycleConfig) -> BathEquilibria:
     """Equilibrate both bath contacts once under the full joint dynamics."""
-    cold_state, cold_flags, cold_diag = _joint_bath_stroke(
-        config, config.cold, bath_steady_state(config.cold), "cold"
-    )
-    hot_state, hot_flags, hot_diag = _joint_bath_stroke(
-        config, config.hot, bath_steady_state(config.hot), "hot"
-    )
+    cold_state, cold_flags, cold_diag = _joint_bath_stroke(config, config.cold, "cold")
+    hot_state, hot_flags, hot_diag = _joint_bath_stroke(config, config.hot, "hot")
     return BathEquilibria(
         cold_state=cold_state,
         hot_state=hot_state,
@@ -455,54 +447,24 @@ def prepare_bath_equilibria(config: CycleConfig) -> BathEquilibria:
 
 
 def run_cycle_full(
-    config: CycleConfig, xi: float, equilibria: BathEquilibria | None = None
+    config: CycleConfig, xi: float, equilibria: BathEquilibria
 ) -> CycleResult:
     """Simulate the cycle with joint electron-motion bath strokes.
 
-    Heating and cooling evolve the joint state (electron and two damped
-    modes, motional part starting in vacuum) to equilibration and the
-    electronic state is read back by partial trace.  Passing precomputed
-    ``equilibria`` reuses the bath steady states, which the stroke
-    endpoint does not depend on; otherwise each bath stroke is evolved
-    from its actual start state.
+    Each bath stroke ends in the reduced electronic state of the joint
+    (electron and two damped modes) steady state, which does not depend
+    on the stroke's start; ``equilibria`` from
+    :func:`prepare_bath_equilibria` holds both, so one bath solve serves
+    every transition probability of a config.
     """
-    if equilibria is not None:
-        energies, closure = _run_strokes(
-            config,
-            xi,
-            equilibria.cold_state,
-            lambda _: equilibria.hot_state,
-            lambda _: equilibria.cold_state,
-        )
-        flags = equilibria.flags
-        diagnostics = dict(equilibria.diagnostics)
-    else:
-        outputs = [
-            _joint_bath_stroke(
-                config, config.cold, bath_steady_state(config.cold), "cold"
-            )
-        ]
-
-        def contact(
-            spec: ReservoirSpec, label: str
-        ) -> Callable[[np.ndarray], np.ndarray]:
-            def stroke(state: np.ndarray) -> np.ndarray:
-                outputs.append(_joint_bath_stroke(config, spec, state, label))
-                return outputs[-1][0]
-
-            return stroke
-
-        energies, closure = _run_strokes(
-            config,
-            xi,
-            outputs[0][0],
-            contact(config.hot, "hot"),
-            contact(config.cold, "cold_return"),
-        )
-        flags = tuple(flag for _, stroke_flags, _ in outputs for flag in stroke_flags)
-        diagnostics = {key: value for *_, diag in outputs for key, value in diag.items()}
-    diagnostics["cycle_closure"] = closure
-    return _result_from_energies(
-        config, xi, CycleMode.FULL, energies, flags=flags, diagnostics=diagnostics
+    energies, closure = _run_strokes(
+        config,
+        xi,
+        equilibria.cold_state,
+        lambda _: equilibria.hot_state,
+        lambda _: equilibria.cold_state,
     )
-
+    diagnostics = {**equilibria.diagnostics, "cycle_closure": closure}
+    return _result_from_energies(
+        config, xi, CycleMode.FULL, energies, equilibria.flags, diagnostics
+    )

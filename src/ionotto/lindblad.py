@@ -24,7 +24,7 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 from scipy.sparse.csgraph import connected_components
 
-from .operators import SpaceLayout, hermiticity_defect, is_hermitian
+from .operators import hermiticity_defect, is_hermitian
 
 __all__ = [
     "LindbladModel",
@@ -80,7 +80,6 @@ class LindbladModel:
 
     hamiltonian: np.ndarray
     channels: tuple[tuple[float, np.ndarray], ...]
-    layout: SpaceLayout | None = None
     slow_rate: float | None = None
 
     def __post_init__(self) -> None:
@@ -107,11 +106,6 @@ class LindbladModel:
             if not np.isfinite(op).all():
                 raise ValueError("collapse operator has non-finite entries")
             chans.append((rate, op))
-        if self.layout is not None and self.layout.dim != h.shape[0]:
-            raise ValueError(
-                f"layout dimension {self.layout.dim} does not match "
-                f"Hamiltonian dimension {h.shape[0]}"
-            )
         object.__setattr__(self, "hamiltonian", h)
         object.__setattr__(self, "channels", tuple(chans))
 

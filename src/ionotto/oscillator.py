@@ -149,8 +149,9 @@ def match_rabi_for_mode(
 
 
 def _mode_couplings(
-    settings: ModeLaserSettings, lamb: float, fock_dim: int
+    settings: ModeLaserSettings, fock_dim: int
 ) -> tuple[np.ndarray, np.ndarray]:
+    lamb = settings.lamb
     a = destroy(fock_dim)
     adag = a.conj().T
     s_ge = (lamb / 2.0) * (settings.rabi_ge1 * a + settings.rabi_ge2 * adag)
@@ -162,7 +163,7 @@ def mode_collapse_channels(
     settings: ModeLaserSettings, fock_dim: int
 ) -> tuple[tuple[float, np.ndarray], ...]:
     """Eliminated mode channels: prefactor 2/gamma_alpha per dissipator."""
-    s_ge, s_gf = _mode_couplings(settings, settings.lamb, fock_dim)
+    s_ge, s_gf = _mode_couplings(settings, fock_dim)
     return ((4.0 / settings.gamma_ge, s_ge), (4.0 / settings.gamma_gf, s_gf))
 
 
@@ -178,7 +179,6 @@ def effective_mode_model(
     return LindbladModel(
         hamiltonian=np.zeros((fock_dim, fock_dim), dtype=complex),
         channels=mode_collapse_channels(settings, fock_dim),
-        layout=SpaceLayout((fock_dim,)),
         slow_rate=settings.target_rate / 2.0,
     )
 
@@ -191,12 +191,23 @@ def full_v_model(
     H = sum_alpha (s_alpha sigma_alpha^dag + s_alpha^dag sigma_alpha) on
     the layout (3, fock_dim) with basis (g, e, f); dissipation is the two
     electronic decays.  Motional decay is negligible on these timescales
-    and omitted.
+    and omitted.  ``config`` must carry the matching inputs and Rabi
+    frequencies of ``settings`` and the truncation ``fock_dim``.
     """
+    for name in ("lamb", "gamma_ge", "gamma_gf", "rabi"):
+        if getattr(config, name) != getattr(settings, name):
+            raise ValueError(
+                f"settings were matched for a different {name}: "
+                f"{getattr(settings, name)} vs config {getattr(config, name)}"
+            )
+    if config.fock_dim != fock_dim:
+        raise ValueError(
+            f"config fock_dim {config.fock_dim} differs from fock_dim {fock_dim}"
+        )
     layout = SpaceLayout((3, fock_dim))
     sigma_ge = ketbra(3, 0, 1)
     sigma_gf = ketbra(3, 0, 2)
-    s_ge, s_gf = _mode_couplings(settings, config.lamb, fock_dim)
+    s_ge, s_gf = _mode_couplings(settings, fock_dim)
     h = np.kron(sigma_ge.conj().T, s_ge) + np.kron(sigma_gf.conj().T, s_gf)
     h += h.conj().T
     return LindbladModel(
@@ -205,7 +216,6 @@ def full_v_model(
             (config.gamma_ge, layout.embed(sigma_ge, 0)),
             (config.gamma_gf, layout.embed(sigma_gf, 0)),
         ),
-        layout=layout,
         slow_rate=settings.target_rate / 2.0,
     )
 

@@ -38,7 +38,6 @@ __all__ = [
     "match_rabi_frequencies",
     "effective_collapse_channels",
     "slow_relaxation_rate",
-    "electronic_bath_model",
     "channels_from_settings",
     "full_interaction_hamiltonian",
     "full_joint_model",
@@ -141,7 +140,6 @@ class ReservoirSpec:
         return LindbladModel(
             hamiltonian=np.zeros((2, 2), dtype=complex),
             channels=effective_collapse_channels(self),
-            layout=SpaceLayout((2,)),
             slow_rate=slow_relaxation_rate(self),
         )
 
@@ -304,11 +302,6 @@ def slow_relaxation_rate(spec: ReservoirSpec) -> float:
     return 0.5 * (t_down + t_up)
 
 
-def electronic_bath_model(spec: ReservoirSpec) -> LindbladModel:
-    """Two-level model of the bare bath contact: ``spec.bath_model``."""
-    return spec.bath_model
-
-
 def _coupling_operators(
     settings: LaserSettings, lamb: float
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -347,14 +340,12 @@ def full_interaction_hamiltonian(
     """
     if n_max < 2:
         raise ValueError(f"Fock truncation must be at least 2, got {n_max}")
-    layout = SpaceLayout((2, n_max, n_max))
     a = destroy(n_max)
     s_x, s_y = _coupling_operators(settings, lamb)
     ident = np.eye(n_max, dtype=complex)
     h = np.kron(np.kron(s_x, a.conj().T), ident)
     h += np.kron(np.kron(s_y, ident), a.conj().T)
     h += h.conj().T
-    assert h.shape == (layout.dim, layout.dim)
     return h
 
 
@@ -373,7 +364,6 @@ def full_joint_model(
     return LindbladModel(
         hamiltonian=full_interaction_hamiltonian(settings, lamb, n_max),
         channels=((kappa, layout.embed(a, 1)), (kappa, layout.embed(a, 2))),
-        layout=layout,
         slow_rate=slow_relaxation_rate(spec),
     )
 

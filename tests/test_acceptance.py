@@ -46,7 +46,6 @@ from ionotto.reservoirs import (
     ReservoirSpec,
     channels_from_settings,
     effective_collapse_channels,
-    electronic_bath_model,
     full_joint_model,
     gibbs_state,
     match_rabi_frequencies,
@@ -118,7 +117,7 @@ def test_criterion_1_bath_steady_states():
             (ReservoirSpec.squeezed_thermal(GAMMA, 0.4, 0.5), None),
         ]
         for spec, expected_pe in cases:
-            solved = steady_state(electronic_bath_model(spec))
+            solved = steady_state(spec.bath_model)
             analytic = bath_reference_state(spec)
             assert np.abs(solved - analytic).max() <= 1e-8
             if expected_pe is not None:
@@ -133,7 +132,6 @@ def test_criterion_1_bath_steady_states():
 def test_criterion_2_matching_identity():
     with criterion(2, "laser-settings Liouvillian equals target bath", 1.0):
         rng = np.random.default_rng(2024)
-        layout = SpaceLayout((2,))
         h0 = np.zeros((2, 2), dtype=complex)
         for trial in range(20):
             gamma = 10.0 ** rng.uniform(-4, -2)
@@ -154,10 +152,10 @@ def test_criterion_2_matching_identity():
                 warnings.simplefilter("ignore", RuntimeWarning)
                 settings = match_rabi_frequencies(spec, lamb, kappa)
             lhs = liouvillian_matrix(
-                LindbladModel(h0, channels_from_settings(settings, lamb, kappa), layout)
+                LindbladModel(h0, channels_from_settings(settings, lamb, kappa))
             )
             rhs = liouvillian_matrix(
-                LindbladModel(h0, effective_collapse_channels(spec), layout)
+                LindbladModel(h0, effective_collapse_channels(spec))
             )
             assert np.abs(lhs - rhs).max() <= 1e-12
 
@@ -386,7 +384,7 @@ def test_criterion_9_solver_hygiene():
             ReservoirSpec.negative_temperature(GAMMA, 0.8),
             ReservoirSpec.squeezed_thermal(GAMMA, 0.4, 0.5),
         ):
-            model = electronic_bath_model(spec)
+            model = spec.bath_model
             direct = steady_state(model)
             evolved = evolve(
                 model, np.diag([0.7, 0.3]).astype(complex), 40.0 / GAMMA

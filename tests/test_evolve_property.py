@@ -16,7 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ionotto.lindblad import evolve
-from ionotto.reservoirs import ReservoirSpec, electronic_bath_model
+from ionotto.reservoirs import ReservoirSpec
 from oracles import reference_evolve
 
 GAMMAS = st.floats(min_value=1e-5, max_value=1e2)
@@ -63,7 +63,7 @@ TOLERANCES = st.sampled_from([(1e-9, 1e-12), (1e-9, None), (1e-6, None)])
     tolerances=TOLERANCES,
 )
 def test_evolve_matches_reference_bits(spec, rho0, fraction, tolerances):
-    model = electronic_bath_model(spec)
+    model = spec.bath_model
     t = fraction * 5.0 / model.slow_rate
     tol, atol = tolerances
     report = evolve(model, rho0, t, tol, atol=atol)

@@ -1,3 +1,4 @@
+import math
 from dataclasses import replace
 from pathlib import Path
 
@@ -42,7 +43,6 @@ from ionotto.oscillator import effective_mode_model, match_rabi_for_mode
 from ionotto.reservoirs import (
     ReservoirSpec,
     bath_steady_state,
-    electronic_bath_model,
     full_joint_model,
 )
 from ionotto.sweep import load_config
@@ -121,7 +121,6 @@ def thermal_two_level_model(gamma, n):
     return LindbladModel(
         H2_ZERO,
         ((gamma * (1 + n), sigma_minus()), (gamma * n, sigma_plus())),
-        SpaceLayout((2,)),
         slow_rate=gamma * (1 + 2 * n) / 2,
     )
 
@@ -232,7 +231,7 @@ class TestEvolve:
     def test_closing_a_rounding_gap_is_not_an_underflow(self):
         # the steps here end one rounding error short of t; the tiny step
         # that closes the gap used to raise "step size underflow"
-        model = electronic_bath_model(ReservoirSpec.thermal(1.0, 2.625))
+        model = ReservoirSpec.thermal(1.0, 2.625).bath_model
         rho0 = np.diag([0.98328621, 1 - 0.98328621]).astype(complex)
         t = 0.0016
         report = evolve(model, rho0, t)
@@ -286,7 +285,7 @@ class TestEvolveMatchesReference:
     @pytest.mark.parametrize("panel", ["fig2a", "fig2b", "fig2c"])
     def test_shipped_bath_windows(self, panel):
         cycle = load_config(CONFIG_DIR / f"{panel}.json").cycle
-        model = electronic_bath_model(cycle.hot)
+        model = cycle.hot.bath_model
         window = 5.0 / model.slow_rate
         plus = 0.5 * np.ones((2, 2), dtype=complex)
         starts = [
@@ -323,7 +322,7 @@ class TestGenerator:
     def test_equilibrate_builds_one_generator(self, built):
         cycle = load_config(CONFIG_DIR / "fig2c.json").cycle
         start = apply_transition_mixing(bath_steady_state(cycle.cold), 0.3)
-        report = equilibrate(electronic_bath_model(cycle.hot), start)
+        report = equilibrate(cycle.hot.bath_model, start)
         assert report.method == "rk"
         assert report.windows > 1
         assert built == [False]
@@ -346,7 +345,6 @@ class TestGenerator:
             run_cycle_effective(cycle, xi)
         # one dense generator per bath spec, over all rows
         assert built == [False, False]
-        assert electronic_bath_model(cycle.hot) is cycle.hot.bath_model
 
 
 class TestExpectation:
@@ -457,7 +455,6 @@ def small_joint_model(kappa=2 * np.pi, gamma=2 * np.pi * 5e-3, n=0.8, n_max=3):
     return LindbladModel(
         h,
         ((kappa, layout.embed(a, 1)), (kappa, layout.embed(a, 2))),
-        layout,
         slow_rate=gamma * (1 + 2 * n) / 2,
     ), layout
 
@@ -557,7 +554,7 @@ class TestEquilibrateMatchesWindowLoop:
     @pytest.mark.parametrize("panel", ["fig2a", "fig2b", "fig2c"])
     def test_bath_models_rk(self, panel):
         cycle = load_config(CONFIG_DIR / f"{panel}.json").cycle
-        model = electronic_bath_model(cycle.hot)
+        model = cycle.hot.bath_model
         start = apply_transition_mixing(bath_steady_state(cycle.cold), 0.3)
         # a start that is Hermitian only to 1e-11, as the input check allows
         skewed = start + 1e-11 * ketbra(2, 0, 1)
@@ -572,7 +569,7 @@ class TestEquilibrateMatchesWindowLoop:
         # the first change measures 1.0e-12 although its Frobenius norm is
         # 9.9e-11, and the window must still pass at change_tol 1e-11
         cycle = load_config(CONFIG_DIR / "fig2a.json").cycle
-        model = electronic_bath_model(cycle.hot)
+        model = cycle.hot.bath_model
         rho0 = bath_steady_state(cycle.hot) + 1e-10 * ketbra(2, 0, 1)
         report = equilibrate(model, rho0, change_tol=1e-11)
         assert report.windows == 1
@@ -696,7 +693,7 @@ class TestSectorRestriction:
         ids=["thermal-3", "thermal-4", "squeezed-4", "squeezed-5"],
     )
     def test_matches_full_space_loop(self, model):
-        n_max = model.layout.dims[1]
+        n_max = math.isqrt(model.dim // 2)
         rho0 = kron(ketbra(2, 1, 1), vacuum_state(n_max), vacuum_state(n_max))
         report = equilibrate(model, rho0, method="implicit")
         reference, windows = full_space_backward_euler(model, rho0)

@@ -43,7 +43,7 @@ from ionotto.oscillator import (
     full_v_model,
     match_rabi_for_mode,
 )
-from ionotto.reservoirs import ReservoirSpec, electronic_bath_model
+from ionotto.reservoirs import ReservoirSpec
 from ionotto.sweep import load_config
 from oracles import reference_liouvillian
 
@@ -171,7 +171,7 @@ def test_shipped_full_v_models(kind, fock):
 def test_shipped_bath_models(panel):
     cycle = load_config(CONFIG_DIR / f"{panel}.json").cycle
     for spec in (cycle.cold, cycle.hot):
-        assert_matches_reference(electronic_bath_model(spec))
+        assert_matches_reference(spec.bath_model)
 
 
 @pytest.mark.parametrize("fock_dim", [6, 7, 8])

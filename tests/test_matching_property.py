@@ -19,7 +19,6 @@ from ionotto.reservoirs import (
     ADIABATIC_RATIO_FLOOR,
     ReservoirSpec,
     channels_from_settings,
-    electronic_bath_model,
     match_rabi_frequencies,
     sideband_weights,
 )
@@ -54,7 +53,7 @@ def test_matched_channels_reproduce_the_bath(spec, lamb, ratio):
     kappa = (ratio * max(sideband_weights(spec))) ** 2 * (1 + 1e-12)
     matched = match_rabi_frequencies(spec, lamb, kappa)
     assert matched.regime_ratio >= ADIABATIC_RATIO_FLOOR
-    target = electronic_bath_model(spec)
+    target = spec.bath_model
     lasers = LindbladModel(
         target.hamiltonian, channels_from_settings(matched, lamb, kappa)
     )

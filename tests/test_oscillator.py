@@ -1,6 +1,7 @@
 """Mode-as-working-substance reservoir synthesis and its validation."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -180,6 +181,23 @@ class TestEffectiveModeModel:
 
 
 class TestFullVModel:
+    @pytest.mark.parametrize(
+        "field, scale",
+        [("lamb", 0.5), ("gamma_ge", 2.0), ("gamma_gf", 2.0), ("rabi", 0.5), ("fock_dim", 2)],
+    )
+    def test_rejects_config_that_disagrees_with_settings(self, field, scale):
+        # every change keeps the regime ratio above the warning floor
+        spec = ReservoirSpec.thermal(TARGET, 0.6)
+        settings = match_rabi_for_mode(spec, 0.01, GAMMA_E, GAMMA_E)
+        config = v_config(settings, 8)
+        value = getattr(config, field)
+        if field == "rabi":
+            value = tuple(scale * rabi for rabi in value)
+        else:
+            value = scale * value
+        with pytest.raises(ValueError, match=field):
+            full_v_model(replace(config, **{field: value}), settings, 8)
+
     def test_hamiltonian_hermitian(self):
         spec = ReservoirSpec.squeezed_thermal(TARGET_SQUEEZED, 0.4, 0.5)
         settings = match_rabi_for_mode(spec, 0.01, GAMMA_E, GAMMA_E)

@@ -10,7 +10,6 @@ from ionotto.reservoirs import (
     ReservoirSpec,
     channels_from_settings,
     effective_collapse_channels,
-    electronic_bath_model,
     full_interaction_hamiltonian,
     full_joint_model,
     gibbs_state,
@@ -23,7 +22,6 @@ from ionotto.reservoirs import (
 from ionotto.lindblad import liouvillian_matrix
 
 H2 = np.zeros((2, 2), dtype=complex)
-LAYOUT2 = SpaceLayout((2,))
 
 
 class TestSpecInvariants:
@@ -131,10 +129,10 @@ class TestMatching:
                 warnings.simplefilter("ignore", RuntimeWarning)
                 settings = match_rabi_frequencies(spec, lamb, kappa)
             from_lasers = liouvillian_matrix(
-                LindbladModel(H2, channels_from_settings(settings, lamb, kappa), LAYOUT2)
+                LindbladModel(H2, channels_from_settings(settings, lamb, kappa))
             )
             target = liouvillian_matrix(
-                LindbladModel(H2, effective_collapse_channels(spec), LAYOUT2)
+                LindbladModel(H2, effective_collapse_channels(spec))
             )
             assert np.abs(from_lasers - target).max() < 1e-12
 
@@ -149,12 +147,12 @@ class TestEffectiveChannels:
         assert np.array_equal(op, ketbra(2, 0, 1))
 
     def test_inverted_steady_state(self):
-        model = electronic_bath_model(ReservoirSpec.negative_temperature(1.0, 0.8))
+        model = ReservoirSpec.negative_temperature(1.0, 0.8).bath_model
         assert abs(steady_state(model)[1, 1].real - 0.8) < 1e-10
 
     def test_squeezed_steady_state_matches_formula(self):
         spec = ReservoirSpec.squeezed_thermal(1.0, 0.4, 0.5)
-        solved = steady_state(electronic_bath_model(spec))
+        solved = steady_state(spec.bath_model)
         analytic = squeezed_gibbs_state(spec_theta(spec), 0.5)
         assert np.abs(solved - analytic).max() < 1e-8
 
@@ -164,7 +162,7 @@ class TestEffectiveChannels:
             ReservoirSpec.thermal(1.0, 0.6),
             ReservoirSpec.negative_temperature(1.0, 0.8),
         ):
-            rho = steady_state(electronic_bath_model(spec))
+            rho = steady_state(spec.bath_model)
             ratio = rho[1, 1].real / rho[0, 0].real
             assert abs(ratio - math.exp(-2 * spec_theta(spec))) < 1e-10
 
@@ -248,7 +246,7 @@ class TestFullJointModel:
     def test_channels_and_layout(self):
         spec = ReservoirSpec.thermal(2 * math.pi * 1e-4, 1.2)
         model = full_joint_model(spec, 0.01, 2 * math.pi, 4)
-        assert model.layout.dims == (2, 4, 4)
+        assert model.dim == 2 * 4 * 4
         assert len(model.channels) == 2
         assert all(rate == 2 * math.pi for rate, _ in model.channels)
         assert model.slow_rate == pytest.approx(slow_relaxation_rate(spec))

@@ -23,7 +23,7 @@ from ionotto.lindblad import (
     steady_state,
 )
 from ionotto.oscillator import effective_mode_model, match_rabi_for_mode
-from ionotto.reservoirs import ReservoirSpec, electronic_bath_model
+from ionotto.reservoirs import ReservoirSpec
 from oracles import reference_steady_state
 
 TWO_PI = 2 * math.pi
@@ -122,7 +122,7 @@ def _solve(solver, model):
 @settings(max_examples=150, deadline=None, derandomize=True)
 @given(
     model=st.one_of(
-        BATH_SPECS.map(electronic_bath_model), mode_models(), random_models()
+        BATH_SPECS.map(lambda spec: spec.bath_model), mode_models(), random_models()
     )
 )
 def test_block_svd_matches_dense_svd(model):
