@@ -23,11 +23,17 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
-from typing import Callable, Mapping
+from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
-from .lindblad import EquilibrationReport, LindbladModel, equilibrate, expectation
+from .lindblad import (
+    EquilibrationReport,
+    LindbladModel,
+    equilibrate,
+    equilibrate_lanes,
+    expectation,
+)
 from .operators import SpaceLayout, number_op, partial_trace, sigma_z, vacuum_state
 from .reservoirs import (
     ADIABATIC_RATIO_FLOOR,
@@ -52,6 +58,7 @@ __all__ = [
     "reference_efficiencies",
     "run_cycle_closed_form",
     "run_cycle_effective",
+    "run_cycle_effective_grid",
     "run_cycle_full",
     "prepare_bath_equilibria",
     "LAMB_DICKE_CEILING",
@@ -303,36 +310,81 @@ def _gap_energy(state: np.ndarray, gap: float) -> float:
 
 def _run_strokes(
     config: CycleConfig,
-    xi: float,
+    xis: Sequence[float],
     start: np.ndarray,
-    heat: Callable[[np.ndarray], np.ndarray],
-    cool: Callable[[np.ndarray], np.ndarray],
-) -> tuple[StrokeEnergy, float]:
-    """Run the four strokes from ``start`` and book their energies.
+    heat: Callable[[list[np.ndarray]], list[np.ndarray]],
+    cool: Callable[[list[np.ndarray]], list[np.ndarray]],
+) -> tuple[list[StrokeEnergy], list[np.ndarray]]:
+    """Run the four strokes from ``start`` at each transition probability
+    of ``xis`` and book their energies.
 
-    ``heat`` and ``cool`` map the electronic state entering a bath stroke
-    to the state leaving it; they are all that distinguishes the
-    simulated modes.  Returns the stroke energies and the cycle closure,
-    the largest entrywise distance between the final and the start state.
+    ``heat`` and ``cool`` map the electronic states entering a bath stroke,
+    one per transition probability, to the states leaving it; they are all
+    that distinguishes the simulated modes.  Returns the stroke energies
+    and the state after cooling of each transition probability.
     """
     ratio = config.frequency_ratio
-    mixed_hot_gap = apply_transition_mixing(start, xi)
-    hot_state = heat(mixed_hot_gap)
-    mixed_cold_gap = apply_transition_mixing(hot_state, xi)
-    cold_state = cool(mixed_cold_gap)
+    mixed_hot_gap = [apply_transition_mixing(start, xi) for xi in xis]
+    hot_states = heat(mixed_hot_gap)
+    mixed_cold_gap = [apply_transition_mixing(s, xi) for s, xi in zip(hot_states, xis)]
+    cold_states = cool(mixed_cold_gap)
 
     e_start = _gap_energy(start, 1.0)
-    e_after_expansion = _gap_energy(mixed_hot_gap, ratio)
-    e_after_heating = _gap_energy(hot_state, ratio)
-    e_after_compression = _gap_energy(mixed_cold_gap, 1.0)
-    e_after_cooling = _gap_energy(cold_state, 1.0)
-    energies = StrokeEnergy(
-        w_expansion=e_after_expansion - e_start,
-        w_compression=e_after_compression - e_after_heating,
-        q_hot=e_after_heating - e_after_expansion,
-        q_cold=e_after_cooling - e_after_compression,
+    energies = []
+    for expanded, heated, compressed, cooled in zip(
+        mixed_hot_gap, hot_states, mixed_cold_gap, cold_states
+    ):
+        e_after_expansion = _gap_energy(expanded, ratio)
+        e_after_heating = _gap_energy(heated, ratio)
+        e_after_compression = _gap_energy(compressed, 1.0)
+        e_after_cooling = _gap_energy(cooled, 1.0)
+        energies.append(
+            StrokeEnergy(
+                w_expansion=e_after_expansion - e_start,
+                w_compression=e_after_compression - e_after_heating,
+                q_hot=e_after_heating - e_after_expansion,
+                q_cold=e_after_cooling - e_after_compression,
+            )
+        )
+    return energies, cold_states
+
+
+def _effective_rows(
+    config: CycleConfig,
+    xis: Sequence[float],
+    relax: Callable[[LindbladModel, list[np.ndarray]], list[EquilibrationReport]],
+) -> list[CycleResult]:
+    """Effective-mode rows at ``xis``; ``relax`` equilibrates a bath model
+    from a list of states."""
+    reports: list[list[EquilibrationReport]] = []
+
+    def contact(spec: ReservoirSpec) -> Callable[[list[np.ndarray]], list[np.ndarray]]:
+        def stroke(states: list[np.ndarray]) -> list[np.ndarray]:
+            reports.append(relax(spec.bath_model, states))
+            return [report.final_state for report in reports[-1]]
+
+        return stroke
+
+    start = bath_steady_state(config.cold)
+    energies, cold_states = _run_strokes(
+        config, xis, start, contact(config.hot), contact(config.cold)
     )
-    return energies, float(np.abs(cold_state - start).max())
+    rows = []
+    for xi, row_energies, cold_state, strokes in zip(
+        xis, energies, cold_states, zip(*reports)
+    ):
+        diagnostics = {
+            # the largest entrywise distance between the final and the start state
+            "cycle_closure": float(np.abs(cold_state - start).max()),
+            "max_trace_drift": max(report.max_trace_drift for report in strokes),
+            "min_eigenvalue": min(report.min_eigenvalue for report in strokes),
+        }
+        rows.append(
+            _result_from_energies(
+                config, xi, CycleMode.EFFECTIVE, row_energies, diagnostics=diagnostics
+            )
+        )
+    return rows
 
 
 def run_cycle_effective(config: CycleConfig, xi: float) -> CycleResult:
@@ -343,32 +395,23 @@ def run_cycle_effective(config: CycleConfig, xi: float) -> CycleResult:
     population mixing.  Energies are booked at the stroke boundaries and
     match :func:`closed_form_thermo` to the equilibration tolerance.
     """
-    reports: list[EquilibrationReport] = []
-
-    def contact(spec: ReservoirSpec) -> Callable[[np.ndarray], np.ndarray]:
-        model = spec.bath_model
-
-        def stroke(state: np.ndarray) -> np.ndarray:
-            reports.append(equilibrate(model, state))
-            return reports[-1].final_state
-
-        return stroke
-
-    energies, closure = _run_strokes(
-        config,
-        xi,
-        bath_steady_state(config.cold),
-        contact(config.hot),
-        contact(config.cold),
+    (row,) = _effective_rows(
+        config, [xi], lambda model, states: [equilibrate(model, rho) for rho in states]
     )
-    diagnostics = {
-        "cycle_closure": closure,
-        "max_trace_drift": max(report.max_trace_drift for report in reports),
-        "min_eigenvalue": min(report.min_eigenvalue for report in reports),
-    }
-    return _result_from_energies(
-        config, xi, CycleMode.EFFECTIVE, energies, diagnostics=diagnostics
-    )
+    return row
+
+
+def run_cycle_effective_grid(
+    config: CycleConfig, xis: Sequence[float]
+) -> list[CycleResult]:
+    """:func:`run_cycle_effective` at every transition probability of
+    ``xis``, bit for bit, with each bath stroke of all rows integrated
+    together by :func:`~ionotto.lindblad.equilibrate_lanes`.
+
+    The first failure of any row raises; :func:`run_cycle_effective`
+    tells which rows fail and why.
+    """
+    return _effective_rows(config, xis, equilibrate_lanes)
 
 
 @dataclass(frozen=True)
@@ -457,14 +500,14 @@ def run_cycle_full(
     :func:`prepare_bath_equilibria` holds both, so one bath solve serves
     every transition probability of a config.
     """
-    energies, closure = _run_strokes(
+    (energies,), _ = _run_strokes(
         config,
-        xi,
+        [xi],
         equilibria.cold_state,
-        lambda _: equilibria.hot_state,
-        lambda _: equilibria.cold_state,
+        lambda states: [equilibria.hot_state] * len(states),
+        lambda states: [equilibria.cold_state] * len(states),
     )
-    diagnostics = {**equilibria.diagnostics, "cycle_closure": closure}
+    diagnostics = dict(equilibria.diagnostics)
     return _result_from_energies(
         config, xi, CycleMode.FULL, energies, equilibria.flags, diagnostics
     )

@@ -17,7 +17,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, partial
+from typing import Callable, Sequence
 
 import numpy as np
 import scipy.sparse as sp
@@ -38,6 +39,7 @@ __all__ = [
     "evolve",
     "steady_state",
     "equilibrate",
+    "equilibrate_lanes",
     "trace_norm",
 ]
 
@@ -51,6 +53,9 @@ _MAX_STEPS = 2_000_000
 # windows.
 _RK_RTOL = 1e-9
 _RK_ATOL = 1e-12
+# Default window budget of ``rk`` windows, and default window test.
+_RK_WINDOWS = 8
+_CHANGE_TOL = 1e-8
 
 
 class DegenerateSteadyStateError(RuntimeError):
@@ -240,6 +245,8 @@ def _check_state(rho: np.ndarray, dim: int) -> np.ndarray:
 
 # Dormand-Prince 4(5) tableau with the first-same-as-last property.  The
 # rows are cast to complex once: the stage products would cast them anyway.
+# The fifth-order weights are the last row followed by a zero weight, so
+# the last stage's state is the fifth-order solution.
 _DP_A = [
     np.array(row, dtype=complex)
     for row in (
@@ -252,20 +259,213 @@ _DP_A = [
         [35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84],
     )
 ]
-_DP_B5 = np.array(
-    [35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84, 0.0], dtype=complex
-)
+# (stage, tableau row) of stages 1 to 6
+_DP_STAGES = list(enumerate(_DP_A))[1:]
 _DP_ERR = np.array(
     [71 / 57600, 0.0, -71 / 16695, 71 / 1920, -17253 / 339200, 22 / 525, -1 / 40],
     dtype=complex,
 )
 
 
-def _rms(v: np.ndarray, buf: np.ndarray) -> float:
-    """Root mean square of |v|; ``buf`` is real scratch of v's size."""
+def _rms(v: np.ndarray, buf: np.ndarray) -> list[float]:
+    """Root mean square of |v| along each row; ``buf`` is real scratch of
+    v's shape."""
     np.abs(v, out=buf)
     np.multiply(buf, buf, out=buf)
-    return math.sqrt(np.add.reduce(buf) / buf.size)
+    totals = np.add.reduce(buf, axis=1).tolist()
+    return [math.sqrt(total / buf.shape[1]) for total in totals]
+
+
+def _products(gen, y: np.ndarray, yi: np.ndarray, k: np.ndarray, err_vec: np.ndarray):
+    """The products of :func:`_dormand_prince`'s step on the lanes (rows)
+    of ``y``, as ``(function, operand, out)`` calls.
+
+    Returns the stages, each a tableau row product followed by a generator
+    product into its k row, the error estimate and the generator product
+    at ``y``.  With several lanes, ``np.matmul`` broadcasts the tableau
+    rows over the lanes' k and the generator over their states: per lane
+    that is the BLAS call that ``dot`` makes on one lane, where it is
+    cheaper.
+    """
+    if y.shape[0] == 1 and not sp.issparse(gen):
+        k, y, yi, err_vec = k[0], y[0], yi[0], err_vec[0]
+        apply = gen.dot
+        return (
+            [(row.dot, k[:s], yi, apply, yi, k[s]) for s, row in _DP_STAGES],
+            (_DP_ERR.dot, k, err_vec),
+            (apply, y, k[0]),
+        )
+    if sp.issparse(gen):
+
+        def apply(v: np.ndarray, out: np.ndarray) -> None:
+            for lane, vec in enumerate(v):
+                out[lane] = gen.dot(vec)
+
+        def column(a: np.ndarray) -> np.ndarray:
+            return a
+
+    else:
+        apply = partial(np.matmul, gen)
+
+        def column(a: np.ndarray) -> np.ndarray:
+            return a[..., None]
+
+    return (
+        [
+            (partial(np.matmul, row), k[:, :s], yi)
+            + (apply, column(yi), column(k[:, s]))
+            for s, row in _DP_STAGES
+        ],
+        (partial(np.matmul, _DP_ERR), k, err_vec),
+        (apply, column(y), column(k[:, 0])),
+    )
+
+
+def _dormand_prince(
+    gen, y: np.ndarray, t: float, tol: float, atol: float
+) -> list[tuple[np.ndarray, int, float]]:
+    """Integrate each lane (row) of the vectorized states ``y`` to ``t``.
+
+    The lanes share the generator ``gen`` and nothing else: each has its
+    own step size, time, accept/reject decision and step count, and its
+    step control runs on Python floats, so every lane gets the bits that
+    it gets alone.  A lane that reaches ``t`` leaves the batch.  Returns
+    each lane's final (d, d) state, accepted steps and largest trace
+    drift, in lane order.
+    """
+    lanes, n = y.shape
+    d = math.isqrt(n)
+    results: list[tuple[np.ndarray, int, float] | None] = [None] * lanes
+    # per lane of the batch: accepted steps, largest trace drift, time, h
+    steps = [0] * lanes
+    drifts = [0.0] * lanes
+    times = [0.0] * lanes
+    hs: list[float] = []
+    k0 = None
+    # tol, atol, 1/2 and (below) h as arrays of the dtype each ufunc casts
+    # them to: the same values, without a scalar conversion per call
+    tol_a = np.array(tol, dtype=float)
+    atol_a = np.array(atol, dtype=float)
+    half = np.array(0.5, dtype=complex)
+    live = list(range(lanes))  # input index of each lane in the batch
+    while True:
+        # buffers of the live lanes; every sum keeps the order of the plain
+        # expressions in the comments
+        m = len(live)
+        k = np.empty((m, 7, n), dtype=complex)
+        yi = np.empty_like(y)
+        err_vec = np.empty_like(y)
+        conj_t = np.empty((m, d, d), dtype=complex)
+        abs_y = np.empty(y.shape)
+        scale = np.empty(y.shape)
+        sq = np.empty(y.shape)
+        # flat views: a mixed-type ufunc call is cheaper on one axis
+        err_flat, scale_flat = err_vec.reshape(-1), scale.reshape(-1)
+        y_mat = y.reshape(m, d, d)
+        y5_mat = yi.reshape(m, d, d)
+        y5_t = y5_mat.transpose(0, 2, 1)
+        traces = y[:, :: d + 1]
+        stages, (error, k_all, err_out), (refresh, y_in, k0_out) = _products(
+            gen, y, yi, k, err_vec
+        )
+        if k0 is None:
+            refresh(y_in, out=k0_out)
+            if not np.isfinite(k0_out).all():
+                raise IntegrationError("non-finite derivative at the initial state")
+            # standard starting-step heuristic
+            scale0 = atol + tol * np.abs(y)
+            hs = [
+                min(t, 0.01 * d0 / d1 if d1 > 0 else t * 1e-3)
+                for d0, d1 in zip(_rms(y / scale0, sq), _rms(k[:, 0] / scale0, sq))
+            ]
+        else:
+            k[:, 0] = k0
+        # one lane multiplies by a 0-d h, which skips broadcasting
+        h_c = np.empty((m, 1) if m > 1 else (), dtype=complex)
+        done = []
+        while not done:
+            if m > 1:
+                h_c[:, 0] = hs
+            else:
+                h_c[()] = hs[0]
+            for combine, ks, yi_out, derive, yi_in, k_out in stages:
+                # yi = y + h * (k[:stage].T @ _DP_A[stage])
+                combine(ks, out=yi_out)
+                np.multiply(h_c, yi, out=yi)
+                np.add(y, yi, out=yi)
+                derive(yi_in, out=k_out)
+            # y5 is the last stage's yi; err_vec = h * (k.T @ _DP_ERR)
+            error(k_all, out=err_out)
+            np.multiply(h_c, err_vec, out=err_vec)
+            # scale = atol + tol * max(|y|, |y5|), non-finite where y5 is
+            np.abs(y, out=abs_y)
+            np.abs(yi, out=scale)
+            np.maximum(abs_y, scale, out=scale)
+            np.multiply(tol_a, scale, out=scale)
+            np.add(atol_a, scale, out=scale)
+            if not math.isfinite(np.add.reduce(scale, axis=None)):
+                lane = int(np.argmin(np.isfinite(np.add.reduce(scale, axis=1))))
+                raise IntegrationError(
+                    f"non-finite state entries at t = {times[lane]:.6g}"
+                )
+            np.divide(err_flat, scale_flat, out=err_flat)
+            accepted = []
+            for lane, err in enumerate(_rms(err_vec, sq)):
+                if not math.isfinite(err):
+                    raise IntegrationError(
+                        f"non-finite error estimate at t = {times[lane]:.6g}"
+                    )
+                if err <= 1.0:
+                    times[lane] += hs[lane]
+                    steps[lane] += 1
+                    accepted.append(lane)
+                if steps[lane] >= _MAX_STEPS:
+                    raise IntegrationError(
+                        f"step budget {_MAX_STEPS} exhausted at t = "
+                        f"{times[lane]:.6g}; for long stiff relaxations use "
+                        "equilibrate()"
+                    )
+                factor = 0.9 * err ** -0.2 if err > 0 else 5.0
+                hs[lane] *= min(5.0, max(0.2, factor))
+                # a last step that only closes a rounding gap to t is not
+                # an underflow
+                if times[lane] < t and hs[lane] <= t * 1e-15:
+                    raise IntegrationError(
+                        f"step size underflow at t = {times[lane]:.6g} "
+                        "(stiff blow-up)"
+                    )
+                # the next step ends at t at the latest
+                hs[lane] = min(hs[lane], t - times[lane])
+            if not accepted:
+                continue
+            # y = 0.5 * (y5 + y5^dag) on the accepted lanes
+            np.conjugate(y5_t, out=conj_t)
+            if len(accepted) == m:
+                np.add(y5_mat, conj_t, out=y_mat)
+                np.multiply(half, y_mat, out=y_mat)
+            else:
+                np.add(y5_mat, conj_t, out=conj_t)
+                np.multiply(half, conj_t, out=conj_t)
+                y_mat[accepted] = conj_t[accepted]
+            # re-evaluate: symmetrization invalidates FSAL
+            refresh(y_in, out=k0_out)
+            sums = np.add.reduce(traces, axis=1)
+            for lane in accepted:
+                drift = abs(sums[lane] - 1.0)
+                if drift > drifts[lane]:
+                    drifts[lane] = float(drift)
+                if times[lane] >= t:
+                    done.append(lane)
+        for lane in done:
+            results[live[lane]] = y_mat[lane], steps[lane], drifts[lane]
+        if len(done) == m:
+            break
+        keep = [lane for lane in range(m) if times[lane] < t]
+        live, steps, drifts, times, hs = (
+            [values[lane] for lane in keep] for values in (live, steps, drifts, times, hs)
+        )
+        y, k0 = y[keep], k[keep, 0]
+    return results
 
 
 def evolve(
@@ -285,7 +485,9 @@ def evolve(
     removes Hermiticity drift without affecting the accuracy order.  The
     right-hand side is the model's cached :attr:`LindbladModel.generator`.
     ``t`` must be finite and ``atol`` finite and positive; a non-finite
-    error estimate raises :class:`IntegrationError`.
+    error estimate raises :class:`IntegrationError`.  This is the
+    one-lane call of the integrator that :func:`equilibrate_lanes` runs
+    on many states at once, with the same bits per state.
     """
     if not (0.0 < tol <= 1e-4):
         raise ValueError(f"tolerance must lie in (0, 1e-4], got {tol}")
@@ -295,8 +497,7 @@ def evolve(
         atol = tol * 1e-3
     if not (0.0 < atol < math.inf):
         raise ValueError(f"absolute tolerance must be finite and > 0, got {atol}")
-    d = model.dim
-    rho = _check_state(rho0, d)
+    rho = _check_state(rho0, model.dim)
     if t == 0.0:
         return EvolutionReport(
             final_state=rho.copy(),
@@ -304,113 +505,15 @@ def evolve(
             max_trace_drift=float(abs(np.trace(rho) - 1.0)),
             min_eigenvalue=float(np.linalg.eigvalsh(rho).min()),
         )
-
-    t = float(t)  # step control runs on Python floats
-    gen = model.generator
-    dense = not sp.issparse(gen)
-    y = rho.reshape(-1).copy()
-    time_now = 0.0
-    k = np.empty((7, y.size), dtype=complex)
-    k0 = k[0]
-    k0[:] = gen.dot(y)
-    if not np.isfinite(k0).all():
-        raise IntegrationError("non-finite derivative at the initial state")
-
-    # per-step work buffers; every sum keeps the order of the plain
-    # expressions in the comments
-    yi = np.empty_like(y)
-    y5 = np.empty_like(y)
-    err_vec = np.empty_like(y)
-    conj_t = np.empty((d, d), dtype=complex)
-    abs_y = np.empty(y.size)
-    scale = np.empty(y.size)
-    sq = np.empty(y.size)
-    y_mat = y.reshape(d, d)
-    y5_mat = y5.reshape(d, d)
-    # (tableau row, k[:stage], k[stage]) of stages 1 to 6
-    stages = [(_DP_A[stage], k[:stage], k[stage]) for stage in range(1, 7)]
-    # h, tol, atol and 1/2 as 0-d arrays of the dtype each ufunc casts
-    # them to: the same values, without a scalar conversion per call
-    h_c = np.empty((), dtype=complex)
-    tol_a = np.array(tol, dtype=float)
-    atol_a = np.array(atol, dtype=float)
-    half = np.array(0.5, dtype=complex)
-
-    # standard starting-step heuristic
-    scale0 = atol + tol * np.abs(y)
-    d0 = _rms(y / scale0, sq)
-    d1 = _rms(k0 / scale0, sq)
-    h = min(t, 0.01 * d0 / d1 if d1 > 0 else t * 1e-3)
-
-    steps = 0
-    max_drift = 0.0
-    diag_idx = np.arange(d) * (d + 1)
-    while time_now < t:
-        h = min(h, t - time_now)
-        h_c[()] = h
-        for row, k_done, k_next in stages:
-            # yi = y + h * (k[:stage].T @ _DP_A[stage])
-            row.dot(k_done, out=yi)
-            np.multiply(h_c, yi, out=yi)
-            np.add(y, yi, out=yi)
-            if dense:
-                gen.dot(yi, out=k_next)
-            else:
-                k_next[:] = gen.dot(yi)
-        # y5 = y + h * (k.T @ _DP_B5); err_vec = h * (k.T @ _DP_ERR)
-        _DP_B5.dot(k, out=y5)
-        np.multiply(h_c, y5, out=y5)
-        np.add(y, y5, out=y5)
-        _DP_ERR.dot(k, out=err_vec)
-        np.multiply(h_c, err_vec, out=err_vec)
-        if not np.isfinite(y5).all():
-            raise IntegrationError(
-                f"non-finite state entries at t = {time_now:.6g}"
-            )
-        # scale = atol + tol * max(|y|, |y5|)
-        np.abs(y, out=abs_y)
-        np.abs(y5, out=scale)
-        np.maximum(abs_y, scale, out=scale)
-        np.multiply(tol_a, scale, out=scale)
-        np.add(atol_a, scale, out=scale)
-        err = _rms(np.divide(err_vec, scale, out=err_vec), sq)
-        if not math.isfinite(err):
-            raise IntegrationError(
-                f"non-finite error estimate at t = {time_now:.6g}"
-            )
-        if err <= 1.0:
-            time_now += h
-            # y = 0.5 * (y5 + y5^dag), written into y's own buffer
-            np.conjugate(y5_mat.T, out=conj_t)
-            np.add(y5_mat, conj_t, out=y_mat)
-            np.multiply(half, y_mat, out=y_mat)
-            # re-evaluate: symmetrization invalidates FSAL
-            if dense:
-                gen.dot(y, out=k0)
-            else:
-                k0[:] = gen.dot(y)
-            steps += 1
-            drift = abs(y[diag_idx].sum() - 1.0)
-            if drift > max_drift:
-                max_drift = float(drift)
-        if steps >= _MAX_STEPS:
-            raise IntegrationError(
-                f"step budget {_MAX_STEPS} exhausted at t = {time_now:.6g}; "
-                "for long stiff relaxations use equilibrate()"
-            )
-        factor = 0.9 * err ** -0.2 if err > 0 else 5.0
-        h *= min(5.0, max(0.2, factor))
-        # a last step that only closes a rounding gap to t is not an underflow
-        if time_now < t and h <= t * 1e-15:
-            raise IntegrationError(
-                f"step size underflow at t = {time_now:.6g} (stiff blow-up)"
-            )
-
+    # step control runs on Python floats
+    ((final, steps, drift),) = _dormand_prince(
+        model.generator, rho.reshape(1, -1).copy(), float(t), tol, atol
+    )
     return EvolutionReport(
-        final_state=y_mat,
+        final_state=final,
         steps_taken=steps,
-        max_trace_drift=max_drift,
-        min_eigenvalue=float(np.linalg.eigvalsh(y_mat).min()),
+        max_trace_drift=drift,
+        min_eigenvalue=float(np.linalg.eigvalsh(final).min()),
     )
 
 
@@ -503,12 +606,80 @@ def _slowest_window(model: LindbladModel, window: float | None) -> float:
     return 5.0 / model.slow_rate
 
 
+def _windows(
+    advance: Callable[[list[np.ndarray]], list[tuple[np.ndarray, int, float]]],
+    rhos: list[np.ndarray],
+    budget: int,
+    change_tol: float,
+    method: str,
+    dt: float,
+    liou,
+    sector_dim: int,
+) -> list[EquilibrationReport]:
+    """The window loop of :func:`equilibrate` on the lanes ``rhos``.
+
+    ``advance`` takes the states of the lanes still running and returns
+    each one's state a window later, accepted steps and trace drift.
+    Each lane keeps its own window count and window test and leaves once
+    its change falls below ``change_tol``.
+    """
+    rhos = list(rhos)
+    steps = [0] * len(rhos)
+    drifts = [0.0] * len(rhos)
+    changes = [math.inf] * len(rhos)
+    reports: list[EquilibrationReport | None] = [None] * len(rhos)
+    live = list(range(len(rhos)))
+    for w in range(budget):
+        if not live:
+            break
+        running = []
+        for lane, (new_rho, new_steps, drift) in zip(
+            live, advance([rhos[lane] for lane in live])
+        ):
+            steps[lane] += new_steps
+            drifts[lane] = max(drifts[lane], drift)
+            step = new_rho - rhos[lane]
+            rho = rhos[lane] = new_rho
+            # ||A||_F <= ||A||_1 for the change and for the Hermitian matrix
+            # that trace_norm's eigvalsh reads from its lower triangle; the
+            # margin covers rounding, squares below 1e-300 lose precision,
+            # and the budget's last window takes the exact norm
+            low, diag = np.tril(step, -1), step.diagonal().real
+            floor = min(np.vdot(step, step).real, 2 * np.vdot(low, low).real + diag @ diag)
+            if w + 1 < budget and floor > (change_tol * (1 + 1e-6)) ** 2 > 1e-300:
+                running.append(lane)
+                continue
+            changes[lane] = trace_norm(step)
+            if not changes[lane] < change_tol:  # a nan change does not pass
+                running.append(lane)
+                continue
+            reports[lane] = EquilibrationReport(
+                final_state=rho,
+                method=method,
+                windows=w + 1,
+                window_duration=dt,
+                last_change=changes[lane],
+                max_trace_drift=drifts[lane],
+                min_eigenvalue=float(np.linalg.eigvalsh(rho).min()),
+                rhs_residual=float(np.abs(liou.dot(rho.reshape(-1))).max()),
+                steps_taken=steps[lane],
+                sector_dim=sector_dim,
+            )
+        live = running
+    if live:
+        raise EquilibrationError(
+            f"no equilibration after {budget} {method} windows of {dt:.4g} "
+            f"(last change {changes[live[0]]:.3e}, tol {change_tol:.3e})"
+        )
+    return reports
+
+
 def equilibrate(
     model: LindbladModel,
     rho0: np.ndarray,
     *,
     window: float | None = None,
-    change_tol: float = 1e-8,
+    change_tol: float = _CHANGE_TOL,
     max_windows: int | None = None,
     method: str = "auto",
 ) -> EquilibrationReport:
@@ -546,11 +717,11 @@ def equilibrate(
         method = "implicit" if model.dim > _DENSE_MAX_DIM else "rk"
     if method == "rk":
 
-        def advance(rho: np.ndarray) -> tuple[np.ndarray, int, float]:
-            report = evolve(model, rho, dt, _RK_RTOL, atol=_RK_ATOL)
-            return report.final_state, report.steps_taken, report.max_trace_drift
+        def advance(states: list[np.ndarray]) -> list[tuple[np.ndarray, int, float]]:
+            report = evolve(model, states[0], dt, _RK_RTOL, atol=_RK_ATOL)
+            return [(report.final_state, report.steps_taken, report.max_trace_drift)]
 
-        budget = 8 if max_windows is None else max_windows
+        budget = _RK_WINDOWS if max_windows is None else max_windows
         liou = model.generator
         sector_dim = model.dim**2
     elif method == "implicit":
@@ -565,48 +736,49 @@ def equilibrate(
             options={"SymmetricMode": True},
         )
 
-        def advance(rho: np.ndarray) -> tuple[np.ndarray, int, float]:
-            full = np.zeros(rho.size, dtype=complex)
-            full[sector] = stepper.solve(rho.reshape(-1)[sector])
+        def advance(states: list[np.ndarray]) -> list[tuple[np.ndarray, int, float]]:
+            full = np.zeros(states[0].size, dtype=complex)
+            full[sector] = stepper.solve(states[0].reshape(-1)[sector])
             mat = full.reshape(model.dim, model.dim)
             mat = 0.5 * (mat + mat.conj().T)
-            return mat, 1, float(abs(np.trace(mat) - 1.0))
+            return [(mat, 1, float(abs(np.trace(mat) - 1.0)))]
 
     else:
         raise ValueError(f"unknown equilibration method {method!r}")
+    (report,) = _windows(
+        advance, [rho], budget, change_tol, method, dt, liou, sector_dim
+    )
+    return report
 
-    steps = 0
-    max_drift = 0.0
-    change = np.inf
-    for w in range(budget):
-        new_rho, new_steps, drift = advance(rho)
-        steps += new_steps
-        max_drift = max(max_drift, drift)
-        step = new_rho - rho
-        rho = new_rho
-        # ||A||_F <= ||A||_1 for the change and for the Hermitian matrix that
-        # trace_norm's eigvalsh reads from its lower triangle; the margin
-        # covers rounding, squares below 1e-300 lose precision, and the
-        # budget's last window takes the exact norm
-        low, diag = np.tril(step, -1), step.diagonal().real
-        floor = min(np.vdot(step, step).real, 2 * np.vdot(low, low).real + diag @ diag)
-        if w + 1 < budget and floor > (change_tol * (1 + 1e-6)) ** 2 > 1e-300:
-            continue
-        change = trace_norm(step)
-        if change < change_tol:
-            return EquilibrationReport(
-                final_state=rho,
-                method=method,
-                windows=w + 1,
-                window_duration=dt,
-                last_change=change,
-                max_trace_drift=max_drift,
-                min_eigenvalue=float(np.linalg.eigvalsh(rho).min()),
-                rhs_residual=float(np.abs(liou.dot(rho.reshape(-1))).max()),
-                steps_taken=steps,
-                sector_dim=sector_dim,
-            )
-    raise EquilibrationError(
-        f"no equilibration after {budget} {method} windows of {dt:.4g} "
-        f"(last change {change:.3e}, tol {change_tol:.3e})"
+
+def equilibrate_lanes(
+    model: LindbladModel, rhos: Sequence[np.ndarray]
+) -> list[EquilibrationReport]:
+    """:func:`equilibrate` with ``rk`` windows from many start states at once.
+
+    The states run as lanes of one Dormand-Prince loop: each lane keeps
+    its own step size, time, step decisions, window count and window
+    test, so its report equals ``equilibrate(model, rho, method="rk")``
+    bit for bit, while the numpy calls of a step serve all the lanes.
+    The window is that default's 5 / slow_rate, so the model must carry
+    ``slow_rate``.  The first failure of any lane raises; which lane's
+    error that is may differ from a one-by-one run.
+    """
+    dt = _slowest_window(model, None)
+    dim = model.dim
+
+    def advance(states: list[np.ndarray]) -> list[tuple[np.ndarray, int, float]]:
+        # each window start passes the checks that evolve makes
+        lanes = np.stack([_check_state(rho, dim).reshape(-1) for rho in states])
+        return _dormand_prince(model.generator, lanes, dt, _RK_RTOL, _RK_ATOL)
+
+    return _windows(
+        advance,
+        [_check_state(rho, dim) for rho in rhos],
+        _RK_WINDOWS,
+        _CHANGE_TOL,
+        "rk",
+        dt,
+        model.generator,
+        dim**2,
     )

@@ -26,6 +26,7 @@ from .cycle import (
     prepare_bath_equilibria,
     run_cycle_closed_form,
     run_cycle_effective,
+    run_cycle_effective_grid,
     run_cycle_full,
 )
 from .reservoirs import BathKind, ReservoirSpec
@@ -300,7 +301,12 @@ def run_sweep(config: SweepConfig) -> SweepResult:
     Rows are independent and merged by key, so any evaluation order
     (including a parallel one) produces the same table.  Full-dynamics
     rows share the two bath equilibrations, whose endpoints do not depend
-    on xi.
+    on xi.  Effective rows run together, each bath stroke of every xi as
+    one lane of a shared integrator
+    (:func:`~ionotto.cycle.run_cycle_effective_grid`), bit for bit equal
+    to :func:`~ionotto.cycle.run_cycle_effective` row by row; if any row
+    fails, the config's effective rows are run again one by one, so each
+    error row carries its own message.
     """
     equilibria: BathEquilibria | None = None
     equilibria_error: str | None = None
@@ -312,6 +318,15 @@ def run_sweep(config: SweepConfig) -> SweepResult:
 
     rows: dict[tuple[str, float], SweepRow] = {}
     for mode in config.modes:
+        if mode is CycleMode.EFFECTIVE:
+            try:
+                results = run_cycle_effective_grid(config.cycle, config.xi_grid)
+            except _NUMERICAL_ERRORS:  # the rows below tell which fail and why
+                pass
+            else:
+                for xi, result in zip(config.xi_grid, results):
+                    rows[(mode.value, xi)] = SweepRow(mode, xi, result)
+                continue
         for xi in config.xi_grid:
             key = (mode.value, xi)
             if mode is CycleMode.FULL and equilibria_error is not None:

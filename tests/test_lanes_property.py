@@ -1,0 +1,118 @@
+"""Property: lanes of one Dormand-Prince loop get the bits of single runs.
+
+Random models of dim 1-4 (a Hermitian Hamiltonian and one to three dense
+channels) with 1-9 start states each.  A start may be the model's
+stationary state, which passes the first window and whose oversized first
+step is rejected, or a random pure, mixed or diagonal state, which takes
+several windows.  ``_dormand_prince`` on the stacked starts must return,
+per lane, the state bytes, step count and trace drift of ``evolve`` at
+the tolerances of ``test_evolve_property.py``; ``equilibrate_lanes`` must
+return ``equilibrate``'s ``rk`` report field for field, or raise when a
+single run raises.
+"""
+
+import numpy as np
+import pytest
+
+pytest.importorskip("hypothesis")
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from ionotto.lindblad import (
+    DegenerateSteadyStateError,
+    LindbladModel,
+    _dormand_prince,
+    equilibrate,
+    equilibrate_lanes,
+    evolve,
+    steady_state,
+)
+
+# (tol, atol) of equilibrate's rk windows, and evolve's defaults
+TOLERANCES = [(1e-9, 1e-12), (1e-9, None), (1e-6, None)]
+START_KINDS = ("stationary", "pure", "mixed", "diagonal")
+
+
+def random_state(rng, dim, kind, model):
+    if kind == "stationary" and dim > 1:
+        try:
+            return steady_state(model)
+        except DegenerateSteadyStateError:
+            kind = "mixed"
+    a = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
+    if kind == "pure":
+        a[:, 1:] = 0.0
+    elif kind == "diagonal":
+        a = np.diag(np.abs(np.diag(a)) + 0.1)
+    rho = a @ a.conj().T
+    return (rho / np.trace(rho)).astype(complex)
+
+
+@st.composite
+def lane_cases(draw):
+    """A model whose slow rate is its spectral gap, and the start states
+    of its lanes."""
+    dim = draw(st.integers(1, 4))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    half = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
+    channels = tuple(
+        (
+            draw(st.sampled_from([0.5, 1.0, 2.0])),
+            rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim)),
+        )
+        for _ in range(draw(st.integers(1, 3)))
+    )
+    hamiltonian = 0.5 * (half + half.conj().T)
+    rates = -np.linalg.eigvals(LindbladModel(hamiltonian, channels).generator).real
+    gap = rates[rates > 1e-9].min() if (rates > 1e-9).any() else 1.0
+    model = LindbladModel(hamiltonian, channels, slow_rate=float(gap))
+    kinds = draw(st.lists(st.sampled_from(START_KINDS), min_size=1, max_size=9))
+    starts = [random_state(rng, dim, kind, model) for kind in kinds]
+    return model, starts
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(
+    case=lane_cases(),
+    fraction=st.floats(min_value=1e-3, max_value=2.0),
+    tolerances=st.sampled_from(TOLERANCES),
+)
+def test_lanes_match_single_evolve(case, fraction, tolerances):
+    model, starts = case
+    tol, atol = tolerances
+    t = fraction * 5.0 / model.slow_rate
+    lanes = np.stack([rho.reshape(-1) for rho in starts])
+    results = _dormand_prince(
+        model.generator, lanes, t, tol, tol * 1e-3 if atol is None else atol
+    )
+    assert len(results) == len(starts)
+    for rho, (final, lane_steps, drift) in zip(starts, results):
+        single = evolve(model, rho, t, tol, atol=atol)
+        assert final.tobytes() == single.final_state.tobytes()
+        assert lane_steps == single.steps_taken > 0
+        assert drift == single.max_trace_drift
+        assert float(np.linalg.eigvalsh(final).min()) == single.min_eigenvalue
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(case=lane_cases())
+def test_lanes_match_single_equilibrate(case):
+    model, starts = case
+    singles = []
+    for rho in starts:
+        try:
+            singles.append(equilibrate(model, rho, method="rk"))
+        except (ArithmeticError, ValueError, RuntimeError) as exc:
+            singles.append(exc)
+    failures = [type(s) for s in singles if isinstance(s, Exception)]
+    if failures:
+        with pytest.raises(tuple(failures)):
+            equilibrate_lanes(model, starts)
+        return
+    reports = equilibrate_lanes(model, starts)
+    assert len(reports) == len(starts)
+    for report, single in zip(reports, singles):
+        assert report.final_state.tobytes() == single.final_state.tobytes()
+        for field in report.__dataclass_fields__:
+            if field != "final_state":
+                assert getattr(report, field) == getattr(single, field), field

@@ -242,13 +242,14 @@ class TestEvolve:
     def test_non_finite_error_estimate_raises(self, bad, monkeypatch):
         # the first step's error norm (the third norm evolve takes, after
         # the two of the starting-step heuristic) comes out non-finite; a
-        # nan used to grow the step and retry it forever
+        # nan used to grow the step and retry it forever.  _rms returns
+        # one norm per lane, and evolve runs one lane.
         real_rms = lindblad_module._rms
         norms = []
 
         def rms(*args):
             norms.append(real_rms(*args))
-            return bad if len(norms) == 3 else norms[-1]
+            return [bad] if len(norms) == 3 else norms[-1]
 
         monkeypatch.setattr(lindblad_module, "_rms", rms)
         with pytest.raises(IntegrationError, match="error estimate"):

@@ -6,11 +6,12 @@ from pathlib import Path
 import pytest
 
 from ionotto.cli import main
-from ionotto.cycle import CycleMode, Regime
-from ionotto.lindblad import EquilibrationError
+from ionotto.cycle import CycleMode, Regime, run_cycle_effective
+from ionotto.lindblad import EquilibrationError, IntegrationError
 from ionotto.sweep import (
     CSV_HEADER,
     ConfigError,
+    SweepConfig,
     SweepRow,
     apply_overrides,
     emit_csv,
@@ -21,6 +22,11 @@ from ionotto.sweep import (
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
 GOLDEN_DIR = Path(__file__).resolve().parent / "golden"
 TWO_PI = 2 * math.pi
+
+
+def lanes_fail(config, xis):
+    """Stands in for a lane batch of effective rows in which a lane fails."""
+    raise IntegrationError("synthetic lane failure")
 
 
 def write_config(tmp_path: Path, mutate=None, name="config.json") -> Path:
@@ -184,6 +190,8 @@ class TestRunSweep:
         def broken(config, xi):
             raise TypeError("synthetic programming error")
 
+        # a failed lane batch hands the rows to run_cycle_effective
+        monkeypatch.setattr(sweep_module, "run_cycle_effective_grid", lanes_fail)
         monkeypatch.setattr(sweep_module, "run_cycle_effective", broken)
         config = load_config(
             write_config(
@@ -200,6 +208,8 @@ class TestRunSweep:
         def stalls(config, xi):
             raise EquilibrationError("synthetic stall")
 
+        # a failed lane batch hands the rows to run_cycle_effective
+        monkeypatch.setattr(sweep_module, "run_cycle_effective_grid", lanes_fail)
         monkeypatch.setattr(sweep_module, "run_cycle_effective", stalls)
         config = load_config(
             write_config(
@@ -216,11 +226,74 @@ class TestRunSweep:
         assert len(result.rows) == 2
 
 
+class TestEffectiveLanes:
+    """run_sweep integrates a config's effective rows as lanes of one loop."""
+
+    @pytest.mark.parametrize("name", ["fig2a", "fig2b", "fig2c"])
+    def test_rows_equal_per_row_runs(self, name):
+        config = load_config(CONFIG_DIR / f"{name}.json")
+        config = SweepConfig(config.cycle, config.xi_grid, (CycleMode.EFFECTIVE,), None)
+        rows = run_sweep(config).rows
+        assert [row.xi for row in rows] == list(config.xi_grid)
+        for row in rows:
+            assert row.error is None
+            assert repr(row.result) == repr(run_cycle_effective(config.cycle, row.xi))
+
+    def test_programming_error_in_the_lanes_propagates(self, tmp_path, monkeypatch):
+        import ionotto.sweep as sweep_module
+
+        def broken(config, xis):
+            raise TypeError("synthetic programming error")
+
+        monkeypatch.setattr(sweep_module, "run_cycle_effective_grid", broken)
+        config = load_config(
+            write_config(
+                tmp_path,
+                lambda d: d.update(sweep={"xi_grid": [0.0], "modes": ["effective"]}),
+            )
+        )
+        with pytest.raises(TypeError, match="synthetic programming error"):
+            run_sweep(config)
+
+    def test_failed_lanes_rerun_the_rows_one_by_one(self, tmp_path, monkeypatch):
+        import ionotto.sweep as sweep_module
+
+        config = load_config(
+            write_config(
+                tmp_path,
+                lambda d: d.update(
+                    sweep={"xi_points": 9, "modes": ["closed_form", "effective"]}
+                ),
+            )
+        )
+        expected = run_sweep(config).rows
+        doomed = config.xi_grid[3]
+
+        def per_row(cycle, xi):
+            if xi == doomed:
+                raise EquilibrationError(f"synthetic stall at {xi}")
+            return run_cycle_effective(cycle, xi)
+
+        monkeypatch.setattr(sweep_module, "run_cycle_effective_grid", lanes_fail)
+        monkeypatch.setattr(sweep_module, "run_cycle_effective", per_row)
+        rows = run_sweep(config).rows
+        assert len(rows) == len(expected) == 18
+        for got, want in zip(rows, expected):
+            assert (got.mode, got.xi) == (want.mode, want.xi)
+            if got.mode is CycleMode.EFFECTIVE and got.xi == doomed:
+                assert got.result is None
+                assert got.error == f"EquilibrationError: synthetic stall at {doomed}"
+            else:
+                assert got.error is None
+                assert repr(got.result) == repr(want.result)
+
+
 class TestGoldenCsv:
     """The sweeps of the shipped configs reproduce the committed CSVs.
 
-    Text cells must match exactly; numeric cells may move by pivot-order
-    rounding in the last printed digit, far below 1e-12.
+    The written file must equal the committed one byte for byte.  The
+    cell-by-cell comparison before that check names the first cell that
+    moved: text cells must match exactly and numeric cells within 1e-12.
     """
 
     TEXT_COLUMNS = ("xi", "mode", "regime", "flags")
@@ -243,6 +316,7 @@ class TestGoldenCsv:
                     assert abs(float(got[column]) - float(expected)) <= 1e-12, (
                         column, want["xi"], want["mode"]
                     )
+        assert out.read_bytes() == (GOLDEN_DIR / f"{name}.csv").read_bytes()
 
 
 class TestEmitCsv:
