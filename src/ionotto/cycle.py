@@ -473,6 +473,9 @@ def _joint_bath_stroke(
         f"{label}_trace_drift": report.max_trace_drift,
         f"{label}_min_eigenvalue": report.min_eigenvalue,
         f"{label}_windows": float(report.windows),
+        f"{label}_last_change": report.last_change,
+        f"{label}_rhs_residual": report.rhs_residual,
+        f"{label}_sector_dim": float(report.sector_dim),
     }
     return reduced, tuple(flags), diagnostics
 

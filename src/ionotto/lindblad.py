@@ -53,9 +53,12 @@ _MAX_STEPS = 2_000_000
 # windows.
 _RK_RTOL = 1e-9
 _RK_ATOL = 1e-12
-# Default window budget of ``rk`` windows, and default window test.
+# Window budgets of ``rk`` and ``implicit`` runs, and default window test.
 _RK_WINDOWS = 8
+_IMPLICIT_WINDOWS = 60
 _CHANGE_TOL = 1e-8
+# Equilibration windows last this many slowest relaxation times.
+_WINDOW_SPAN = 5.0
 
 
 class DegenerateSteadyStateError(RuntimeError):
@@ -75,9 +78,10 @@ class IntegrationError(RuntimeError):
 class LindbladModel:
     """A Hamiltonian plus a list of (rate, collapse operator) channels.
 
-    ``slow_rate`` is optional metadata: the slowest relaxation rate of the
-    model, used to size equilibration windows.  Builders that know the
-    engineered bath parameters fill it in.
+    ``slow_rate`` is the slowest relaxation rate of the model, None or
+    finite and > 0 with 5 / slow_rate finite: :func:`equilibrate` runs
+    windows of 5 / slow_rate and needs it.  Builders that know the engineered bath parameters fill it
+    in.
 
     The generator is built once per model, on first use, and cached; the
     model's arrays must therefore not be mutated after construction.
@@ -88,6 +92,14 @@ class LindbladModel:
     slow_rate: float | None = None
 
     def __post_init__(self) -> None:
+        if self.slow_rate is not None and not (
+            0.0 < self.slow_rate < math.inf
+            and math.isfinite(_WINDOW_SPAN / float(self.slow_rate))
+        ):
+            raise ValueError(
+                "slow_rate must be None or finite and > 0 with a finite window "
+                f"{_WINDOW_SPAN:g} / slow_rate, got {self.slow_rate}"
+            )
         h = np.asarray(self.hamiltonian, dtype=complex)
         # before the Hermiticity test, which nan entries would pass
         if not np.isfinite(h).all():
@@ -589,26 +601,15 @@ def _state_sector(liou: sp.csr_matrix, y0: np.ndarray, dim: int) -> np.ndarray:
     return np.flatnonzero(np.isin(labels, labels[seeds]))
 
 
-def _slowest_window(model: LindbladModel, window: float | None) -> float:
-    if window is not None:
-        if not (0.0 < window < math.inf):
-            raise ValueError(f"window duration must be finite and > 0, got {window}")
-        return float(window)
+def _slowest_window(model: LindbladModel) -> float:
     if model.slow_rate is None:
-        raise ValueError(
-            "equilibrate needs an explicit window when the model carries "
-            "no slow_rate metadata"
-        )
-    if not (0.0 < model.slow_rate < math.inf):
-        raise ValueError(
-            f"model slow_rate must be finite and > 0, got {model.slow_rate}"
-        )
-    return 5.0 / model.slow_rate
+        raise ValueError("equilibrate needs a model that carries slow_rate")
+    return _WINDOW_SPAN / model.slow_rate
 
 
 def _windows(
     advance: Callable[[list[np.ndarray]], list[tuple[np.ndarray, int, float]]],
-    rhos: list[np.ndarray],
+    rhos: Sequence[np.ndarray],
     budget: int,
     change_tol: float,
     method: str,
@@ -678,16 +679,16 @@ def equilibrate(
     model: LindbladModel,
     rho0: np.ndarray,
     *,
-    window: float | None = None,
     change_tol: float = _CHANGE_TOL,
-    max_windows: int | None = None,
     method: str = "auto",
 ) -> EquilibrationReport:
     """Relax toward the stationary state in windows of fixed duration.
 
     The run stops once the trace-norm change across one window falls
-    below ``change_tol``.  The default window is 5 / slow_rate, so the
-    binding criterion is the window test rather than the horizon.  As
+    below ``change_tol``.  The window is 5 / slow_rate of the model, so
+    the binding criterion is the window test rather than the horizon;
+    a model without ``slow_rate`` is rejected.  The budget is fixed per
+    method: 8 ``rk`` or 60 ``implicit`` windows.  As
     ||A||_F <= ||A||_1, a window whose change has a Frobenius norm above
     ``change_tol`` cannot pass and skips :func:`trace_norm`'s eigenvalues.
 
@@ -711,7 +712,7 @@ def equilibrate(
     fock_dim 4) yet are just as stiff, so those strokes pass
     ``implicit`` explicitly.
     """
-    dt = _slowest_window(model, window)
+    dt = _slowest_window(model)
     rho = _check_state(rho0, model.dim)
     if method == "auto":
         method = "implicit" if model.dim > _DENSE_MAX_DIM else "rk"
@@ -721,11 +722,11 @@ def equilibrate(
             report = evolve(model, states[0], dt, _RK_RTOL, atol=_RK_ATOL)
             return [(report.final_state, report.steps_taken, report.max_trace_drift)]
 
-        budget = _RK_WINDOWS if max_windows is None else max_windows
+        budget = _RK_WINDOWS
         liou = model.generator
         sector_dim = model.dim**2
     elif method == "implicit":
-        budget = 60 if max_windows is None else max_windows
+        budget = _IMPLICIT_WINDOWS
         liou = sp.csr_matrix(model.generator)
         sector = _state_sector(liou, rho.reshape(-1), model.dim)
         sector_dim = int(sector.size)
@@ -760,21 +761,20 @@ def equilibrate_lanes(
     its own step size, time, step decisions, window count and window
     test, so its report equals ``equilibrate(model, rho, method="rk")``
     bit for bit, while the numpy calls of a step serve all the lanes.
-    The window is that default's 5 / slow_rate, so the model must carry
-    ``slow_rate``.  The first failure of any lane raises; which lane's
-    error that is may differ from a one-by-one run.
+    The first failure of any lane raises; which lane's error that is may
+    differ from a one-by-one run.
     """
-    dt = _slowest_window(model, None)
+    dt = _slowest_window(model)
     dim = model.dim
 
     def advance(states: list[np.ndarray]) -> list[tuple[np.ndarray, int, float]]:
-        # each window start passes the checks that evolve makes
+        # each window start, the first too, passes the checks evolve makes
         lanes = np.stack([_check_state(rho, dim).reshape(-1) for rho in states])
         return _dormand_prince(model.generator, lanes, dt, _RK_RTOL, _RK_ATOL)
 
     return _windows(
         advance,
-        [_check_state(rho, dim) for rho in rhos],
+        rhos,
         _RK_WINDOWS,
         _CHANGE_TOL,
         "rk",

@@ -100,7 +100,7 @@ class ReservoirSpec:
                 raise ValueError(
                     f"squeezed thermal bath requires squeezing > 0, got {self.squeezing}"
                 )
-        else:  # pragma: no cover - enum is exhaustive
+        else:  # a kind that is no BathKind member, such as a plain string
             raise ValueError(f"unknown bath kind {self.kind}")
 
     @classmethod

@@ -18,9 +18,11 @@ import scipy.sparse.linalg as spla
 from ionotto.cycle import CycleConfig, prepare_bath_equilibria
 from ionotto.lindblad import (
     _DENSE_MAX_DIM,
+    _IMPLICIT_WINDOWS,
     _MAX_STEPS,
     _RK_ATOL,
     _RK_RTOL,
+    _RK_WINDOWS,
     DegenerateSteadyStateError,
     EquilibrationError,
     EquilibrationReport,
@@ -383,9 +385,7 @@ def reference_window_loop(
     model: LindbladModel,
     rho0: np.ndarray,
     *,
-    window: float | None = None,
     change_tol: float = 1e-8,
-    max_windows: int | None = None,
     method: str = "auto",
 ) -> EquilibrationReport:
     """Window-based relaxation that takes the exact trace norm every window.
@@ -395,7 +395,7 @@ def reference_window_loop(
     eigenvalue decomposition on windows that cannot pass and must report
     the same windows, changes, residuals and states bit for bit.
     """
-    dt = _slowest_window(model, window)
+    dt = _slowest_window(model)
     rho = _check_state(rho0, model.dim)
     if method == "auto":
         method = "implicit" if model.dim > _DENSE_MAX_DIM else "rk"
@@ -405,11 +405,11 @@ def reference_window_loop(
             report = evolve(model, rho, dt, _RK_RTOL, atol=_RK_ATOL)
             return report.final_state, report.steps_taken, report.max_trace_drift
 
-        budget = 8 if max_windows is None else max_windows
+        budget = _RK_WINDOWS
         liou = model.generator
         sector_dim = model.dim**2
     elif method == "implicit":
-        budget = 60 if max_windows is None else max_windows
+        budget = _IMPLICIT_WINDOWS
         liou = liouvillian_matrix(model, sparse=True)
         sector = _state_sector(liou, rho.reshape(-1), model.dim)
         sector_dim = int(sector.size)

@@ -183,6 +183,9 @@ class TestFullCycle:
                 "trace_drift",
                 "min_eigenvalue",
                 "windows",
+                "last_change",
+                "rhs_residual",
+                "sector_dim",
             )
         }
         assert set(result.diagnostics) == expected
@@ -243,6 +246,17 @@ class TestExcitationWindow:
             report = equilibrate(model, start, method="implicit")
             box = partial_trace(report.final_state, layout, keep=(0,))
             assert np.abs(box - cached).max() <= 1e-8
+
+    @pytest.mark.parametrize("panel", ["fig2a", "fig2b", "fig2c"])
+    def test_shipped_bath_solves_report_convergence(self, panel):
+        # measured: last_change at most 3.6e-9, rhs_residual at most 3.2e-13
+        config = load_config(CONFIG_DIR / f"{panel}.json").cycle
+        diagnostics = prepare_bath_equilibria(config).diagnostics
+        window_dim = config.fock_dim * (config.fock_dim + 1)
+        for label in ("cold", "hot"):
+            assert diagnostics[f"{label}_last_change"] < 1e-8
+            assert diagnostics[f"{label}_rhs_residual"] < 1e-10
+            assert 0 < diagnostics[f"{label}_sector_dim"] <= window_dim**2
 
     def test_bath_solves_stay_implicit_below_auto_threshold(self, monkeypatch):
         # the fock-4 window has dimension 20, where method="auto" picks rk

@@ -22,6 +22,7 @@ from ionotto.lindblad import (
     IntegrationError,
     LindbladModel,
     equilibrate,
+    equilibrate_lanes,
     evolve,
     expectation,
     liouvillian_matrix,
@@ -123,6 +124,12 @@ def thermal_two_level_model(gamma, n):
         ((gamma * (1 + n), sigma_minus()), (gamma * n, sigma_plus())),
         slow_rate=gamma * (1 + 2 * n) / 2,
     )
+
+
+def short_window_model():
+    """:func:`thermal_two_level_model` with a slow rate that sets windows
+    of 0.01, far too short to relax within the window budget."""
+    return replace(thermal_two_level_model(1.0, 0.6), slow_rate=500.0)
 
 
 class TestModelValidation:
@@ -473,7 +480,7 @@ class TestEquilibrate:
     def test_implicit_matches_rk_on_joint_model(self):
         model, layout = small_joint_model()
         rho0 = kron(ketbra(2, 1, 1), vacuum_state(3), vacuum_state(3))
-        rk = equilibrate(model, rho0, method="rk", max_windows=12)
+        rk = equilibrate(model, rho0, method="rk")
         implicit = equilibrate(model, rho0, method="implicit")
         assert rk.method == "rk" and implicit.method == "implicit"
         assert np.abs(rk.final_state - implicit.final_state).max() < 1e-7
@@ -486,20 +493,14 @@ class TestEquilibrate:
         assert report.method == "implicit"
 
     def test_budget_exhaustion_raises(self):
-        model = thermal_two_level_model(1.0, 0.6)
-        with pytest.raises(EquilibrationError):
-            equilibrate(model, ketbra(2, 1, 1), window=0.01, max_windows=2)
-
-    def test_needs_window_or_slow_rate(self):
-        model = LindbladModel(H2_ZERO, ((1.0, sigma_minus()),))
-        with pytest.raises(ValueError):
+        model = short_window_model()
+        with pytest.raises(EquilibrationError, match="8 rk windows of 0.01"):
             equilibrate(model, ketbra(2, 1, 1))
 
-    @pytest.mark.parametrize("window", [np.nan, np.inf, 0.0, -1.0])
-    def test_bad_window_rejected(self, window):
-        model = thermal_two_level_model(1.0, 0.6)
-        with pytest.raises(ValueError, match="window"):
-            equilibrate(model, ketbra(2, 1, 1), window=window)
+    def test_needs_slow_rate(self):
+        model = LindbladModel(H2_ZERO, ((1.0, sigma_minus()),))
+        with pytest.raises(ValueError, match="slow_rate"):
+            equilibrate(model, ketbra(2, 1, 1))
 
     @pytest.mark.parametrize("method", ["rk", "implicit"])
     @pytest.mark.parametrize("value", NON_FINITE)
@@ -508,11 +509,39 @@ class TestEquilibrate:
         with pytest.raises(ValueError, match="state has non-finite"):
             equilibrate(model, non_finite_state(value), method=method)
 
-    @pytest.mark.parametrize("slow_rate", [np.nan, np.inf])
+    @pytest.mark.parametrize("window", [np.nan, np.inf])
+    def test_bad_window_rejected(self, window):
+        # the window 5 / slow_rate is nan for a nan rate and overflows to
+        # inf for a subnormal one; both are refused at construction
+        slow_rate = 1e-309 if window == np.inf else np.nan
+        with pytest.raises(ValueError, match="window"):
+            LindbladModel(H2_ZERO, ((1.0, sigma_minus()),), slow_rate=slow_rate)
+
+    @pytest.mark.parametrize(
+        "bad",
+        [
+            non_finite_state(np.nan),
+            np.eye(3) / 3,
+            np.array([[0.5, 0.1], [0.0, 0.5]]),
+            np.diag([0.6, 0.6]),
+            np.diag([1.2, -0.2]),
+        ],
+        ids=["non_finite", "shape", "non_hermitian", "trace", "negative"],
+    )
+    def test_lanes_reject_a_bad_start_as_equilibrate_does(self, bad):
+        # the first window checks each start once, with equilibrate's text
+        model = thermal_two_level_model(1.0, 0.6)
+        with pytest.raises(ValueError) as single:
+            equilibrate(model, bad, method="rk")
+        with pytest.raises(ValueError) as lanes:
+            equilibrate_lanes(model, [ketbra(2, 1, 1), bad])
+        assert str(lanes.value) == str(single.value)
+
+    @pytest.mark.parametrize("slow_rate", [np.nan, np.inf, 0.0, -1.0])
     def test_non_finite_slow_rate_rejected(self, slow_rate):
-        model = LindbladModel(H2_ZERO, ((1.0, sigma_minus()),), slow_rate=slow_rate)
+        # at construction, before any solve
         with pytest.raises(ValueError, match="slow_rate"):
-            equilibrate(model, ketbra(2, 1, 1))
+            LindbladModel(H2_ZERO, ((1.0, sigma_minus()),), slow_rate=slow_rate)
 
     def test_frobenius_pretest_skips_trace_norms(self, trace_norms):
         spec = ReservoirSpec.squeezed_thermal(2 * np.pi * 2e-4, 0.4, 0.5)
@@ -522,14 +551,13 @@ class TestEquilibrate:
         assert 1 <= len(trace_norms) <= 2
 
     def test_exhausted_budget_reports_the_exact_last_change(self, trace_norms):
-        model = thermal_two_level_model(1.0, 0.6)
-        kwargs = {"window": 0.01, "max_windows": 3}
+        model = short_window_model()
         with pytest.raises(EquilibrationError) as exhausted:
-            equilibrate(model, ketbra(2, 1, 1), **kwargs)
+            equilibrate(model, ketbra(2, 1, 1))
         # only the last window takes the exact norm
         assert trace_norms == [(2, 2)]
         with pytest.raises(EquilibrationError) as reference:
-            reference_window_loop(model, ketbra(2, 1, 1), **kwargs)
+            reference_window_loop(model, ketbra(2, 1, 1))
         assert str(exhausted.value) == str(reference.value)
 
 

@@ -40,6 +40,12 @@ class TestSpecInvariants:
         with pytest.raises(ValueError):
             ReservoirSpec(BathKind.THERMAL, 1.0, 0.5, squeezing=0.1)
 
+    @pytest.mark.parametrize("kind", ["thermal", "cold", None])
+    def test_rejects_kind_that_is_no_bath_kind(self, kind):
+        # "thermal" equals BathKind.THERMAL as a string but is not the member
+        with pytest.raises(ValueError, match=f"unknown bath kind {kind}"):
+            ReservoirSpec(kind, 1.0, 0.5)
+
     def test_zeta(self):
         spec = ReservoirSpec.squeezed_thermal(1.0, 0.4, 0.5)
         assert abs(spec.zeta - 1.0 / math.cosh(1.0)) < 1e-15
