@@ -49,8 +49,7 @@ __all__ = [
 _DENSE_MAX_DIM = 24
 # Accepted-step budget of one ``evolve`` call.
 _MAX_STEPS = 2_000_000
-# Relative and absolute per-step error targets of ``equilibrate``'s ``rk``
-# windows.
+# Relative and absolute per-step error targets of every ``rk`` step.
 _RK_RTOL = 1e-9
 _RK_ATOL = 1e-12
 # Window budgets of ``rk`` and ``implicit`` runs, and default window test.
@@ -299,52 +298,43 @@ def _products(gen, y: np.ndarray, yi: np.ndarray, k: np.ndarray, err_vec: np.nda
     that is the BLAS call that ``dot`` makes on one lane, where it is
     cheaper.
     """
-    if y.shape[0] == 1 and not sp.issparse(gen):
+    if y.shape[0] == 1:
         k, y, yi, err_vec = k[0], y[0], yi[0], err_vec[0]
-        apply = gen.dot
         return (
-            [(row.dot, k[:s], yi, apply, yi, k[s]) for s, row in _DP_STAGES],
+            [(row.dot, k[:s], yi, gen.dot, yi, k[s]) for s, row in _DP_STAGES],
             (_DP_ERR.dot, k, err_vec),
-            (apply, y, k[0]),
+            (gen.dot, y, k[0]),
         )
-    if sp.issparse(gen):
-
-        def apply(v: np.ndarray, out: np.ndarray) -> None:
-            for lane, vec in enumerate(v):
-                out[lane] = gen.dot(vec)
-
-        def column(a: np.ndarray) -> np.ndarray:
-            return a
-
-    else:
-        apply = partial(np.matmul, gen)
-
-        def column(a: np.ndarray) -> np.ndarray:
-            return a[..., None]
-
+    apply = partial(np.matmul, gen)
     return (
         [
             (partial(np.matmul, row), k[:, :s], yi)
-            + (apply, column(yi), column(k[:, s]))
+            + (apply, yi[..., None], k[:, s, :, None])
             for s, row in _DP_STAGES
         ],
         (partial(np.matmul, _DP_ERR), k, err_vec),
-        (apply, column(y), column(k[:, 0])),
+        (apply, y[..., None], k[:, 0, :, None]),
     )
 
 
-def _dormand_prince(
-    gen, y: np.ndarray, t: float, tol: float, atol: float
-) -> list[tuple[np.ndarray, int, float]]:
+def _dormand_prince(gen, y: np.ndarray, t: float) -> list[tuple[np.ndarray, int, float]]:
     """Integrate each lane (row) of the vectorized states ``y`` to ``t``.
 
-    The lanes share the generator ``gen`` and nothing else: each has its
+    Each step's local error stays below rtol ``_RK_RTOL`` and atol
+    ``_RK_ATOL``.  ``gen`` must be a dense generator (an ndarray); a
+    sparse one, of a model past ``_DENSE_MAX_DIM``, raises ``ValueError``.
+    The lanes share the generator and nothing else: each has its
     own step size, time, accept/reject decision and step count, and its
     step control runs on Python floats, so every lane gets the bits that
     it gets alone.  A lane that reaches ``t`` leaves the batch.  Returns
     each lane's final (d, d) state, accepted steps and largest trace
     drift, in lane order.
     """
+    if not isinstance(gen, np.ndarray):
+        raise ValueError(
+            f"rk stepping needs a dense generator (model dim <= {_DENSE_MAX_DIM}); "
+            'relax larger models with equilibrate(method="implicit")'
+        )
     lanes, n = y.shape
     d = math.isqrt(n)
     results: list[tuple[np.ndarray, int, float] | None] = [None] * lanes
@@ -354,10 +344,10 @@ def _dormand_prince(
     times = [0.0] * lanes
     hs: list[float] = []
     k0 = None
-    # tol, atol, 1/2 and (below) h as arrays of the dtype each ufunc casts
+    # rtol, atol, 1/2 and (below) h as arrays of the dtype each ufunc casts
     # them to: the same values, without a scalar conversion per call
-    tol_a = np.array(tol, dtype=float)
-    atol_a = np.array(atol, dtype=float)
+    rtol_a = np.array(_RK_RTOL, dtype=float)
+    atol_a = np.array(_RK_ATOL, dtype=float)
     half = np.array(0.5, dtype=complex)
     live = list(range(lanes))  # input index of each lane in the batch
     while True:
@@ -385,7 +375,7 @@ def _dormand_prince(
             if not np.isfinite(k0_out).all():
                 raise IntegrationError("non-finite derivative at the initial state")
             # standard starting-step heuristic
-            scale0 = atol + tol * np.abs(y)
+            scale0 = _RK_ATOL + _RK_RTOL * np.abs(y)
             hs = [
                 min(t, 0.01 * d0 / d1 if d1 > 0 else t * 1e-3)
                 for d0, d1 in zip(_rms(y / scale0, sq), _rms(k[:, 0] / scale0, sq))
@@ -409,11 +399,11 @@ def _dormand_prince(
             # y5 is the last stage's yi; err_vec = h * (k.T @ _DP_ERR)
             error(k_all, out=err_out)
             np.multiply(h_c, err_vec, out=err_vec)
-            # scale = atol + tol * max(|y|, |y5|), non-finite where y5 is
+            # scale = atol + rtol * max(|y|, |y5|), non-finite where y5 is
             np.abs(y, out=abs_y)
             np.abs(yi, out=scale)
             np.maximum(abs_y, scale, out=scale)
-            np.multiply(tol_a, scale, out=scale)
+            np.multiply(rtol_a, scale, out=scale)
             np.add(atol_a, scale, out=scale)
             if not math.isfinite(np.add.reduce(scale, axis=None)):
                 lane = int(np.argmin(np.isfinite(np.add.reduce(scale, axis=1))))
@@ -480,35 +470,23 @@ def _dormand_prince(
     return results
 
 
-def evolve(
-    model: LindbladModel,
-    rho0: np.ndarray,
-    t: float,
-    tol: float = 1e-9,
-    *,
-    atol: float | None = None,
-) -> EvolutionReport:
+def evolve(model: LindbladModel, rho0: np.ndarray, t: float) -> EvolutionReport:
     """Integrate the master equation to time ``t``.
 
     Adaptive embedded Runge-Kutta (Dormand-Prince 4/5) on the vectorized
-    density matrix with per-step local error below ``tol`` (relative) and
-    ``atol`` (absolute, default ``tol * 1e-3``).  After every accepted
+    density matrix with per-step local error below the library's one rk
+    accuracy, rtol 1e-9 and atol 1e-12.  After every accepted
     step the state is re-symmetrized, rho <- (rho + rho^dag)/2, which
     removes Hermiticity drift without affecting the accuracy order.  The
-    right-hand side is the model's cached :attr:`LindbladModel.generator`.
-    ``t`` must be finite and ``atol`` finite and positive; a non-finite
-    error estimate raises :class:`IntegrationError`.  This is the
+    right-hand side is the model's cached :attr:`LindbladModel.generator`,
+    which must be dense: a model past ``_DENSE_MAX_DIM`` raises
+    ``ValueError``.  ``t`` must be finite; a non-finite error estimate
+    raises :class:`IntegrationError`.  This is the
     one-lane call of the integrator that :func:`equilibrate_lanes` runs
     on many states at once, with the same bits per state.
     """
-    if not (0.0 < tol <= 1e-4):
-        raise ValueError(f"tolerance must lie in (0, 1e-4], got {tol}")
     if not (0.0 <= t < math.inf):
         raise ValueError(f"evolution time must be finite and >= 0, got {t}")
-    if atol is None:
-        atol = tol * 1e-3
-    if not (0.0 < atol < math.inf):
-        raise ValueError(f"absolute tolerance must be finite and > 0, got {atol}")
     rho = _check_state(rho0, model.dim)
     if t == 0.0:
         return EvolutionReport(
@@ -519,7 +497,7 @@ def evolve(
         )
     # step control runs on Python floats
     ((final, steps, drift),) = _dormand_prince(
-        model.generator, rho.reshape(1, -1).copy(), float(t), tol, atol
+        model.generator, rho.reshape(1, -1).copy(), float(t)
     )
     return EvolutionReport(
         final_state=final,
@@ -685,33 +663,35 @@ def equilibrate(
     """Relax toward the stationary state in windows of fixed duration.
 
     The run stops once the trace-norm change across one window falls
-    below ``change_tol``.  The window is 5 / slow_rate of the model, so
-    the binding criterion is the window test rather than the horizon;
-    a model without ``slow_rate`` is rejected.  The budget is fixed per
-    method: 8 ``rk`` or 60 ``implicit`` windows.  As
-    ||A||_F <= ||A||_1, a window whose change has a Frobenius norm above
-    ``change_tol`` cannot pass and skips :func:`trace_norm`'s eigenvalues.
+    below ``change_tol``, which must be finite and > 0.  The window is
+    5 / slow_rate of the model, so the binding criterion is the window
+    test rather than the horizon; a model without ``slow_rate`` is
+    rejected.  The budget is fixed per method: 8 ``rk`` or 60
+    ``implicit`` windows.  As ||A||_F <= ||A||_1, a window whose change
+    has a Frobenius norm above ``change_tol`` cannot pass and skips
+    :func:`trace_norm`'s eigenvalues.
 
     Two window steppers are available.  ``rk`` integrates each window
-    with :func:`evolve` at relative tolerance 1e-9 and absolute
-    tolerance 1e-12.  ``implicit`` advances with backward-Euler
-    macro-steps: one sparse LU of I - dt L, with L the model's cached
-    generator in CSR form, restricted to the components
-    of L that hold the trace or the start state, then one triangular
-    solve per window.  Entries outside those components stay exactly
-    zero, so the restriction changes neither the fixed point nor the
-    window count; ``sector_dim`` reports the size of the solved system.
-    The scheme is L-stable, damps the fast motional scales regardless of
-    stiffness, and shares the exact fixed point L rho = 0 with the true
-    dynamics, which is the quantity every caller extracts.  ``auto``
-    picks ``implicit`` for dim > ``_DENSE_MAX_DIM`` (the models whose
-    generator :func:`evolve` stores sparse), where the rate separation
-    of the joint ion models makes explicit stepping take minutes, and
-    ``rk`` otherwise.  The excitation-window joint models of the
-    full-cycle bath strokes can be smaller than that (dim 20 at
-    fock_dim 4) yet are just as stiff, so those strokes pass
-    ``implicit`` explicitly.
+    with :func:`evolve`, so it runs only on dense generators.
+    ``implicit`` advances with backward-Euler macro-steps: one sparse LU
+    of I - dt L, with L the model's cached generator in CSR form,
+    restricted to the components of L that hold the trace or the start
+    state, then one triangular solve per window.  Entries outside those
+    components stay exactly zero, so the restriction changes neither the
+    fixed point nor the window count; ``sector_dim`` reports the size of
+    the solved system.  The scheme is L-stable, damps the fast motional
+    scales regardless of stiffness, and shares the exact fixed point
+    L rho = 0 with the true dynamics, which is the quantity every caller
+    extracts.  ``auto`` picks ``implicit`` for dim > ``_DENSE_MAX_DIM``
+    (the models whose generator is sparse, on which ``rk`` raises
+    ``ValueError``), where the rate separation of the joint ion models
+    makes explicit stepping take minutes, and ``rk`` otherwise.  The
+    excitation-window joint models of the full-cycle bath strokes can be
+    smaller than that (dim 20 at fock_dim 4) yet are just as stiff, so
+    those strokes pass ``implicit`` explicitly.
     """
+    if not (0.0 < change_tol < math.inf):
+        raise ValueError(f"change_tol must be finite and > 0, got {change_tol}")
     dt = _slowest_window(model)
     rho = _check_state(rho0, model.dim)
     if method == "auto":
@@ -719,7 +699,7 @@ def equilibrate(
     if method == "rk":
 
         def advance(states: list[np.ndarray]) -> list[tuple[np.ndarray, int, float]]:
-            report = evolve(model, states[0], dt, _RK_RTOL, atol=_RK_ATOL)
+            report = evolve(model, states[0], dt)
             return [(report.final_state, report.steps_taken, report.max_trace_drift)]
 
         budget = _RK_WINDOWS
@@ -770,7 +750,7 @@ def equilibrate_lanes(
     def advance(states: list[np.ndarray]) -> list[tuple[np.ndarray, int, float]]:
         # each window start, the first too, passes the checks evolve makes
         lanes = np.stack([_check_state(rho, dim).reshape(-1) for rho in states])
-        return _dormand_prince(model.generator, lanes, dt, _RK_RTOL, _RK_ATOL)
+        return _dormand_prince(model.generator, lanes, dt)
 
     return _windows(
         advance,

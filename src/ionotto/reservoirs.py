@@ -288,11 +288,14 @@ def effective_collapse_channels(
 
 
 def slow_relaxation_rate(spec: ReservoirSpec) -> float:
-    """Slowest relaxation rate of the effective bath dynamics.
+    """Half the population relaxation rate T_down + T_up of the bath.
 
-    Populations flip at T_down + T_up and coherences decay at half that,
-    so the coherence rate bounds every relaxation time.  Computed from
-    the channel matrix elements rather than per-kind formulas.
+    For thermal and negative-temperature baths that is the coherence
+    decay rate and the slowest rate of the generator.  A squeezed bath
+    splits the coherence rates into 0.5 (T_down + T_up) +/- |C|, one of
+    them slower than this; cycle states are diagonal, so the populations
+    size the equilibration windows 5 / slow_rate.  Computed from the
+    channel matrix elements rather than per-kind formulas.
     """
     t_down = 0.0
     t_up = 0.0

@@ -226,27 +226,17 @@ _DP_ERR = np.array(
 )
 
 
-def reference_evolve(
-    model: LindbladModel,
-    rho0: np.ndarray,
-    t: float,
-    tol: float = 1e-9,
-    *,
-    atol: float | None = None,
-) -> EvolutionReport:
+def reference_evolve(model: LindbladModel, rho0: np.ndarray, t: float) -> EvolutionReport:
     """The Dormand-Prince 4(5) loop of :func:`ionotto.lindblad.evolve`,
-    written with plain array expressions and a per-call generator.
+    written with plain array expressions and a per-call dense generator,
+    at the library's rk accuracy ``_RK_RTOL`` and ``_RK_ATOL``.
 
     :func:`~ionotto.lindblad.evolve` trims numpy calls from this loop
     (cached generator, preallocated buffers, ``out=`` arguments) and must
     keep every sum in the same order, so the two agree bit for bit.
     """
-    if not (0.0 < tol <= 1e-4):
-        raise ValueError(f"tolerance must lie in (0, 1e-4], got {tol}")
     if t < 0:
         raise ValueError(f"evolution time must be >= 0, got {t}")
-    if atol is None:
-        atol = tol * 1e-3
     d = model.dim
     rho = _check_state(rho0, d)
     if t == 0.0:
@@ -257,7 +247,7 @@ def reference_evolve(
             min_eigenvalue=float(np.linalg.eigvalsh(rho).min()),
         )
 
-    rhs = liouvillian_matrix(model, sparse=d > _DENSE_MAX_DIM).dot
+    rhs = liouvillian_matrix(model).dot
 
     y = rho.reshape(-1).copy()
     time_now = 0.0
@@ -267,7 +257,7 @@ def reference_evolve(
         raise IntegrationError("non-finite derivative at the initial state")
 
     # standard starting-step heuristic
-    scale0 = atol + tol * np.abs(y)
+    scale0 = _RK_ATOL + _RK_RTOL * np.abs(y)
     d0 = np.sqrt(np.mean(np.abs(y / scale0) ** 2))
     d1 = np.sqrt(np.mean(np.abs(k[0] / scale0) ** 2))
     h = min(t, 0.01 * d0 / d1 if d1 > 0 else t * 1e-3)
@@ -286,7 +276,7 @@ def reference_evolve(
             raise IntegrationError(
                 f"non-finite state entries at t = {time_now:.6g}"
             )
-        scale = atol + tol * np.maximum(np.abs(y), np.abs(y5))
+        scale = _RK_ATOL + _RK_RTOL * np.maximum(np.abs(y), np.abs(y5))
         err = np.sqrt(np.mean(np.abs(err_vec / scale) ** 2))
         if err <= 1.0:
             time_now += h
@@ -402,7 +392,7 @@ def reference_window_loop(
     if method == "rk":
 
         def advance(rho: np.ndarray) -> tuple[np.ndarray, int, float]:
-            report = evolve(model, rho, dt, _RK_RTOL, atol=_RK_ATOL)
+            report = evolve(model, rho, dt)
             return report.final_state, report.steps_taken, report.max_trace_drift
 
         budget = _RK_WINDOWS

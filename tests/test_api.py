@@ -3,6 +3,7 @@ resolves, and the benchmark's span recorder reads a traced sweep."""
 
 import importlib
 import importlib.util
+import inspect
 import pkgutil
 import sys
 from dataclasses import replace
@@ -31,6 +32,26 @@ def test_submodule_exports_resolve(module_name):
     module = importlib.import_module(module_name)
     missing = [name for name in getattr(module, "__all__", ()) if not hasattr(module, name)]
     assert missing == []
+
+
+@pytest.mark.parametrize(
+    "function, parameters",
+    [
+        ("evolve", "(model, rho0, t)"),
+        ("equilibrate", "(model, rho0, *, change_tol, method)"),
+        ("equilibrate_lanes", "(model, rhos)"),
+        ("_dormand_prince", "(gen, y, t)"),
+    ],
+)
+def test_solver_signatures(function, parameters):
+    # the solvers run at the library's fixed accuracy and window rule: no
+    # option beyond these
+    signature = inspect.signature(getattr(ionotto.lindblad, function))
+    bare = [
+        p.replace(annotation=p.empty, default=p.empty)
+        for p in signature.parameters.values()
+    ]
+    assert str(signature.replace(parameters=bare, return_annotation=signature.empty)) == parameters
 
 
 @pytest.fixture

@@ -5,10 +5,9 @@ channels) with 1-9 start states each.  A start may be the model's
 stationary state, which passes the first window and whose oversized first
 step is rejected, or a random pure, mixed or diagonal state, which takes
 several windows.  ``_dormand_prince`` on the stacked starts must return,
-per lane, the state bytes, step count and trace drift of ``evolve`` at
-the tolerances of ``test_evolve_property.py``; ``equilibrate_lanes`` must
-return ``equilibrate``'s ``rk`` report field for field, or raise when a
-single run raises.
+per lane, the state bytes, step count and trace drift of ``evolve``;
+``equilibrate_lanes`` must return ``equilibrate``'s ``rk`` report field
+for field, or raise when a single run raises.
 """
 
 import numpy as np
@@ -28,8 +27,6 @@ from ionotto.lindblad import (
     steady_state,
 )
 
-# (tol, atol) of equilibrate's rk windows, and evolve's defaults
-TOLERANCES = [(1e-9, 1e-12), (1e-9, None), (1e-6, None)]
 START_KINDS = ("stationary", "pure", "mixed", "diagonal")
 
 
@@ -75,19 +72,15 @@ def lane_cases(draw):
 @given(
     case=lane_cases(),
     fraction=st.floats(min_value=1e-3, max_value=2.0),
-    tolerances=st.sampled_from(TOLERANCES),
 )
-def test_lanes_match_single_evolve(case, fraction, tolerances):
+def test_lanes_match_single_evolve(case, fraction):
     model, starts = case
-    tol, atol = tolerances
     t = fraction * 5.0 / model.slow_rate
     lanes = np.stack([rho.reshape(-1) for rho in starts])
-    results = _dormand_prince(
-        model.generator, lanes, t, tol, tol * 1e-3 if atol is None else atol
-    )
+    results = _dormand_prince(model.generator, lanes, t)
     assert len(results) == len(starts)
     for rho, (final, lane_steps, drift) in zip(starts, results):
-        single = evolve(model, rho, t, tol, atol=atol)
+        single = evolve(model, rho, t)
         assert final.tobytes() == single.final_state.tobytes()
         assert lane_steps == single.steps_taken > 0
         assert drift == single.max_trace_drift

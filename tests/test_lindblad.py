@@ -213,8 +213,6 @@ class TestEvolve:
         with pytest.raises(ValueError):
             evolve(model, np.array([[1, 0.1], [0, 0]], dtype=complex), 1.0)
         with pytest.raises(ValueError):
-            evolve(model, good, 1.0, tol=1e-3)  # above the allowed band
-        with pytest.raises(ValueError):
             evolve(model, good, -1.0)
 
     @pytest.mark.parametrize("t", [np.nan, np.inf])
@@ -228,12 +226,6 @@ class TestEvolve:
         model = thermal_two_level_model(1.0, 0.5)
         with pytest.raises(ValueError, match="state has non-finite"):
             evolve(model, non_finite_state(value), 1.0)
-
-    @pytest.mark.parametrize("atol", [0.0, -1e-12, np.nan, np.inf])
-    def test_bad_absolute_tolerance_rejected(self, atol):
-        model = thermal_two_level_model(1.0, 0.5)
-        with pytest.raises(ValueError, match="absolute tolerance"):
-            evolve(model, ketbra(2, 1, 1), 1.0, atol=atol)
 
     def test_closing_a_rounding_gap_is_not_an_underflow(self):
         # the steps here end one rounding error short of t; the tiny step
@@ -269,22 +261,25 @@ class TestEvolve:
         assert np.array_equal(report.final_state, rho)
         assert report.steps_taken == 0
 
-    def test_sparse_generator_matches_expm(self, built):
+    def test_sparse_generator_rejected(self):
+        # rk stepping runs on dense generators only; the models past the
+        # dense size limit relax with implicit windows
         model, rho0 = sparse_joint_start()
-        t = 0.3
-        report = evolve(model, rho0, t)
-        assert built == [True]
-        exact = expm(t * liouvillian_matrix(model)) @ rho0.reshape(-1)
-        assert np.abs(report.final_state - exact.reshape(32, 32)).max() < 1e-8
+        with pytest.raises(ValueError, match="implicit"):
+            evolve(model, rho0, 0.3)
+        with pytest.raises(ValueError, match="implicit"):
+            equilibrate(model, rho0, method="rk")
+        with pytest.raises(ValueError, match="implicit"):
+            equilibrate_lanes(model, [rho0])
 
 
 class TestEvolveMatchesReference:
     """``evolve`` keeps the arithmetic of the plain reference loop bit for bit."""
 
     @staticmethod
-    def assert_same_bits(model, rho0, t, *args, **kwargs):
-        report = evolve(model, rho0, t, *args, **kwargs)
-        reference = reference_evolve(model, rho0, t, *args, **kwargs)
+    def assert_same_bits(model, rho0, t):
+        report = evolve(model, rho0, t)
+        reference = reference_evolve(model, rho0, t)
         assert report.final_state.tobytes() == reference.final_state.tobytes()
         assert report.steps_taken == reference.steps_taken > 0
         assert report.max_trace_drift == reference.max_trace_drift
@@ -301,14 +296,9 @@ class TestEvolveMatchesReference:
             for xi in (0.0, 0.13, 0.37, 0.5)
         ]
         for rho0 in starts + [plus]:
-            # equilibrate's rk window, and evolve at its default tolerances
-            self.assert_same_bits(model, rho0, window, 1e-9, atol=1e-12)
+            # equilibrate's rk window, and a part of one
+            self.assert_same_bits(model, rho0, window)
             self.assert_same_bits(model, rho0, 0.3 * window)
-
-    def test_sparse_joint_model(self):
-        model, rho0 = sparse_joint_start()
-        assert model.dim > _DENSE_MAX_DIM
-        self.assert_same_bits(model, rho0, 0.3)
 
 
 class TestGenerator:
@@ -508,6 +498,15 @@ class TestEquilibrate:
         model = thermal_two_level_model(1.0, 0.6)
         with pytest.raises(ValueError, match="state has non-finite"):
             equilibrate(model, non_finite_state(value), method=method)
+
+    @pytest.mark.parametrize("method", ["rk", "implicit"])
+    @pytest.mark.parametrize("change_tol", [np.nan, np.inf, 0.0, -1.0])
+    def test_bad_change_tol_rejected(self, change_tol, method):
+        # up front: a window test against such a tol never passes (nan, 0,
+        # negative) or passes at once (inf)
+        model = ReservoirSpec.thermal(1.0, 0.6).bath_model
+        with pytest.raises(ValueError, match="change_tol"):
+            equilibrate(model, ketbra(2, 1, 1), change_tol=change_tol, method=method)
 
     @pytest.mark.parametrize("window", [np.nan, np.inf])
     def test_bad_window_rejected(self, window):

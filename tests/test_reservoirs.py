@@ -1,4 +1,5 @@
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -20,8 +21,10 @@ from ionotto.reservoirs import (
     theta_from_occupation,
 )
 from ionotto.lindblad import liouvillian_matrix
+from ionotto.sweep import load_config
 
 H2 = np.zeros((2, 2), dtype=complex)
+CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
 
 
 class TestSpecInvariants:
@@ -175,6 +178,26 @@ class TestEffectiveChannels:
     def test_slow_rate_formula(self):
         spec = ReservoirSpec.thermal(2.0, 0.6)
         assert abs(slow_relaxation_rate(spec) - 2.0 * 2.2 / 2) < 1e-12
+
+    @pytest.mark.parametrize("side", ["cold", "hot"])
+    @pytest.mark.parametrize("panel", ["fig2a", "fig2b", "fig2c"])
+    def test_slow_rate_is_half_the_population_rate(self, panel, side):
+        spec = getattr(load_config(CONFIG_DIR / f"{panel}.json").cycle, side)
+        model = spec.bath_model
+        gen = model.generator
+        # row-major vectorization: entries 0 and 3 are the populations,
+        # which the coherences do not feed
+        pops, cohs = [0, 3], [1, 2]
+        assert not gen[np.ix_(pops, cohs)].any()
+        population_rate = (-np.linalg.eigvals(gen[np.ix_(pops, pops)]).real).max()
+        assert population_rate == pytest.approx(2 * model.slow_rate, rel=1e-12, abs=0)
+        rates = -np.linalg.eigvals(gen).real
+        slowest = rates[rates > 1e-12 * rates.max()].min()
+        if spec.kind is BathKind.SQUEEZED_THERMAL:
+            # squeezing splits the coherence rates around slow_rate
+            assert slowest < model.slow_rate
+        else:
+            assert slowest == pytest.approx(model.slow_rate, rel=1e-12, abs=0)
 
 
 class TestFullInteraction:
