@@ -43,7 +43,6 @@ from .operators import (
     partial_trace,
 )
 from .oscillator import (
-    ModeLaserSettings,
     VSystemConfig,
     effective_mode_model,
     full_v_model,
@@ -81,7 +80,6 @@ __all__ = [
     "IntegrationError",
     "LaserSettings",
     "LindbladModel",
-    "ModeLaserSettings",
     "Regime",
     "ReservoirSpec",
     "SpaceLayout",

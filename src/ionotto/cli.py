@@ -14,6 +14,7 @@ import numpy as np
 
 from .cycle import CycleMode
 from .lindblad import liouvillian_matrix, LindbladModel, steady_state
+from .operators import sigma_minus
 from .reservoirs import (
     ADIABATIC_RATIO_FLOOR,
     ReservoirSpec,
@@ -85,16 +86,15 @@ def _bath_report(label: str, spec: ReservoirSpec, lamb: float, kappa: float) -> 
     settings = match_rabi_frequencies(spec, lamb, kappa)
     target = spec.bath_model
     matched = LindbladModel(
-        target.hamiltonian, channels_from_settings(settings, lamb, kappa)
+        target.hamiltonian, channels_from_settings(settings, sigma_minus())
     )
     defect = np.abs(liouvillian_matrix(matched) - liouvillian_matrix(target)).max()
     ratio_ok = "ok" if settings.regime_ratio >= ADIABATIC_RATIO_FLOOR else "LOW"
+    rabi = ", ".join(f"{value:.6g}" for value in settings.rabi)
     return [
         f"[{label}] kind={spec.kind.value} n={spec.n_occupation} r={spec.squeezing}",
         f"[{label}] theta={theta:+.6f} ({'negative' if theta < 0 else 'positive'})",
-        f"[{label}] rabi (x1, x2, y1, y2) rad/us = "
-        f"({settings.rabi_x1:.6g}, {settings.rabi_x2:.6g}, "
-        f"{settings.rabi_y1:.6g}, {settings.rabi_y2:.6g})",
+        f"[{label}] rabi (x1, x2, y1, y2) rad/us = ({rabi})",
         f"[{label}] kappa/(lambda*maxOmega) = {settings.regime_ratio:.1f} [{ratio_ok}]",
         f"[{label}] matching identity defect = {defect:.3e}",
     ]

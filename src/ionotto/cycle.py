@@ -440,7 +440,7 @@ def _joint_bath_stroke(
     """
     n_max = config.fock_dim
     settings = match_rabi_frequencies(spec, config.lamb, config.kappa)
-    model = full_joint_model(spec, config.lamb, config.kappa, n_max, settings=settings)
+    model = full_joint_model(settings, n_max)
     layout = SpaceLayout((2, n_max, n_max))
     vac = vacuum_state(n_max)
     joint0 = np.kron(np.kron(bath_steady_state(spec), vac), vac)

@@ -79,8 +79,8 @@ class LindbladModel:
 
     ``slow_rate`` is the slowest relaxation rate of the model, None or
     finite and > 0 with 5 / slow_rate finite: :func:`equilibrate` runs
-    windows of 5 / slow_rate and needs it.  Builders that know the engineered bath parameters fill it
-    in.
+    windows of 5 / slow_rate and needs it.  Builders that know the
+    engineered bath parameters fill it in.
 
     The generator is built once per model, on first use, and cached; the
     model's arrays must therefore not be mutated after construction.
@@ -317,24 +317,29 @@ def _products(gen, y: np.ndarray, yi: np.ndarray, k: np.ndarray, err_vec: np.nda
     )
 
 
-def _dormand_prince(gen, y: np.ndarray, t: float) -> list[tuple[np.ndarray, int, float]]:
-    """Integrate each lane (row) of the vectorized states ``y`` to ``t``.
-
-    Each step's local error stays below rtol ``_RK_RTOL`` and atol
-    ``_RK_ATOL``.  ``gen`` must be a dense generator (an ndarray); a
-    sparse one, of a model past ``_DENSE_MAX_DIM``, raises ``ValueError``.
-    The lanes share the generator and nothing else: each has its
-    own step size, time, accept/reject decision and step count, and its
-    step control runs on Python floats, so every lane gets the bits that
-    it gets alone.  A lane that reaches ``t`` leaves the batch.  Returns
-    each lane's final (d, d) state, accepted steps and largest trace
-    drift, in lane order.
-    """
-    if not isinstance(gen, np.ndarray):
+def _dense_generator(model: LindbladModel) -> np.ndarray:
+    """The generator rk stepping runs on: a model past ``_DENSE_MAX_DIM``,
+    whose generator is sparse, raises ``ValueError``."""
+    if model.dim > _DENSE_MAX_DIM:
         raise ValueError(
             f"rk stepping needs a dense generator (model dim <= {_DENSE_MAX_DIM}); "
             'relax larger models with equilibrate(method="implicit")'
         )
+    return model.generator
+
+
+def _dormand_prince(gen, y: np.ndarray, t: float) -> list[tuple[np.ndarray, int, float]]:
+    """Integrate each lane (row) of the vectorized states ``y`` to ``t``.
+
+    Each step's local error stays below rtol ``_RK_RTOL`` and atol
+    ``_RK_ATOL``.  ``gen`` is a dense generator, from
+    :func:`_dense_generator`.  The lanes share the generator and nothing
+    else: each has its own step size, time, accept/reject decision and
+    step count, and its step control runs on Python floats, so every lane
+    gets the bits that it gets alone.  A lane that reaches ``t`` leaves
+    the batch.  Returns each lane's final (d, d) state, accepted steps
+    and largest trace drift, in lane order.
+    """
     lanes, n = y.shape
     d = math.isqrt(n)
     results: list[tuple[np.ndarray, int, float] | None] = [None] * lanes
@@ -480,13 +485,14 @@ def evolve(model: LindbladModel, rho0: np.ndarray, t: float) -> EvolutionReport:
     removes Hermiticity drift without affecting the accuracy order.  The
     right-hand side is the model's cached :attr:`LindbladModel.generator`,
     which must be dense: a model past ``_DENSE_MAX_DIM`` raises
-    ``ValueError``.  ``t`` must be finite; a non-finite error estimate
-    raises :class:`IntegrationError`.  This is the
+    ``ValueError``, whatever ``t``.  ``t`` must be finite; a non-finite
+    error estimate raises :class:`IntegrationError`.  This is the
     one-lane call of the integrator that :func:`equilibrate_lanes` runs
     on many states at once, with the same bits per state.
     """
     if not (0.0 <= t < math.inf):
         raise ValueError(f"evolution time must be finite and >= 0, got {t}")
+    gen = _dense_generator(model)
     rho = _check_state(rho0, model.dim)
     if t == 0.0:
         return EvolutionReport(
@@ -497,7 +503,7 @@ def evolve(model: LindbladModel, rho0: np.ndarray, t: float) -> EvolutionReport:
         )
     # step control runs on Python floats
     ((final, steps, drift),) = _dormand_prince(
-        model.generator, rho.reshape(1, -1).copy(), float(t)
+        gen, rho.reshape(1, -1).copy(), float(t)
     )
     return EvolutionReport(
         final_state=final,
@@ -746,11 +752,12 @@ def equilibrate_lanes(
     """
     dt = _slowest_window(model)
     dim = model.dim
+    gen = _dense_generator(model)
 
     def advance(states: list[np.ndarray]) -> list[tuple[np.ndarray, int, float]]:
         # each window start, the first too, passes the checks evolve makes
         lanes = np.stack([_check_state(rho, dim).reshape(-1) for rho in states])
-        return _dormand_prince(model.generator, lanes, dt)
+        return _dormand_prince(gen, lanes, dt)
 
     return _windows(
         advance,
@@ -759,6 +766,6 @@ def equilibrate_lanes(
         _CHANGE_TOL,
         "rk",
         dt,
-        model.generator,
+        gen,
         dim**2,
     )

@@ -3,9 +3,13 @@
 Here the roles are swapped relative to the two-level engine: three
 electronic levels in a V configuration decay fast and are adiabatically
 eliminated, leaving a single motional mode in contact with an engineered
-bath.  The mode couplings are s_alpha = (lambda/2)(Omega_{alpha,1} a +
-Omega_{alpha,2} a^dag) for alpha in {ge, gf}, and the eliminated dynamics
-carries them as collapse channels with prefactor 2/gamma_alpha.
+bath.  The sideband matching is the two-level engine's one of
+:mod:`ionotto.reservoirs` with the electronic decays (gamma_ge, gamma_gf)
+as the eliminated rates, and returns the same
+:class:`~ionotto.reservoirs.LaserSettings`.  The mode couplings are
+s_alpha = (lambda/2)(Omega_{alpha,1} a + Omega_{alpha,2} a^dag) for alpha
+in {ge, gf}, and the eliminated dynamics carries them as collapse
+channels with prefactor 2/gamma_alpha.
 
 Negative-temperature baths are excluded for the oscillator: matching
 them needs the upward weight to dominate, which makes the quadratic
@@ -28,15 +32,17 @@ from .lindblad import LindbladModel
 from .operators import SpaceLayout, destroy, ketbra
 from .reservoirs import (
     BathKind,
+    LaserSettings,
     ReservoirSpec,
+    _couplings,
+    _match,
     adiabatic_ratio,
-    sideband_weights,
+    channels_from_settings,
     warn_if_not_adiabatic,
 )
 
 __all__ = [
     "VSystemConfig",
-    "ModeLaserSettings",
     "match_rabi_for_mode",
     "mode_collapse_channels",
     "effective_mode_model",
@@ -70,8 +76,10 @@ class VSystemConfig:
             if not (value > 0 and math.isfinite(value)):
                 raise ValueError(f"{name} must be positive and finite, got {value}")
         rabi = tuple(float(r) for r in self.rabi)
-        if len(rabi) != 4 or any(r < 0 for r in rabi):
-            raise ValueError(f"need four nonnegative Rabi frequencies, got {self.rabi}")
+        if len(rabi) != 4 or not all(0.0 <= r < math.inf for r in rabi):
+            raise ValueError(
+                f"need four finite nonnegative Rabi frequencies, got {self.rabi}"
+            )
         object.__setattr__(self, "rabi", rabi)
         if self.fock_dim < 2:
             raise ValueError(f"fock_dim must be at least 2, got {self.fock_dim}")
@@ -86,34 +94,9 @@ class VSystemConfig:
         )
 
 
-@dataclass(frozen=True)
-class ModeLaserSettings:
-    """Sideband Rabi frequencies targeting one effective mode bath.
-
-    Records the matching inputs (lamb, the electronic decay rates) so the
-    coupling operators can be rebuilt; ``target_rate`` is the synthesized
-    effective decay rate of the mode and ``regime_ratio`` the smallest
-    gamma_alpha / (lambda * max Omega).
-    """
-
-    rabi_ge1: float
-    rabi_ge2: float
-    rabi_gf1: float
-    rabi_gf2: float
-    lamb: float
-    gamma_ge: float
-    gamma_gf: float
-    target_rate: float
-    regime_ratio: float
-
-    @property
-    def rabi(self) -> tuple[float, float, float, float]:
-        return (self.rabi_ge1, self.rabi_ge2, self.rabi_gf1, self.rabi_gf2)
-
-
 def match_rabi_for_mode(
     spec: ReservoirSpec, lamb: float, gamma_ge: float, gamma_gf: float
-) -> ModeLaserSettings:
+) -> LaserSettings:
     """Rabi frequencies whose eliminated mode dynamics reproduce ``spec``.
 
     The ge pair carries the downward weight sqrt(Gamma (1 + n)) and the
@@ -126,65 +109,34 @@ def match_rabi_for_mode(
             f"unsupported bath kind for the oscillator: {spec.kind.value} "
             "(a gain-dominated mode bath has no normalizable steady state)"
         )
-    if lamb <= 0:
-        raise ValueError(f"Lamb-Dicke parameter must be > 0, got {lamb}")
-    if gamma_ge <= 0 or gamma_gf <= 0:
-        raise ValueError("electronic decay rates must be > 0")
-    ge1, ge2, gf1, gf2 = sideband_weights(spec)
-    ge1, ge2 = (weight * math.sqrt(gamma_ge) / lamb for weight in (ge1, ge2))
-    gf1, gf2 = (weight * math.sqrt(gamma_gf) / lamb for weight in (gf1, gf2))
-    ratio = adiabatic_ratio(lamb, ((gamma_ge, ge1, ge2), (gamma_gf, gf1, gf2)))
-    warn_if_not_adiabatic(ratio, "gamma")
-    return ModeLaserSettings(
-        rabi_ge1=ge1,
-        rabi_ge2=ge2,
-        rabi_gf1=gf1,
-        rabi_gf2=gf2,
-        lamb=lamb,
-        gamma_ge=gamma_ge,
-        gamma_gf=gamma_gf,
-        target_rate=spec.gamma,
-        regime_ratio=ratio,
-    )
-
-
-def _mode_couplings(
-    settings: ModeLaserSettings, fock_dim: int
-) -> tuple[np.ndarray, np.ndarray]:
-    lamb = settings.lamb
-    a = destroy(fock_dim)
-    adag = a.conj().T
-    s_ge = (lamb / 2.0) * (settings.rabi_ge1 * a + settings.rabi_ge2 * adag)
-    s_gf = (lamb / 2.0) * (settings.rabi_gf1 * a + settings.rabi_gf2 * adag)
-    return s_ge, s_gf
+    return _match(spec, lamb, (gamma_ge, gamma_gf), "gamma")
 
 
 def mode_collapse_channels(
-    settings: ModeLaserSettings, fock_dim: int
+    settings: LaserSettings, fock_dim: int
 ) -> tuple[tuple[float, np.ndarray], ...]:
     """Eliminated mode channels: prefactor 2/gamma_alpha per dissipator."""
-    s_ge, s_gf = _mode_couplings(settings, fock_dim)
-    return ((4.0 / settings.gamma_ge, s_ge), (4.0 / settings.gamma_gf, s_gf))
+    return channels_from_settings(settings, destroy(fock_dim))
 
 
 def effective_mode_model(
-    spec: ReservoirSpec, settings: ModeLaserSettings, fock_dim: int
+    spec: ReservoirSpec, settings: LaserSettings, fock_dim: int
 ) -> LindbladModel:
     """Mode-only model of the engineered bath, in the rotating frame."""
-    if spec.gamma != settings.target_rate:
+    if spec != settings.target:
         raise ValueError(
-            "settings were matched for a different target rate: "
-            f"{settings.target_rate} vs spec gamma {spec.gamma}"
+            "settings were matched for a different bath: "
+            f"{settings.target} vs spec {spec}"
         )
     return LindbladModel(
         hamiltonian=np.zeros((fock_dim, fock_dim), dtype=complex),
         channels=mode_collapse_channels(settings, fock_dim),
-        slow_rate=settings.target_rate / 2.0,
+        slow_rate=spec.gamma / 2.0,
     )
 
 
 def full_v_model(
-    config: VSystemConfig, settings: ModeLaserSettings, fock_dim: int
+    config: VSystemConfig, settings: LaserSettings, fock_dim: int
 ) -> LindbladModel:
     """Joint three-level and mode model before elimination.
 
@@ -194,11 +146,15 @@ def full_v_model(
     and omitted.  ``config`` must carry the matching inputs and Rabi
     frequencies of ``settings`` and the truncation ``fock_dim``.
     """
-    for name in ("lamb", "gamma_ge", "gamma_gf", "rabi"):
-        if getattr(config, name) != getattr(settings, name):
+    for name, value, matched in (
+        ("lamb", config.lamb, settings.lamb),
+        ("(gamma_ge, gamma_gf)", (config.gamma_ge, config.gamma_gf), settings.rates),
+        ("rabi", config.rabi, settings.rabi),
+    ):
+        if value != matched:
             raise ValueError(
                 f"settings were matched for a different {name}: "
-                f"{getattr(settings, name)} vs config {getattr(config, name)}"
+                f"{matched} vs config {value}"
             )
     if config.fock_dim != fock_dim:
         raise ValueError(
@@ -207,7 +163,7 @@ def full_v_model(
     layout = SpaceLayout((3, fock_dim))
     sigma_ge = ketbra(3, 0, 1)
     sigma_gf = ketbra(3, 0, 2)
-    s_ge, s_gf = _mode_couplings(settings, fock_dim)
+    s_ge, s_gf = _couplings(settings, destroy(fock_dim))
     h = np.kron(sigma_ge.conj().T, s_ge) + np.kron(sigma_gf.conj().T, s_gf)
     h += h.conj().T
     return LindbladModel(
@@ -216,7 +172,7 @@ def full_v_model(
             (config.gamma_ge, layout.embed(sigma_ge, 0)),
             (config.gamma_gf, layout.embed(sigma_gf, 0)),
         ),
-        slow_rate=settings.target_rate / 2.0,
+        slow_rate=settings.target.gamma / 2.0,
     )
 
 

@@ -6,7 +6,9 @@ realize it: matching the adiabatically eliminated dissipators of the
 laser-driven ion against the dissipators of the target bath fixes
 lambda * Omega / sqrt(kappa) for each beam.  Both descriptions are built
 here so the identity can be checked elementwise, and analytic stationary
-states are provided as oracles.
+states are provided as oracles.  The same matching, couplings and
+channels serve the oscillator engine of :mod:`ionotto.oscillator`, where
+a V-type ion is the eliminated system.
 
 All channel operators are expressed in the frame rotating at the
 electronic frequency, where they are time independent; the stationary
@@ -80,6 +82,10 @@ class ReservoirSpec:
         if not (self.gamma > 0 and math.isfinite(self.gamma)):
             raise ValueError(f"gamma must be positive and finite, got {self.gamma}")
         n = self.n_occupation
+        if not (math.isfinite(n) and math.isfinite(self.squeezing)):
+            raise ValueError(
+                f"occupation and squeezing must be finite, got {n} and {self.squeezing}"
+            )
         if self.kind is BathKind.THERMAL:
             if n < 0:
                 raise ValueError(f"thermal occupation must be >= 0, got {n}")
@@ -177,21 +183,23 @@ def spec_theta(spec: ReservoirSpec) -> float:
 class LaserSettings:
     """Four sideband Rabi frequencies realizing one effective bath.
 
-    Beams (alpha, 1) sit on the lower sideband and (alpha, 2) on the
-    upper sideband of the electronic transition.  ``regime_ratio`` is
-    kappa / (lambda * max Omega), the figure of merit of the adiabatic
-    elimination.
+    Each beam pair couples the working substance to one adiabatically
+    eliminated decay: the two damped motional modes of the two-level
+    engine, or the two electronic decays of the V ion that drives the
+    oscillator.  ``target`` is the matched bath, ``lamb`` the Lamb-Dicke
+    parameter and ``rates`` the eliminated decay rates of the two pairs,
+    (kappa, kappa) or (gamma_ge, gamma_gf).  ``rabi`` lists (pair 1
+    lower, pair 1 upper, pair 2 lower, pair 2 upper) sideband, the beams
+    (x1, x2, y1, y2) or (ge1, ge2, gf1, gf2).  ``regime_ratio`` is the
+    smallest rate / (lambda * max Omega), the figure of merit of the
+    adiabatic elimination.
     """
 
-    rabi_x1: float
-    rabi_x2: float
-    rabi_y1: float
-    rabi_y2: float
+    target: ReservoirSpec
+    lamb: float
+    rates: tuple[float, float]
+    rabi: tuple[float, float, float, float]
     regime_ratio: float
-
-    @property
-    def max_rabi(self) -> float:
-        return max(self.rabi_x1, self.rabi_x2, self.rabi_y1, self.rabi_y2)
 
 
 def _occupation_weights(spec: ReservoirSpec) -> tuple[float, float]:
@@ -243,10 +251,36 @@ def warn_if_not_adiabatic(ratio: float, rate: str, stacklevel: int = 3) -> None:
         )
 
 
+def _match(
+    spec: ReservoirSpec, lamb: float, rates: tuple[float, float], rate_name: str
+) -> LaserSettings:
+    """Rabi frequencies whose eliminated dynamics reproduce ``spec``.
+
+    Each beam gets its weight from :func:`sideband_weights` times
+    sqrt(rate) / lambda of the decay its pair couples to.  Warns, naming
+    the rate ``rate_name``, when the regime ratio drops below
+    ``ADIABATIC_RATIO_FLOOR``.
+    """
+    if not 0.0 < lamb < math.inf:
+        raise ValueError(f"Lamb-Dicke parameter must be finite and > 0, got {lamb}")
+    for rate in rates:
+        if not 0.0 < rate < math.inf:
+            raise ValueError(f"{rate_name} must be finite and > 0, got {rate}")
+    rate1, rate2 = rates
+    down_mu, down_nu, up_nu, up_mu = sideband_weights(spec)
+    root1, root2 = math.sqrt(rate1), math.sqrt(rate2)
+    pair1 = (down_mu * root1 / lamb, down_nu * root1 / lamb)
+    pair2 = (up_nu * root2 / lamb, up_mu * root2 / lamb)
+    ratio = adiabatic_ratio(lamb, ((rate1, *pair1), (rate2, *pair2)))
+    # attributed to the caller of the public function that calls this one
+    warn_if_not_adiabatic(ratio, rate_name, stacklevel=4)
+    return LaserSettings(spec, lamb, rates, pair1 + pair2, ratio)
+
+
 def match_rabi_frequencies(
     spec: ReservoirSpec, lamb: float, kappa: float
 ) -> LaserSettings:
-    """Rabi frequencies whose eliminated dynamics reproduce ``spec``.
+    """Rabi frequencies whose eliminated motional dynamics reproduce ``spec``.
 
     The matching fixes lambda * Omega / sqrt(kappa) per beam: the x pair
     carries the downward weight sqrt(gamma (1 +/- n)) (times mu, nu when
@@ -255,15 +289,7 @@ def match_rabi_frequencies(
     ``ADIABATIC_RATIO_FLOOR``, where the motional modes are no longer
     pinned next to their ground state.
     """
-    if lamb <= 0:
-        raise ValueError(f"Lamb-Dicke parameter must be > 0, got {lamb}")
-    if kappa <= 0:
-        raise ValueError(f"motional decay rate must be > 0, got {kappa}")
-    root_k = math.sqrt(kappa)
-    x1, x2, y1, y2 = (weight * root_k / lamb for weight in sideband_weights(spec))
-    ratio = adiabatic_ratio(lamb, ((kappa, x1, x2), (kappa, y1, y2)))
-    warn_if_not_adiabatic(ratio, "kappa")
-    return LaserSettings(x1, x2, y1, y2, regime_ratio=ratio)
+    return _match(spec, lamb, (kappa, kappa), "kappa")
 
 
 def effective_collapse_channels(
@@ -305,35 +331,38 @@ def slow_relaxation_rate(spec: ReservoirSpec) -> float:
     return 0.5 * (t_down + t_up)
 
 
-def _coupling_operators(
-    settings: LaserSettings, lamb: float
+def _couplings(
+    settings: LaserSettings, lower: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Rotating-frame couplings s_alpha = (lambda/2)(Omega_1 sm + Omega_2 sp)."""
-    sm, sp_ = sigma_minus(), sigma_plus()
-    s_x = (lamb / 2.0) * (settings.rabi_x1 * sm + settings.rabi_x2 * sp_)
-    s_y = (lamb / 2.0) * (settings.rabi_y1 * sm + settings.rabi_y2 * sp_)
-    return s_x, s_y
+    """Couplings s_alpha = (lambda/2)(Omega_{alpha,1} lower + Omega_{alpha,2}
+    lower^dag), one per beam pair."""
+    raising = lower.conj().T
+    r1, r2, r3, r4 = settings.rabi
+    s_1 = (settings.lamb / 2.0) * (r1 * lower + r2 * raising)
+    s_2 = (settings.lamb / 2.0) * (r3 * lower + r4 * raising)
+    return s_1, s_2
 
 
 def channels_from_settings(
-    settings: LaserSettings, lamb: float, kappa: float
+    settings: LaserSettings, lower: np.ndarray
 ) -> tuple[tuple[float, np.ndarray], ...]:
     """Eliminated dissipator channels produced by the laser drive.
 
-    Adiabatic elimination of the damped motional modes leaves each
-    coupling operator as a collapse channel with prefactor 2/kappa on its
-    double-sided dissipator, i.e. rate 4/kappa in the package convention.
-    When the settings come from :func:`match_rabi_frequencies` these
-    channels generate the same Liouvillian as
-    :func:`effective_collapse_channels`, elementwise.
+    ``lower`` is the lowering operator of the working substance,
+    :func:`sigma_minus` or :func:`destroy`.  Adiabatic elimination of the
+    fast system leaves each coupling operator as a collapse channel with
+    prefactor 2/rate on its double-sided dissipator, i.e. rate 4/rate in
+    the package convention.  For the two-level engine with settings from
+    :func:`match_rabi_frequencies` these channels generate the same
+    Liouvillian as :func:`effective_collapse_channels`, elementwise.
     """
-    s_x, s_y = _coupling_operators(settings, lamb)
-    return ((4.0 / kappa, s_x), (4.0 / kappa, s_y))
+    return tuple(
+        (4.0 / rate, coupling)
+        for rate, coupling in zip(settings.rates, _couplings(settings, lower))
+    )
 
 
-def full_interaction_hamiltonian(
-    settings: LaserSettings, lamb: float, n_max: int
-) -> np.ndarray:
+def full_interaction_hamiltonian(settings: LaserSettings, n_max: int) -> np.ndarray:
     """Joint electron-motion coupling in the interaction picture.
 
     H = sum_alpha (s_alpha a_alpha^dag + s_alpha^dag a_alpha) on the
@@ -344,7 +373,7 @@ def full_interaction_hamiltonian(
     if n_max < 2:
         raise ValueError(f"Fock truncation must be at least 2, got {n_max}")
     a = destroy(n_max)
-    s_x, s_y = _coupling_operators(settings, lamb)
+    s_x, s_y = _couplings(settings, sigma_minus())
     ident = np.eye(n_max, dtype=complex)
     h = np.kron(np.kron(s_x, a.conj().T), ident)
     h += np.kron(np.kron(s_y, ident), a.conj().T)
@@ -352,22 +381,15 @@ def full_interaction_hamiltonian(
     return h
 
 
-def full_joint_model(
-    spec: ReservoirSpec,
-    lamb: float,
-    kappa: float,
-    n_max: int,
-    settings: LaserSettings | None = None,
-) -> LindbladModel:
+def full_joint_model(settings: LaserSettings, n_max: int) -> LindbladModel:
     """Joint model: laser coupling plus motional decay on both modes."""
-    if settings is None:
-        settings = match_rabi_frequencies(spec, lamb, kappa)
     layout = SpaceLayout((2, n_max, n_max))
     a = destroy(n_max)
+    kappa_x, kappa_y = settings.rates
     return LindbladModel(
-        hamiltonian=full_interaction_hamiltonian(settings, lamb, n_max),
-        channels=((kappa, layout.embed(a, 1)), (kappa, layout.embed(a, 2))),
-        slow_rate=slow_relaxation_rate(spec),
+        hamiltonian=full_interaction_hamiltonian(settings, n_max),
+        channels=((kappa_x, layout.embed(a, 1)), (kappa_y, layout.embed(a, 2))),
+        slow_rate=slow_relaxation_rate(settings.target),
     )
 
 

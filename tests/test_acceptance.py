@@ -31,6 +31,7 @@ from ionotto.operators import (
     kron,
     number_op,
     partial_trace,
+    sigma_minus,
     vacuum_state,
 )
 from ionotto.oscillator import (
@@ -152,7 +153,7 @@ def test_criterion_2_matching_identity():
                 warnings.simplefilter("ignore", RuntimeWarning)
                 settings = match_rabi_frequencies(spec, lamb, kappa)
             lhs = liouvillian_matrix(
-                LindbladModel(h0, channels_from_settings(settings, lamb, kappa))
+                LindbladModel(h0, channels_from_settings(settings, sigma_minus()))
             )
             rhs = liouvillian_matrix(
                 LindbladModel(h0, effective_collapse_channels(spec))
@@ -165,7 +166,7 @@ def test_criterion_3_adiabatic_elimination_validity():
         lamb, n_max = 0.01, 6
 
         def reduced_full_state(spec: ReservoirSpec, kappa: float) -> np.ndarray:
-            model = full_joint_model(spec, lamb, kappa, n_max)
+            model = full_joint_model(match_rabi_frequencies(spec, lamb, kappa), n_max)
             layout = SpaceLayout((2, n_max, n_max))
             start = kron(
                 bath_reference_state(spec), vacuum_state(n_max), vacuum_state(n_max)

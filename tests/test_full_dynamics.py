@@ -24,6 +24,7 @@ from ionotto.reservoirs import (
     bath_steady_state,
     full_joint_model,
     gibbs_state,
+    match_rabi_frequencies,
     spec_theta,
     squeezed_gibbs_state,
 )
@@ -54,7 +55,7 @@ def effective_bath_state(spec: ReservoirSpec) -> np.ndarray:
 
 
 def full_bath_state(spec: ReservoirSpec, kappa: float, n_max: int = 6) -> np.ndarray:
-    model = full_joint_model(spec, 0.01, kappa, n_max)
+    model = full_joint_model(match_rabi_frequencies(spec, 0.01, kappa), n_max)
     layout = SpaceLayout((2, n_max, n_max))
     start = kron(effective_bath_state(spec), vacuum_state(n_max), vacuum_state(n_max))
     report = equilibrate(model, start)
@@ -218,7 +219,8 @@ class TestExcitationWindow:
         layout = SpaceLayout((2, fock_dim, fock_dim))
         vac = vacuum_state(fock_dim)
         for label, spec in (("cold", config.cold), ("hot", config.hot)):
-            model = full_joint_model(spec, config.lamb, kappa, fock_dim)
+            settings = match_rabi_frequencies(spec, config.lamb, kappa)
+            model = full_joint_model(settings, fock_dim)
             start = kron(effective_bath_state(spec), vac, vac)
             report = equilibrate(model, start, method="implicit")
             box = partial_trace(report.final_state, layout, keep=(0,))
@@ -241,7 +243,8 @@ class TestExcitationWindow:
             (config.cold, equilibria.hot_state, equilibria.cold_state),
         )
         for spec, other_bath_state, cached in strokes:
-            model = full_joint_model(spec, config.lamb, config.kappa, n_max)
+            settings = match_rabi_frequencies(spec, config.lamb, config.kappa)
+            model = full_joint_model(settings, n_max)
             start = kron(apply_transition_mixing(other_bath_state, xi), vac, vac)
             report = equilibrate(model, start, method="implicit")
             box = partial_trace(report.final_state, layout, keep=(0,))

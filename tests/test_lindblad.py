@@ -45,6 +45,7 @@ from ionotto.reservoirs import (
     ReservoirSpec,
     bath_steady_state,
     full_joint_model,
+    match_rabi_frequencies,
 )
 from ionotto.sweep import load_config
 from oracles import (
@@ -111,7 +112,7 @@ def sparse_joint_start():
     """A fock-4 box joint model (dim 32, past the dense size limit) and a
     start state with electronic coherence."""
     spec = ReservoirSpec.thermal(2 * np.pi * 1e-4, 0.8)
-    model = full_joint_model(spec, 0.01, 2 * np.pi, 4)
+    model = full_joint_model(match_rabi_frequencies(spec, 0.01, 2 * np.pi), 4)
     plus = 0.5 * np.ones((2, 2), dtype=complex)
     return model, kron(plus, thermal_state(4, 0.3), vacuum_state(4))
 
@@ -267,6 +268,8 @@ class TestEvolve:
         model, rho0 = sparse_joint_start()
         with pytest.raises(ValueError, match="implicit"):
             evolve(model, rho0, 0.3)
+        with pytest.raises(ValueError, match="implicit"):
+            evolve(model, rho0, 0.0)
         with pytest.raises(ValueError, match="implicit"):
             equilibrate(model, rho0, method="rk")
         with pytest.raises(ValueError, match="implicit"):
@@ -706,7 +709,7 @@ def full_space_backward_euler(model, rho0, change_tol=1e-8, budget=60):
 
 def squeezed_joint_model(n_max):
     spec = ReservoirSpec.squeezed_thermal(2 * np.pi * 1e-4, 0.4, 0.5)
-    return full_joint_model(spec, 0.01, 2 * np.pi, n_max)
+    return full_joint_model(match_rabi_frequencies(spec, 0.01, 2 * np.pi), n_max)
 
 
 class TestSectorRestriction:
@@ -747,7 +750,8 @@ class TestSectorRestriction:
     def test_sector_dim_of_shipped_panels(self, panel, sector_dim):
         cycle = load_config(CONFIG_DIR / f"{panel}.json").cycle
         n_max = cycle.fock_dim
-        model = full_joint_model(cycle.hot, cycle.lamb, cycle.kappa, n_max)
+        settings = match_rabi_frequencies(cycle.hot, cycle.lamb, cycle.kappa)
+        model = full_joint_model(settings, n_max)
         vac = vacuum_state(n_max)
         report = equilibrate(model, kron(ketbra(2, 1, 1), vac, vac))
         assert report.method == "implicit"

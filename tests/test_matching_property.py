@@ -15,6 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ionotto.lindblad import LindbladModel, liouvillian_matrix
+from ionotto.operators import sigma_minus
 from ionotto.reservoirs import (
     ADIABATIC_RATIO_FLOOR,
     ReservoirSpec,
@@ -55,7 +56,7 @@ def test_matched_channels_reproduce_the_bath(spec, lamb, ratio):
     assert matched.regime_ratio >= ADIABATIC_RATIO_FLOOR
     target = spec.bath_model
     lasers = LindbladModel(
-        target.hamiltonian, channels_from_settings(matched, lamb, kappa)
+        target.hamiltonian, channels_from_settings(matched, sigma_minus())
     )
     expected = liouvillian_matrix(target)
     defect = np.abs(liouvillian_matrix(lasers) - expected).max()

@@ -23,7 +23,6 @@ from ionotto.operators import (
     vacuum_state,
 )
 from ionotto.oscillator import (
-    ModeLaserSettings,
     VSystemConfig,
     effective_mode_model,
     full_v_model,
@@ -31,7 +30,7 @@ from ionotto.oscillator import (
     mode_collapse_channels,
     quadratic_mode_moments,
 )
-from ionotto.reservoirs import ReservoirSpec, match_rabi_frequencies
+from ionotto.reservoirs import LaserSettings, ReservoirSpec, match_rabi_frequencies
 
 TWO_PI = 2 * math.pi
 GAMMA_E = TWO_PI  # fast electronic decays
@@ -41,14 +40,14 @@ TARGET = TWO_PI * 2.5e-4  # effective mode decay rate, gamma / 4000
 TARGET_SQUEEZED = TWO_PI * 2e-4
 
 
-def v_config(settings: ModeLaserSettings, fock_dim: int = 20) -> VSystemConfig:
+def v_config(settings: LaserSettings, fock_dim: int = 20) -> VSystemConfig:
     return VSystemConfig(
         omega_ge=TWO_PI * 1e6,
         omega_gf=1.2 * TWO_PI * 1e6,
         omega_m=10 * TWO_PI,
         lamb=0.01,
-        gamma_ge=settings.gamma_ge,
-        gamma_gf=settings.gamma_gf,
+        gamma_ge=settings.rates[0],
+        gamma_gf=settings.rates[1],
         rabi=settings.rabi,
         fock_dim=fock_dim,
     )
@@ -58,8 +57,8 @@ class TestModeMatching:
     def test_pure_cooling_limit(self):
         spec = ReservoirSpec.thermal(TARGET, 0.0)
         settings = match_rabi_for_mode(spec, 0.01, GAMMA_E, GAMMA_E)
-        assert settings.rabi_ge1 > 0
-        assert settings.rabi_ge2 == settings.rabi_gf1 == settings.rabi_gf2 == 0.0
+        assert settings.rabi[0] > 0
+        assert settings.rabi[1] == settings.rabi[2] == settings.rabi[3] == 0.0
 
     def test_vanishing_squeezing_reduces_to_thermal(self):
         thermal = match_rabi_for_mode(
@@ -68,15 +67,25 @@ class TestModeMatching:
         squeezed = match_rabi_for_mode(
             ReservoirSpec.squeezed_thermal(TARGET, 0.6, 1e-14), 0.01, GAMMA_E, GAMMA_E
         )
-        assert abs(squeezed.rabi_ge1 - thermal.rabi_ge1) < 1e-6
-        assert squeezed.rabi_ge2 < 1e-8
-        assert squeezed.rabi_gf1 < 1e-8
-        assert abs(squeezed.rabi_gf2 - thermal.rabi_gf2) < 1e-6
+        assert abs(squeezed.rabi[0] - thermal.rabi[0]) < 1e-6
+        assert squeezed.rabi[1] < 1e-8
+        assert squeezed.rabi[2] < 1e-8
+        assert abs(squeezed.rabi[3] - thermal.rabi[3]) < 1e-6
 
     def test_inverted_bath_rejected(self):
         spec = ReservoirSpec.negative_temperature(TARGET, 0.8)
         with pytest.raises(ValueError):
             match_rabi_for_mode(spec, 0.01, GAMMA_E, GAMMA_E)
+
+    @pytest.mark.parametrize(
+        "lamb, gamma_ge, gamma_gf",
+        [(math.nan, GAMMA_E, GAMMA_E), (math.inf, GAMMA_E, GAMMA_E),
+         (0.01, math.inf, GAMMA_E), (0.01, GAMMA_E, math.nan), (0.01, 0.0, GAMMA_E)],
+    )
+    def test_rejects_non_finite_or_non_positive_inputs(self, lamb, gamma_ge, gamma_gf):
+        spec = ReservoirSpec.thermal(TARGET, 0.6)
+        with pytest.raises(ValueError, match="finite and > 0"):
+            match_rabi_for_mode(spec, lamb, gamma_ge, gamma_gf)
 
     def test_regime_ratio_at_reference_point(self):
         spec = ReservoirSpec.thermal(TARGET, 0.6)
@@ -160,21 +169,33 @@ class TestEffectiveModeModel:
         assert abs(a2_sim - a2_oracle) < 1e-6
         assert abs(a2_sim) > 0.5  # squeezing leaves a large anomalous moment
 
+    @pytest.mark.parametrize(
+        "other",
+        [ReservoirSpec.thermal(TARGET, 0.7),
+         ReservoirSpec.squeezed_thermal(TARGET, 0.6, 0.1)],
+        ids=["occupation", "squeezing"],
+    )
+    def test_rejects_spec_other_than_the_matched_one(self, other):
+        # same gamma as the matched bath, different occupation or squeezing
+        settings = match_rabi_for_mode(
+            ReservoirSpec.thermal(TARGET, 0.6), 0.01, GAMMA_E, GAMMA_E
+        )
+        with pytest.raises(ValueError, match="different bath"):
+            effective_mode_model(other, settings, 8)
+
     def test_all_lasers_off_degenerate(self):
         spec = ReservoirSpec.thermal(TARGET, 0.6)
-        settings = ModeLaserSettings(
-            0.0, 0.0, 0.0, 0.0,
-            lamb=0.01, gamma_ge=GAMMA_E, gamma_gf=GAMMA_E,
-            target_rate=TARGET, regime_ratio=math.inf,
+        settings = LaserSettings(
+            spec, lamb=0.01, rates=(GAMMA_E, GAMMA_E),
+            rabi=(0.0, 0.0, 0.0, 0.0), regime_ratio=math.inf,
         )
         with pytest.raises(DegenerateSteadyStateError):
             steady_state(effective_mode_model(spec, settings, 6))
 
     def test_gain_dominated_moments_rejected(self):
-        settings = ModeLaserSettings(
-            0.0, 0.0, 0.0, 100.0,
-            lamb=0.01, gamma_ge=GAMMA_E, gamma_gf=GAMMA_E,
-            target_rate=TARGET, regime_ratio=math.inf,
+        settings = LaserSettings(
+            ReservoirSpec.thermal(TARGET, 0.6), lamb=0.01, rates=(GAMMA_E, GAMMA_E),
+            rabi=(0.0, 0.0, 0.0, 100.0), regime_ratio=math.inf,
         )
         with pytest.raises(ValueError):
             quadratic_mode_moments(mode_collapse_channels(settings, 6))
@@ -198,6 +219,13 @@ class TestFullVModel:
         with pytest.raises(ValueError, match=field):
             full_v_model(replace(config, **{field: value}), settings, 8)
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -1.0])
+    def test_config_rejects_rabi_that_is_not_finite_and_nonnegative(self, bad):
+        spec = ReservoirSpec.thermal(TARGET, 0.6)
+        config = v_config(match_rabi_for_mode(spec, 0.01, GAMMA_E, GAMMA_E), 8)
+        with pytest.raises(ValueError, match="Rabi"):
+            replace(config, rabi=(bad, *config.rabi[1:]))
+
     def test_hamiltonian_hermitian(self):
         spec = ReservoirSpec.squeezed_thermal(TARGET_SQUEEZED, 0.4, 0.5)
         settings = match_rabi_for_mode(spec, 0.01, GAMMA_E, GAMMA_E)
@@ -206,10 +234,9 @@ class TestFullVModel:
         assert np.abs(h - h.conj().T).max() <= 1e-14
 
     def test_lasers_off_pure_electronic_decay(self):
-        settings = ModeLaserSettings(
-            0.0, 0.0, 0.0, 0.0,
-            lamb=0.01, gamma_ge=GAMMA_E, gamma_gf=GAMMA_E,
-            target_rate=TARGET, regime_ratio=math.inf,
+        settings = LaserSettings(
+            ReservoirSpec.thermal(TARGET, 0.6), lamb=0.01, rates=(GAMMA_E, GAMMA_E),
+            rabi=(0.0, 0.0, 0.0, 0.0), regime_ratio=math.inf,
         )
         fock = 4
         model = full_v_model(v_config(settings, fock), settings, fock)

@@ -1,11 +1,12 @@
 import math
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 from ionotto.lindblad import LindbladModel, expectation, steady_state
-from ionotto.operators import SpaceLayout, ketbra, sigma_z
+from ionotto.operators import SpaceLayout, ketbra, sigma_minus, sigma_z
 from ionotto.reservoirs import (
     BathKind,
     ReservoirSpec,
@@ -34,6 +35,18 @@ class TestSpecInvariants:
         with pytest.raises(ValueError):
             ReservoirSpec.negative_temperature(1.0, 1.0)
         ReservoirSpec.negative_temperature(1.0, 0.8)
+
+    @pytest.mark.parametrize(
+        "build, args",
+        [("thermal", (1.0, math.nan)), ("thermal", (1.0, math.inf)),
+         ("squeezed_thermal", (1.0, math.nan, 0.5)),
+         ("squeezed_thermal", (1.0, 0.4, math.nan)),
+         ("squeezed_thermal", (1.0, 0.4, math.inf))],
+    )
+    def test_rejects_non_finite_occupation_or_squeezing(self, build, args):
+        # such a spec would match to NaN or inf Rabi frequencies
+        with pytest.raises(ValueError, match="finite"):
+            getattr(ReservoirSpec, build)(*args)
 
     def test_squeezed_requires_positive_r(self):
         with pytest.raises(ValueError):
@@ -89,8 +102,8 @@ class TestMatching:
         spec = ReservoirSpec.thermal(1.0, 0.0)
         with pytest.warns(RuntimeWarning, match="adiabatic elimination"):
             settings = match_rabi_frequencies(spec, 0.01, 2 * math.pi)
-        assert abs(settings.rabi_x1 - math.sqrt(2 * math.pi) / 0.01) < 1e-9
-        assert settings.rabi_x2 == settings.rabi_y1 == settings.rabi_y2 == 0.0
+        assert abs(settings.rabi[0] - math.sqrt(2 * math.pi) / 0.01) < 1e-9
+        assert settings.rabi[1] == settings.rabi[2] == settings.rabi[3] == 0.0
 
     def test_squeezed_reduces_to_thermal_as_r_vanishes(self):
         gamma, n, lamb, kappa = 6.3e-4, 0.7, 0.01, 2 * math.pi
@@ -98,16 +111,25 @@ class TestMatching:
         squeezed = match_rabi_frequencies(
             ReservoirSpec.squeezed_thermal(gamma, n, 1e-14), lamb, kappa
         )
-        assert abs(squeezed.rabi_x1 - thermal.rabi_x1) < 1e-6
-        assert squeezed.rabi_x2 < 1e-8
-        assert squeezed.rabi_y1 < 1e-8
-        assert abs(squeezed.rabi_y2 - thermal.rabi_y2) < 1e-6
+        assert abs(squeezed.rabi[0] - thermal.rabi[0]) < 1e-6
+        assert squeezed.rabi[1] < 1e-8
+        assert squeezed.rabi[2] < 1e-8
+        assert abs(squeezed.rabi[3] - thermal.rabi[3]) < 1e-6
 
     def test_regime_warning_when_kappa_small(self):
         spec = ReservoirSpec.thermal(0.1, 0.6)
         with pytest.warns(RuntimeWarning):
             settings = match_rabi_frequencies(spec, 0.01, 1.0)
         assert settings.regime_ratio < 50
+
+    @pytest.mark.parametrize(
+        "lamb, kappa",
+        [(math.nan, 2 * math.pi), (math.inf, 2 * math.pi), (0.0, 2 * math.pi),
+         (0.01, math.nan), (0.01, math.inf), (0.01, -1.0)],
+    )
+    def test_rejects_non_finite_or_non_positive_inputs(self, lamb, kappa):
+        with pytest.raises(ValueError, match="finite and > 0"):
+            match_rabi_frequencies(ReservoirSpec.thermal(1e-3, 0.5), lamb, kappa)
 
     def test_paper_point_ratio(self):
         spec = ReservoirSpec.thermal(2 * math.pi * 1e-4, 1.2)
@@ -138,7 +160,7 @@ class TestMatching:
                 warnings.simplefilter("ignore", RuntimeWarning)
                 settings = match_rabi_frequencies(spec, lamb, kappa)
             from_lasers = liouvillian_matrix(
-                LindbladModel(H2, channels_from_settings(settings, lamb, kappa))
+                LindbladModel(H2, channels_from_settings(settings, sigma_minus()))
             )
             target = liouvillian_matrix(
                 LindbladModel(H2, effective_collapse_channels(spec))
@@ -204,24 +226,30 @@ class TestFullInteraction:
     def test_all_off_gives_zero(self):
         spec = ReservoirSpec.thermal(1e-3, 0.0)
         settings = match_rabi_frequencies(spec, 0.01, 2 * math.pi)
-        zeroed = type(settings)(0.0, 0.0, 0.0, 0.0, regime_ratio=math.inf)
-        h = full_interaction_hamiltonian(zeroed, 0.01, 3)
+        zeroed = replace(settings, rabi=(0.0, 0.0, 0.0, 0.0), regime_ratio=math.inf)
+        h = full_interaction_hamiltonian(zeroed, 3)
         assert np.abs(h).max() == 0.0
 
     def test_hermitian_by_construction(self):
         rng = np.random.default_rng(3)
         from ionotto.reservoirs import LaserSettings
 
-        settings = LaserSettings(*rng.uniform(0, 5, size=4), regime_ratio=100.0)
-        h = full_interaction_hamiltonian(settings, 0.02, 4)
+        settings = LaserSettings(
+            ReservoirSpec.thermal(1e-3, 0.5), 0.02, (2 * math.pi, 2 * math.pi),
+            tuple(rng.uniform(0, 5, size=4)), regime_ratio=100.0,
+        )
+        h = full_interaction_hamiltonian(settings, 4)
         assert np.abs(h - h.conj().T).max() <= 1e-14
 
     def test_single_sideband_coupling_element(self):
         from ionotto.reservoirs import LaserSettings
 
         lamb, rabi = 0.01, 7.0
-        settings = LaserSettings(rabi, 0.0, 0.0, 0.0, regime_ratio=100.0)
-        h = full_interaction_hamiltonian(settings, lamb, 2)
+        settings = LaserSettings(
+            ReservoirSpec.thermal(1e-3, 0.5), lamb, (2 * math.pi, 2 * math.pi),
+            (rabi, 0.0, 0.0, 0.0), regime_ratio=100.0,
+        )
+        h = full_interaction_hamiltonian(settings, 2)
         layout = SpaceLayout((2, 2, 2))
         # couples |e,0,ny> <-> |g,1,ny> with element lambda Omega / 2,
         # acting as the identity on the y mode
@@ -240,7 +268,7 @@ class TestFullInteraction:
         spec = ReservoirSpec.thermal(1e-3, 0.5)
         settings = match_rabi_frequencies(spec, 0.01, 2 * math.pi)
         with pytest.raises(ValueError):
-            full_interaction_hamiltonian(settings, 0.01, 1)
+            full_interaction_hamiltonian(settings, 1)
 
 
 class TestGibbsStates:
@@ -274,7 +302,7 @@ class TestGibbsStates:
 class TestFullJointModel:
     def test_channels_and_layout(self):
         spec = ReservoirSpec.thermal(2 * math.pi * 1e-4, 1.2)
-        model = full_joint_model(spec, 0.01, 2 * math.pi, 4)
+        model = full_joint_model(match_rabi_frequencies(spec, 0.01, 2 * math.pi), 4)
         assert model.dim == 2 * 4 * 4
         assert len(model.channels) == 2
         assert all(rate == 2 * math.pi for rate, _ in model.channels)

@@ -319,6 +319,20 @@ class TestGoldenCsv:
         assert out.read_bytes() == (GOLDEN_DIR / f"{name}.csv").read_bytes()
 
 
+class TestGoldenValidate:
+    """``ionotto validate`` on the shipped configs prints the committed
+    report byte for byte, Rabi frequencies and matching-identity defects
+    of both baths included."""
+
+    @pytest.mark.parametrize("name", ["fig2a", "fig2b", "fig2c"])
+    def test_matches_golden(self, capsys, monkeypatch, name):
+        # the report names the config path as given on the command line
+        monkeypatch.chdir(CONFIG_DIR.parent)
+        assert main(["validate", f"configs/{name}.json"]) == 0
+        report = capsys.readouterr().out.encode("utf-8")
+        assert report == (GOLDEN_DIR / f"validate_{name}.txt").read_bytes()
+
+
 class TestEmitCsv:
     def test_header_and_otto_value(self, tmp_path):
         result = run_sweep(closed_form_sweep(tmp_path, xi_grid=(0.0,)))
