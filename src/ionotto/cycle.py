@@ -452,7 +452,7 @@ def _joint_bath_stroke(
         channels=tuple((rate, op[kept]) for rate, op in model.channels),
         slow_rate=model.slow_rate,
     )
-    report = equilibrate(restricted, joint0[kept], method="implicit")
+    report = equilibrate(restricted, joint0[kept])
     final = np.zeros_like(joint0)
     final[kept] = report.final_state
     reduced = partial_trace(final, layout, keep=(0,))

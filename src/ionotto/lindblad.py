@@ -45,8 +45,11 @@ __all__ = [
 
 # Largest model dimension whose generator is stored dense.  Larger models
 # (the joint ion models) are big and very sparse: their generator is
-# stored sparse and ``equilibrate``'s ``auto`` steps them implicitly.
+# stored sparse and ``equilibrate`` steps them implicitly.
 _DENSE_MAX_DIM = 24
+# A dense model whose ``window_stiffness`` exceeds this is stiff: the joint
+# and V models measure 5.9e4 or more, the effective ones at most 2.1e3.
+_STIFF_WINDOW = 1e4
 # Accepted-step budget of one ``evolve`` call.
 _MAX_STEPS = 2_000_000
 # Relative and absolute per-step error targets of every ``rk`` step.
@@ -133,6 +136,12 @@ class LindbladModel:
     def generator(self):
         """:func:`liouvillian_matrix`, sparse for dim > ``_DENSE_MAX_DIM``."""
         return liouvillian_matrix(self, sparse=self.dim > _DENSE_MAX_DIM)
+
+    @cached_property
+    def window_stiffness(self) -> float:
+        """How many of its fastest time scales a window spans: 5 / slow_rate
+        times the Gershgorin bound max_i sum_j |L_ij| of the generator."""
+        return _slowest_window(self) * float(np.abs(self.generator).sum(axis=1).max())
 
 
 @dataclass(frozen=True)
@@ -317,26 +326,14 @@ def _products(gen, y: np.ndarray, yi: np.ndarray, k: np.ndarray, err_vec: np.nda
     )
 
 
-def _dense_generator(model: LindbladModel) -> np.ndarray:
-    """The generator rk stepping runs on: a model past ``_DENSE_MAX_DIM``,
-    whose generator is sparse, raises ``ValueError``."""
-    if model.dim > _DENSE_MAX_DIM:
-        raise ValueError(
-            f"rk stepping needs a dense generator (model dim <= {_DENSE_MAX_DIM}); "
-            'relax larger models with equilibrate(method="implicit")'
-        )
-    return model.generator
-
-
 def _dormand_prince(gen, y: np.ndarray, t: float) -> list[tuple[np.ndarray, int, float]]:
     """Integrate each lane (row) of the vectorized states ``y`` to ``t``.
 
     Each step's local error stays below rtol ``_RK_RTOL`` and atol
-    ``_RK_ATOL``.  ``gen`` is a dense generator, from
-    :func:`_dense_generator`.  The lanes share the generator and nothing
-    else: each has its own step size, time, accept/reject decision and
-    step count, and its step control runs on Python floats, so every lane
-    gets the bits that it gets alone.  A lane that reaches ``t`` leaves
+    ``_RK_ATOL``.  ``gen`` is a dense generator.  The lanes share it and
+    nothing else: each has its own step size, time, accept/reject decision
+    and step count, and its step control runs on Python floats, so every
+    lane gets the bits that it gets alone.  A lane that reaches ``t`` leaves
     the batch.  Returns each lane's final (d, d) state, accepted steps
     and largest trace drift, in lane order.
     """
@@ -492,7 +489,11 @@ def evolve(model: LindbladModel, rho0: np.ndarray, t: float) -> EvolutionReport:
     """
     if not (0.0 <= t < math.inf):
         raise ValueError(f"evolution time must be finite and >= 0, got {t}")
-    gen = _dense_generator(model)
+    if model.dim > _DENSE_MAX_DIM:
+        raise ValueError(
+            f"rk stepping needs a dense generator (model dim <= {_DENSE_MAX_DIM}); "
+            "equilibrate() relaxes larger models with implicit windows"
+        )
     rho = _check_state(rho0, model.dim)
     if t == 0.0:
         return EvolutionReport(
@@ -503,7 +504,7 @@ def evolve(model: LindbladModel, rho0: np.ndarray, t: float) -> EvolutionReport:
         )
     # step control runs on Python floats
     ((final, steps, drift),) = _dormand_prince(
-        gen, rho.reshape(1, -1).copy(), float(t)
+        model.generator, rho.reshape(1, -1).copy(), float(t)
     )
     return EvolutionReport(
         final_state=final,
@@ -591,6 +592,16 @@ def _slowest_window(model: LindbladModel) -> float:
     return _WINDOW_SPAN / model.slow_rate
 
 
+def _stepper(model: LindbladModel) -> str:
+    """The window stepper of :func:`equilibrate`: ``implicit`` for a sparse
+    generator (dim > ``_DENSE_MAX_DIM``; no stiffness is computed) or a
+    stiff window (``window_stiffness`` above ``_STIFF_WINDOW``), where rk
+    would take tens of thousands of steps per window; ``rk`` otherwise."""
+    if model.dim > _DENSE_MAX_DIM or model.window_stiffness > _STIFF_WINDOW:
+        return "implicit"
+    return "rk"
+
+
 def _windows(
     advance: Callable[[list[np.ndarray]], list[tuple[np.ndarray, int, float]]],
     rhos: Sequence[np.ndarray],
@@ -664,7 +675,6 @@ def equilibrate(
     rho0: np.ndarray,
     *,
     change_tol: float = _CHANGE_TOL,
-    method: str = "auto",
 ) -> EquilibrationReport:
     """Relax toward the stationary state in windows of fixed duration.
 
@@ -672,36 +682,32 @@ def equilibrate(
     below ``change_tol``, which must be finite and > 0.  The window is
     5 / slow_rate of the model, so the binding criterion is the window
     test rather than the horizon; a model without ``slow_rate`` is
-    rejected.  The budget is fixed per method: 8 ``rk`` or 60
+    rejected.  The budget is fixed per stepper: 8 ``rk`` or 60
     ``implicit`` windows.  As ||A||_F <= ||A||_1, a window whose change
     has a Frobenius norm above ``change_tol`` cannot pass and skips
     :func:`trace_norm`'s eigenvalues.
 
-    Two window steppers are available.  ``rk`` integrates each window
-    with :func:`evolve`, so it runs only on dense generators.
-    ``implicit`` advances with backward-Euler macro-steps: one sparse LU
-    of I - dt L, with L the model's cached generator in CSR form,
-    restricted to the components of L that hold the trace or the start
-    state, then one triangular solve per window.  Entries outside those
-    components stay exactly zero, so the restriction changes neither the
-    fixed point nor the window count; ``sector_dim`` reports the size of
-    the solved system.  The scheme is L-stable, damps the fast motional
-    scales regardless of stiffness, and shares the exact fixed point
-    L rho = 0 with the true dynamics, which is the quantity every caller
-    extracts.  ``auto`` picks ``implicit`` for dim > ``_DENSE_MAX_DIM``
-    (the models whose generator is sparse, on which ``rk`` raises
-    ``ValueError``), where the rate separation of the joint ion models
-    makes explicit stepping take minutes, and ``rk`` otherwise.  The
-    excitation-window joint models of the full-cycle bath strokes can be
-    smaller than that (dim 20 at fock_dim 4) yet are just as stiff, so
-    those strokes pass ``implicit`` explicitly.
+    :func:`_stepper` picks the window stepper from the model, and the
+    report's ``method`` names it.  The eliminated decays of the joint and
+    V models are fast against the engineered bath, so those models step
+    ``implicit`` and the effective ones ``rk``.
+
+    ``rk`` integrates each window with :func:`evolve`.  ``implicit``
+    advances with backward-Euler macro-steps: one sparse LU of I - dt L,
+    with L the model's cached generator in CSR form, restricted to the
+    components of L that hold the trace or the start state, then one
+    triangular solve per window.  Entries outside those components stay
+    exactly zero, so the restriction changes neither the fixed point nor
+    the window count; ``sector_dim`` reports the size of the solved
+    system.  The scheme is L-stable, damps the fast motional scales
+    regardless of stiffness, and shares the exact fixed point L rho = 0
+    with the true dynamics, which is the quantity every caller extracts.
     """
     if not (0.0 < change_tol < math.inf):
         raise ValueError(f"change_tol must be finite and > 0, got {change_tol}")
     dt = _slowest_window(model)
     rho = _check_state(rho0, model.dim)
-    if method == "auto":
-        method = "implicit" if model.dim > _DENSE_MAX_DIM else "rk"
+    method = _stepper(model)
     if method == "rk":
 
         def advance(states: list[np.ndarray]) -> list[tuple[np.ndarray, int, float]]:
@@ -711,7 +717,7 @@ def equilibrate(
         budget = _RK_WINDOWS
         liou = model.generator
         sector_dim = model.dim**2
-    elif method == "implicit":
+    else:
         budget = _IMPLICIT_WINDOWS
         liou = sp.csr_matrix(model.generator)
         sector = _state_sector(liou, rho.reshape(-1), model.dim)
@@ -730,42 +736,35 @@ def equilibrate(
             mat = 0.5 * (mat + mat.conj().T)
             return [(mat, 1, float(abs(np.trace(mat) - 1.0)))]
 
-    else:
-        raise ValueError(f"unknown equilibration method {method!r}")
-    (report,) = _windows(
-        advance, [rho], budget, change_tol, method, dt, liou, sector_dim
-    )
+    (report,) = _windows(advance, [rho], budget, change_tol, method, dt, liou, sector_dim)
     return report
 
 
 def equilibrate_lanes(
     model: LindbladModel, rhos: Sequence[np.ndarray]
 ) -> list[EquilibrationReport]:
-    """:func:`equilibrate` with ``rk`` windows from many start states at once.
+    """:func:`equilibrate` from many start states at once, on a model that
+    it steps with ``rk``; any other model raises ``ValueError``.
 
     The states run as lanes of one Dormand-Prince loop: each lane keeps
     its own step size, time, step decisions, window count and window
-    test, so its report equals ``equilibrate(model, rho, method="rk")``
-    bit for bit, while the numpy calls of a step serve all the lanes.
-    The first failure of any lane raises; which lane's error that is may
-    differ from a one-by-one run.
+    test, so its report equals ``equilibrate(model, rho)`` bit for bit,
+    while the numpy calls of a step serve all the lanes.  The first
+    failure of any lane raises; which lane's error that is may differ
+    from a one-by-one run.
     """
     dt = _slowest_window(model)
+    if _stepper(model) != "rk":
+        raise ValueError(
+            "equilibrate_lanes steps with rk only, and this model is sparse or "
+            "stiff: relax it with equilibrate(), which steps it with implicit windows"
+        )
     dim = model.dim
-    gen = _dense_generator(model)
+    gen = model.generator
 
     def advance(states: list[np.ndarray]) -> list[tuple[np.ndarray, int, float]]:
         # each window start, the first too, passes the checks evolve makes
         lanes = np.stack([_check_state(rho, dim).reshape(-1) for rho in states])
         return _dormand_prince(gen, lanes, dt)
 
-    return _windows(
-        advance,
-        rhos,
-        _RK_WINDOWS,
-        _CHANGE_TOL,
-        "rk",
-        dt,
-        gen,
-        dim**2,
-    )
+    return _windows(advance, rhos, _RK_WINDOWS, _CHANGE_TOL, "rk", dt, gen, dim**2)

@@ -18,6 +18,7 @@ populations are unaffected by that frame choice.
 from __future__ import annotations
 
 import math
+import sys
 import warnings
 from dataclasses import dataclass
 from enum import Enum
@@ -47,11 +48,16 @@ __all__ = [
     "gibbs_state",
     "squeezed_gibbs_state",
     "ADIABATIC_RATIO_FLOOR",
+    "MAX_SQUEEZING",
 ]
 
 # Below this ratio of kappa to the strongest sideband coupling the
 # adiabatic elimination degrades visibly.
 ADIABATIC_RATIO_FLOOR = 50.0
+
+# Largest squeezing r whose bath rates stay finite: they scale with
+# mu^2 + nu^2 = cosh(2 r), which overflows past r = 355.24.
+MAX_SQUEEZING = 0.5 * math.acosh(sys.float_info.max)
 
 
 class BathKind(str, Enum):
@@ -105,6 +111,11 @@ class ReservoirSpec:
             if self.squeezing <= 0:
                 raise ValueError(
                     f"squeezed thermal bath requires squeezing > 0, got {self.squeezing}"
+                )
+            if self.squeezing > MAX_SQUEEZING:
+                raise ValueError(
+                    f"squeezing {self.squeezing} overflows the bath rates: cosh(2 r) "
+                    f"= mu^2 + nu^2 must stay finite, so r <= {MAX_SQUEEZING:.5g}"
                 )
         else:  # a kind that is no BathKind member, such as a plain string
             raise ValueError(f"unknown bath kind {self.kind}")

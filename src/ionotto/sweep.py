@@ -29,7 +29,7 @@ from .cycle import (
     run_cycle_effective_grid,
     run_cycle_full,
 )
-from .reservoirs import BathKind, ReservoirSpec
+from .reservoirs import MAX_SQUEEZING, BathKind, ReservoirSpec
 
 __all__ = [
     "ConfigError",
@@ -202,7 +202,9 @@ def _reservoir(node: Mapping[str, Any], where: str) -> ReservoirSpec:
     try:
         return ReservoirSpec(kind, gamma, n_occ, squeezing)
     except ValueError as exc:
-        raise ConfigError(f"{where}: {exc}") from exc
+        # a squeezing that overflows the bath rates is wrong for every kind
+        at = f"{where}.squeezing" if squeezing > MAX_SQUEEZING else where
+        raise ConfigError(f"{at}: {exc}") from exc
 
 
 def load_config(path: str | Path) -> SweepConfig:
@@ -240,45 +242,43 @@ def load_config(path: str | Path) -> SweepConfig:
             kappa=_quantity(engine, "kappa", "engine", _FREQUENCY_UNITS),
             cold=_reservoir(document["cold"], "cold"),
             hot=_reservoir(document["hot"], "hot"),
-            fock_dim=_integer(engine, "fock_dim", "engine", default=6),
+            fock_dim=_integer(engine, "fock_dim", "engine", default=CycleConfig.fock_dim),
         )
     except ValueError as exc:
         raise ConfigError(f"{path}: {exc}") from exc
 
-    xi_grid: tuple[float, ...] = tuple(np.linspace(0.0, 0.5, 41))
+    sweep = _require_mapping(document.get("sweep", {}), "sweep")
+    _reject_unknown(sweep, ("xi_grid", "xi_points", "xi_max", "modes", "output"), "sweep")
+    if "xi_grid" in sweep and ("xi_points" in sweep or "xi_max" in sweep):
+        raise ConfigError("sweep: give either xi_grid or xi_points/xi_max, not both")
+    if "xi_grid" in sweep:
+        grid = sweep["xi_grid"]
+        if not isinstance(grid, list) or not all(
+            isinstance(x, (int, float)) and not isinstance(x, bool) for x in grid
+        ):
+            raise ConfigError("sweep.xi_grid: expected a list of numbers")
+        xi_grid = tuple(grid)
+    else:
+        xi_grid = _xi_linspace(
+            0.0,
+            _number(sweep.get("xi_max", 0.5), "sweep.xi_max"),
+            _integer(sweep, "xi_points", "sweep", default=41),
+            "sweep.xi_points",
+        )
     modes: tuple[CycleMode, ...] = (CycleMode.CLOSED_FORM,)
+    if "modes" in sweep:
+        entries = sweep["modes"]
+        if not isinstance(entries, list) or not entries:
+            raise ConfigError("sweep.modes: expected a nonempty list of mode names")
+        try:
+            modes = parse_modes(entries)
+        except ConfigError as exc:
+            raise ConfigError(f"sweep.modes: {exc}") from None
     output: Path | None = None
-    if "sweep" in document:
-        sweep = _require_mapping(document["sweep"], "sweep")
-        _reject_unknown(sweep, ("xi_grid", "xi_points", "xi_max", "modes", "output"), "sweep")
-        if "xi_grid" in sweep and ("xi_points" in sweep or "xi_max" in sweep):
-            raise ConfigError("sweep: give either xi_grid or xi_points/xi_max, not both")
-        if "xi_grid" in sweep:
-            grid = sweep["xi_grid"]
-            if not isinstance(grid, list) or not all(
-                isinstance(x, (int, float)) and not isinstance(x, bool) for x in grid
-            ):
-                raise ConfigError("sweep.xi_grid: expected a list of numbers")
-            xi_grid = tuple(grid)
-        elif "xi_points" in sweep or "xi_max" in sweep:
-            xi_grid = _xi_linspace(
-                0.0,
-                _number(sweep.get("xi_max", 0.5), "sweep.xi_max"),
-                _integer(sweep, "xi_points", "sweep", default=41),
-                "sweep.xi_points",
-            )
-        if "modes" in sweep:
-            entries = sweep["modes"]
-            if not isinstance(entries, list) or not entries:
-                raise ConfigError("sweep.modes: expected a nonempty list of mode names")
-            try:
-                modes = parse_modes(entries)
-            except ConfigError as exc:
-                raise ConfigError(f"sweep.modes: {exc}") from None
-        if "output" in sweep:
-            if not isinstance(sweep["output"], str):
-                raise ConfigError("sweep.output: expected a path string")
-            output = Path(sweep["output"])
+    if "output" in sweep:
+        if not isinstance(sweep["output"], str):
+            raise ConfigError("sweep.output: expected a path string")
+        output = Path(sweep["output"])
     return SweepConfig(cycle=cycle, xi_grid=xi_grid, modes=modes, output_path=output)
 
 

@@ -17,7 +17,6 @@ import scipy.sparse.linalg as spla
 
 from ionotto.cycle import CycleConfig, prepare_bath_equilibria
 from ionotto.lindblad import (
-    _DENSE_MAX_DIM,
     _IMPLICIT_WINDOWS,
     _MAX_STEPS,
     _RK_ATOL,
@@ -32,6 +31,7 @@ from ionotto.lindblad import (
     _check_state,
     _slowest_window,
     _state_sector,
+    _stepper,
     evolve,
     liouvillian_matrix,
     trace_norm,
@@ -376,7 +376,7 @@ def reference_window_loop(
     rho0: np.ndarray,
     *,
     change_tol: float = 1e-8,
-    method: str = "auto",
+    method: str | None = None,
 ) -> EquilibrationReport:
     """Window-based relaxation that takes the exact trace norm every window.
 
@@ -384,11 +384,12 @@ def reference_window_loop(
     pre-test, with a generator built per call: ``equilibrate`` skips the
     eigenvalue decomposition on windows that cannot pass and must report
     the same windows, changes, residuals and states bit for bit.
+    ``method`` forces ``rk`` or ``implicit`` windows; by default the loop
+    takes the stepper that ``equilibrate`` picks for the model.
     """
     dt = _slowest_window(model)
     rho = _check_state(rho0, model.dim)
-    if method == "auto":
-        method = "implicit" if model.dim > _DENSE_MAX_DIM else "rk"
+    method = method or _stepper(model)
     if method == "rk":
 
         def advance(rho: np.ndarray) -> tuple[np.ndarray, int, float]:

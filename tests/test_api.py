@@ -38,7 +38,7 @@ def test_submodule_exports_resolve(module_name):
     "function, parameters",
     [
         ("evolve", "(model, rho0, t)"),
-        ("equilibrate", "(model, rho0, *, change_tol, method)"),
+        ("equilibrate", "(model, rho0, *, change_tol)"),
         ("equilibrate_lanes", "(model, rhos)"),
         ("_dormand_prince", "(gen, y, t)"),
         # the model builders read lamb, the rates and the target bath from

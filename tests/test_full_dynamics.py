@@ -222,7 +222,7 @@ class TestExcitationWindow:
             settings = match_rabi_frequencies(spec, config.lamb, kappa)
             model = full_joint_model(settings, fock_dim)
             start = kron(effective_bath_state(spec), vac, vac)
-            report = equilibrate(model, start, method="implicit")
+            report = equilibrate(model, start)
             box = partial_trace(report.final_state, layout, keep=(0,))
             assert np.abs(getattr(equilibria, f"{label}_state") - box).max() <= tol
             assert equilibria.diagnostics[f"{label}_windows"] == report.windows
@@ -246,7 +246,7 @@ class TestExcitationWindow:
             settings = match_rabi_frequencies(spec, config.lamb, config.kappa)
             model = full_joint_model(settings, n_max)
             start = kron(apply_transition_mixing(other_bath_state, xi), vac, vac)
-            report = equilibrate(model, start, method="implicit")
+            report = equilibrate(model, start)
             box = partial_trace(report.final_state, layout, keep=(0,))
             assert np.abs(box - cached).max() <= 1e-8
 
@@ -261,8 +261,9 @@ class TestExcitationWindow:
             assert diagnostics[f"{label}_rhs_residual"] < 1e-10
             assert 0 < diagnostics[f"{label}_sector_dim"] <= window_dim**2
 
-    def test_bath_solves_stay_implicit_below_auto_threshold(self, monkeypatch):
-        # the fock-4 window has dimension 20, where method="auto" picks rk
+    def test_bath_solves_stay_implicit_below_the_sparse_size(self, monkeypatch):
+        # the fock-4 window has dimension 20, so its generator is dense, but
+        # its window is stiff
         reports = []
 
         def spy(*args, **kwargs):

@@ -6,8 +6,9 @@ stationary state, which passes the first window and whose oversized first
 step is rejected, or a random pure, mixed or diagonal state, which takes
 several windows.  ``_dormand_prince`` on the stacked starts must return,
 per lane, the state bytes, step count and trace drift of ``evolve``;
-``equilibrate_lanes`` must return ``equilibrate``'s ``rk`` report field
-for field, or raise when a single run raises.
+``equilibrate_lanes`` must return ``equilibrate``'s report field for
+field, or raise when a single run raises, and refuse a model whose window
+is stiff, which ``equilibrate`` steps implicitly.
 """
 
 import numpy as np
@@ -21,6 +22,7 @@ from ionotto.lindblad import (
     DegenerateSteadyStateError,
     LindbladModel,
     _dormand_prince,
+    _stepper,
     equilibrate,
     equilibrate_lanes,
     evolve,
@@ -91,10 +93,14 @@ def test_lanes_match_single_evolve(case, fraction):
 @given(case=lane_cases())
 def test_lanes_match_single_equilibrate(case):
     model, starts = case
+    if _stepper(model) != "rk":
+        with pytest.raises(ValueError, match="stiff"):
+            equilibrate_lanes(model, starts)
+        return
     singles = []
     for rho in starts:
         try:
-            singles.append(equilibrate(model, rho, method="rk"))
+            singles.append(equilibrate(model, rho))
         except (ArithmeticError, ValueError, RuntimeError) as exc:
             singles.append(exc)
     failures = [type(s) for s in singles if isinstance(s, Exception)]

@@ -127,6 +127,14 @@ def thermal_two_level_model(gamma, n):
     )
 
 
+def two_level_model(method):
+    """:func:`thermal_two_level_model` that ``equilibrate`` steps with
+    ``method``: for ``implicit`` its slow rate is 1e4 times too small, so
+    that one window spans 1.0e5 of its fastest time scales."""
+    model = thermal_two_level_model(1.0, 0.6)
+    return model if method == "rk" else replace(model, slow_rate=1.1e-4)
+
+
 def short_window_model():
     """:func:`thermal_two_level_model` with a slow rate that sets windows
     of 0.01, far too short to relax within the window budget."""
@@ -271,8 +279,6 @@ class TestEvolve:
         with pytest.raises(ValueError, match="implicit"):
             evolve(model, rho0, 0.0)
         with pytest.raises(ValueError, match="implicit"):
-            equilibrate(model, rho0, method="rk")
-        with pytest.raises(ValueError, match="implicit"):
             equilibrate_lanes(model, [rho0])
 
 
@@ -330,12 +336,12 @@ class TestGenerator:
 
     @pytest.mark.parametrize("n_max, sparse", [(3, False), (4, True)])
     def test_implicit_equilibrations_build_one_generator(self, n_max, sparse, built):
-        # dim 18 keeps the cached generator dense (the implicit solve takes
-        # it in CSR form), dim 32 stores it sparse
-        model, _ = small_joint_model(n_max=n_max)
+        # dim 18 keeps the cached generator dense (its stiffness and the
+        # implicit solve, in CSR form, read it), dim 32 stores it sparse
+        model, _ = small_joint_model(gamma=STIFF_GAMMA, n_max=n_max)
         vac = vacuum_state(n_max)
         for start in (ketbra(2, 0, 0), ketbra(2, 1, 1)):
-            report = equilibrate(model, kron(start, vac, vac), method="implicit")
+            report = equilibrate(model, kron(start, vac, vac))
             assert report.method == "implicit"
         assert built == [sparse]
 
@@ -437,12 +443,19 @@ class TestSteadyState:
         assert sum(rows for rows, _ in svd_shapes) == model.dim**2
         vac = vacuum_state(4)
         start = kron(ketbra(2, 0, 0), vac, vac)
-        relaxed = equilibrate(model, start, method="implicit", change_tol=1e-13)
+        relaxed = equilibrate(model, start, change_tol=1e-13)
         assert np.abs(direct - relaxed.final_state).max() < 1e-10
 
 
+# A bath this slow makes :func:`small_joint_model`'s window stiff (4.7e4
+# fastest time scales at n_max 3), so equilibrate steps it implicitly.
+STIFF_GAMMA = 2 * np.pi * 5e-4
+
+
 def small_joint_model(kappa=2 * np.pi, gamma=2 * np.pi * 5e-3, n=0.8, n_max=3):
-    """Electron and two lossy modes, sized so explicit stepping stays cheap."""
+    """Electron and two lossy modes, sized so explicit stepping stays cheap:
+    at n_max 3 a window spans 4.8e3 of its fastest time scales, so
+    equilibrate steps it with rk."""
     lamb = 0.01
     layout = SpaceLayout((2, n_max, n_max))
     a = destroy(n_max)
@@ -473,13 +486,13 @@ class TestEquilibrate:
     def test_implicit_matches_rk_on_joint_model(self):
         model, layout = small_joint_model()
         rho0 = kron(ketbra(2, 1, 1), vacuum_state(3), vacuum_state(3))
-        rk = equilibrate(model, rho0, method="rk")
-        implicit = equilibrate(model, rho0, method="implicit")
+        rk = equilibrate(model, rho0)
+        implicit = reference_window_loop(model, rho0, method="implicit")
         assert rk.method == "rk" and implicit.method == "implicit"
         assert np.abs(rk.final_state - implicit.final_state).max() < 1e-7
         assert implicit.rhs_residual < 1e-10
 
-    def test_auto_picks_implicit_for_joint_models(self):
+    def test_sparse_models_step_implicitly(self):
         model, _ = small_joint_model(n_max=4)  # dim 32 crosses the threshold
         rho0 = kron(ketbra(2, 0, 0), vacuum_state(4), vacuum_state(4))
         report = equilibrate(model, rho0)
@@ -498,18 +511,18 @@ class TestEquilibrate:
     @pytest.mark.parametrize("method", ["rk", "implicit"])
     @pytest.mark.parametrize("value", NON_FINITE)
     def test_non_finite_state_rejected(self, method, value):
-        model = thermal_two_level_model(1.0, 0.6)
+        model = two_level_model(method)
         with pytest.raises(ValueError, match="state has non-finite"):
-            equilibrate(model, non_finite_state(value), method=method)
+            equilibrate(model, non_finite_state(value))
 
     @pytest.mark.parametrize("method", ["rk", "implicit"])
     @pytest.mark.parametrize("change_tol", [np.nan, np.inf, 0.0, -1.0])
     def test_bad_change_tol_rejected(self, change_tol, method):
         # up front: a window test against such a tol never passes (nan, 0,
         # negative) or passes at once (inf)
-        model = ReservoirSpec.thermal(1.0, 0.6).bath_model
+        model = two_level_model(method)
         with pytest.raises(ValueError, match="change_tol"):
-            equilibrate(model, ketbra(2, 1, 1), change_tol=change_tol, method=method)
+            equilibrate(model, ketbra(2, 1, 1), change_tol=change_tol)
 
     @pytest.mark.parametrize("window", [np.nan, np.inf])
     def test_bad_window_rejected(self, window):
@@ -534,10 +547,17 @@ class TestEquilibrate:
         # the first window checks each start once, with equilibrate's text
         model = thermal_two_level_model(1.0, 0.6)
         with pytest.raises(ValueError) as single:
-            equilibrate(model, bad, method="rk")
+            equilibrate(model, bad)
         with pytest.raises(ValueError) as lanes:
             equilibrate_lanes(model, [ketbra(2, 1, 1), bad])
         assert str(lanes.value) == str(single.value)
+
+    def test_lanes_reject_a_stiff_dense_model(self):
+        # equilibrate steps it implicitly, so rk lanes could not match it
+        model = two_level_model("implicit")
+        assert equilibrate(model, ketbra(2, 1, 1)).method == "implicit"
+        with pytest.raises(ValueError, match="stiff"):
+            equilibrate_lanes(model, [ketbra(2, 1, 1)])
 
     @pytest.mark.parametrize("slow_rate", [np.nan, np.inf, 0.0, -1.0])
     def test_non_finite_slow_rate_rejected(self, slow_rate):
@@ -606,21 +626,22 @@ class TestEquilibrateMatchesWindowLoop:
         assert report.windows == 1
         assert_same_report(report, reference_window_loop(model, rho0, change_tol=1e-11))
 
-    @pytest.mark.parametrize("method", ["rk", "implicit"])
-    def test_change_just_below_the_tolerance_passes(self, method):
+    @pytest.mark.parametrize("fock, method", [(6, "rk"), (48, "implicit")])
+    def test_change_just_below_the_tolerance_passes(self, fock, method):
         # change_tol a hair above the exact change of the converging window:
         # the pre-test must not skip that window
         spec = ReservoirSpec.squeezed_thermal(2 * np.pi * 2e-4, 0.4, 0.5)
-        model = mode_model(spec, 6)
-        rho0 = vacuum_state(6)
-        first = reference_window_loop(model, rho0, method=method)
+        model = mode_model(spec, fock)
+        rho0 = vacuum_state(fock)
+        first = reference_window_loop(model, rho0)
         tol = first.last_change * (1 + 1e-9)
-        report = equilibrate(model, rho0, method=method, change_tol=tol)
+        report = equilibrate(model, rho0, change_tol=tol)
+        assert report.method == method
         assert report.windows == first.windows > 2
-        reference = reference_window_loop(model, rho0, method=method, change_tol=tol)
-        assert_same_report(report, reference)
+        assert_same_report(report, reference_window_loop(model, rho0, change_tol=tol))
 
-    @pytest.mark.parametrize("fock", [12, 48])
+    # rk at fock 12, implicit on the sparse generator at fock 48
+    @pytest.mark.parametrize("fock, method, windows", [(12, "rk", 4), (48, "implicit", 6)])
     @pytest.mark.parametrize(
         "spec",
         [
@@ -629,12 +650,12 @@ class TestEquilibrateMatchesWindowLoop:
         ],
         ids=["thermal", "squeezed"],
     )
-    def test_mode_models_implicit(self, spec, fock):
+    def test_mode_models(self, spec, fock, method, windows):
         model = mode_model(spec, fock)
-        kwargs = {"method": "implicit", "change_tol": 1e-10}
-        report = equilibrate(model, vacuum_state(fock), **kwargs)
-        assert report.windows > 5
-        reference = reference_window_loop(model, vacuum_state(fock), **kwargs)
+        report = equilibrate(model, vacuum_state(fock), change_tol=1e-10)
+        assert report.method == method
+        assert report.windows >= windows
+        reference = reference_window_loop(model, vacuum_state(fock), change_tol=1e-10)
         assert_same_report(report, reference)
 
     @pytest.mark.parametrize("fock_dim", [4, 6])
@@ -716,7 +737,7 @@ class TestSectorRestriction:
     @pytest.mark.parametrize(
         "model",
         [
-            small_joint_model()[0],
+            small_joint_model(gamma=STIFF_GAMMA)[0],
             small_joint_model(n_max=4)[0],
             squeezed_joint_model(4),
             squeezed_joint_model(5),
@@ -726,7 +747,8 @@ class TestSectorRestriction:
     def test_matches_full_space_loop(self, model):
         n_max = math.isqrt(model.dim // 2)
         rho0 = kron(ketbra(2, 1, 1), vacuum_state(n_max), vacuum_state(n_max))
-        report = equilibrate(model, rho0, method="implicit")
+        report = equilibrate(model, rho0)
+        assert report.method == "implicit"
         reference, windows = full_space_backward_euler(model, rho0)
         assert report.windows == windows
         assert np.abs(report.final_state - reference).max() < 1e-12
@@ -737,8 +759,8 @@ class TestSectorRestriction:
         model = squeezed_joint_model(n_max)
         vac = vacuum_state(n_max)
         plus = 0.5 * np.ones((2, 2), dtype=complex)
-        coherent = equilibrate(model, kron(plus, vac, vac), method="implicit")
-        ground = equilibrate(model, kron(ketbra(2, 0, 0), vac, vac), method="implicit")
+        coherent = equilibrate(model, kron(plus, vac, vac))
+        ground = equilibrate(model, kron(ketbra(2, 0, 0), vac, vac))
         reference, windows = full_space_backward_euler(model, kron(plus, vac, vac))
         assert coherent.windows == windows
         assert np.abs(coherent.final_state - reference).max() < 1e-12

@@ -15,6 +15,10 @@ that ``sp.kron`` builds for half-full factors (every identity of dim 1 or
 can carry the opposite sign there.  On every model the library builds, the
 two reference forms agree bit for bit, and the ``test_shipped_*`` tests
 compare the sparse output with the sparse reference directly.
+
+The generator also picks ``equilibrate``'s stepper: ``test_stepper_*``
+pin it, and the stiffness figure it reads, on each model family at the
+sizes that the sweep, the benchmark and the tests build.
 """
 
 import math
@@ -33,8 +37,10 @@ import ionotto.cycle as cycle_module
 from ionotto.cycle import prepare_bath_equilibria
 from ionotto.lindblad import (
     _DENSE_MAX_DIM,
+    _STIFF_WINDOW,
     EquilibrationReport,
     LindbladModel,
+    _stepper,
     liouvillian_matrix,
 )
 from ionotto.oscillator import (
@@ -181,3 +187,53 @@ def test_shipped_window_models(panel, fock_dim, monkeypatch):
     assert [model.dim for model in models] == [fock_dim * (fock_dim + 1)] * 2
     for model in models:
         assert_matches_reference(model)
+
+
+
+
+def family_models(family, sizes, monkeypatch):
+    """The models of ``family`` at each of ``sizes``: the Fock dimension of
+    the mode, or the ``fock_dim`` of the full-mode bath strokes."""
+    if family == "bath":
+        cycles = [load_config(CONFIG_DIR / f"{panel}.json").cycle for panel in PANELS]
+        return [spec.bath_model for cycle in cycles for spec in (cycle.cold, cycle.hot)]
+    if family == "mode":
+        return [mode_model(kind, fock) for kind in MODE_SPECS for fock in sizes]
+    if family == "full_v":
+        return [v_model(kind, fock) for kind in MODE_SPECS for fock in sizes]
+    return [
+        model
+        for panel in PANELS
+        for fock_dim in sizes
+        for model in window_models(panel, fock_dim, monkeypatch)
+    ]
+
+
+@pytest.mark.parametrize(
+    "family, sizes, low, high, stepper",
+    [
+        ("bath", (), 9.9, 10.1, "rk"),
+        ("mode", (4, 6, 12, 14, 24), 100.0, 2.2e3, "rk"),
+        ("window", (2, 3, 4), 5.9e4, 6.1e5, "implicit"),
+        ("full_v", (2, 4, 6, 8), 8.0e4, 1.1e5, "implicit"),
+    ],
+)
+def test_stepper_of_dense_models(family, sizes, low, high, stepper, monkeypatch):
+    # the figures of each family stay 4.5x or more away from the constant
+    assert high * 4.5 < _STIFF_WINDOW or low > 4.5 * _STIFF_WINDOW
+    for model in family_models(family, sizes, monkeypatch):
+        assert model.dim <= _DENSE_MAX_DIM
+        assert low <= model.window_stiffness <= high
+        assert _stepper(model) == stepper
+
+
+@pytest.mark.parametrize(
+    "family, sizes",
+    [("mode", (48,)), ("full_v", (12, 14, 16, 20)), ("window", (5, 6, 8))],
+)
+def test_stepper_of_sparse_models(family, sizes, monkeypatch):
+    for model in family_models(family, sizes, monkeypatch):
+        assert model.dim > _DENSE_MAX_DIM
+        assert _stepper(model) == "implicit"
+        # no stiffness figure is computed for a sparse generator
+        assert "window_stiffness" not in vars(model)

@@ -226,6 +226,16 @@ class TestFullVModel:
         with pytest.raises(ValueError, match="Rabi"):
             replace(config, rabi=(bad, *config.rabi[1:]))
 
+    def test_dense_model_relaxes_implicitly(self):
+        # dim 18 keeps the generator dense, but the fast electronic decays
+        # make its window stiff: rk would take about 36 k steps, 12 s
+        spec = ReservoirSpec.thermal(TARGET, 0.6)
+        settings = match_rabi_for_mode(spec, 0.01, GAMMA_E, GAMMA_E)
+        fock = 6
+        model = full_v_model(v_config(settings, fock), settings, fock)
+        report = equilibrate(model, kron(ketbra(3, 0, 0), vacuum_state(fock)))
+        assert report.method == "implicit"
+
     def test_hamiltonian_hermitian(self):
         spec = ReservoirSpec.squeezed_thermal(TARGET_SQUEEZED, 0.4, 0.5)
         settings = match_rabi_for_mode(spec, 0.01, GAMMA_E, GAMMA_E)

@@ -8,6 +8,7 @@ import pytest
 from ionotto.lindblad import LindbladModel, expectation, steady_state
 from ionotto.operators import SpaceLayout, ketbra, sigma_minus, sigma_z
 from ionotto.reservoirs import (
+    MAX_SQUEEZING,
     BathKind,
     ReservoirSpec,
     channels_from_settings,
@@ -41,12 +42,22 @@ class TestSpecInvariants:
         [("thermal", (1.0, math.nan)), ("thermal", (1.0, math.inf)),
          ("squeezed_thermal", (1.0, math.nan, 0.5)),
          ("squeezed_thermal", (1.0, 0.4, math.nan)),
-         ("squeezed_thermal", (1.0, 0.4, math.inf))],
+         ("squeezed_thermal", (1.0, 0.4, math.inf)),
+         ("squeezed_thermal", (1.0, 0.4, 356.0)),
+         ("squeezed_thermal", (1.0, 0.4, 400.0)),
+         ("squeezed_thermal", (1.0, 0.4, 800.0))],
     )
     def test_rejects_non_finite_occupation_or_squeezing(self, build, args):
-        # such a spec would match to NaN or inf Rabi frequencies
+        # such a spec would match to NaN or inf Rabi frequencies; past
+        # r = 355.24 the bath rates' cosh(2 r) = mu^2 + nu^2 overflows
         with pytest.raises(ValueError, match="finite"):
             getattr(ReservoirSpec, build)(*args)
+
+    def test_largest_squeezing_keeps_finite_bath_rates(self):
+        spec = ReservoirSpec.squeezed_thermal(1.0, 0.4, MAX_SQUEEZING)
+        assert math.isfinite(spec.mu**2 + spec.nu**2)
+        with pytest.raises(OverflowError):
+            math.cosh(2 * math.nextafter(MAX_SQUEEZING, math.inf))
 
     def test_squeezed_requires_positive_r(self):
         with pytest.raises(ValueError):

@@ -574,6 +574,22 @@ class TestCli:
         assert "hot reservoir needs occupation > 0" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("command", ["validate", "sweep"])
+    @pytest.mark.parametrize("squeezing", [356, 400, 800])
+    def test_overflowing_hot_squeezing_exit_code(self, tmp_path, capsys, squeezing, command):
+        # past r = 355.24 the bath rates' cosh(2 r) = mu^2 + nu^2 overflows
+        document = json.loads((CONFIG_DIR / "fig2c.json").read_text())
+        document["hot"]["squeezing"]["value"] = squeezing
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps(document))
+        out = tmp_path / "out.csv"
+        args = [command, str(config)]
+        if command == "sweep":
+            args += ["--output", str(out)]
+        assert main(args) == 2
+        assert "hot.squeezing" in capsys.readouterr().err
+        assert not out.exists()
+
     @pytest.mark.parametrize(
         "fock_dim, command",
         [
