@@ -287,43 +287,181 @@ _DP_ERR = np.array(
 )
 
 
-def _rms(v: np.ndarray, buf: np.ndarray) -> list[float]:
-    """Root mean square of |v| along each row; ``buf`` is real scratch of
-    v's shape."""
-    np.abs(v, out=buf)
-    np.multiply(buf, buf, out=buf)
-    totals = np.add.reduce(buf, axis=1).tolist()
-    return [math.sqrt(total / buf.shape[1]) for total in totals]
+# rtol, atol and 1/2 as 0-d arrays of the dtype each ufunc casts them to:
+# the same values, without a scalar conversion per call
+_RTOL_A = np.array(_RK_RTOL, dtype=float)
+_ATOL_A = np.array(_RK_ATOL, dtype=float)
+_HALF = np.array(0.5, dtype=complex)
+# numpy's add.reduce adds fewer real terms than this (a complex entry is
+# two) in one loop, left to right from 0.0, and more in blocks of 8
+_SEQUENTIAL_TERMS = 8
 
 
-def _products(gen, y: np.ndarray, yi: np.ndarray, k: np.ndarray, err_vec: np.ndarray):
-    """The products of :func:`_dormand_prince`'s step on the lanes (rows)
-    of ``y``, as ``(function, operand, out)`` calls.
+def _total(a: np.ndarray):
+    """``np.add.reduce(a)`` of the 1-D array ``a``, bit for bit.
 
-    Returns the stages, each a tableau row product followed by a generator
-    product into its k row, the error estimate and the generator product
-    at ``y``.  With several lanes, ``np.matmul`` broadcasts the tableau
-    rows over the lanes' k and the generator over their states: per lane
-    that is the BLAS call that ``dot`` makes on one lane, where it is
-    cheaper.
+    Below ``_SEQUENTIAL_TERMS`` real terms the entries are read with
+    ``tolist()`` and added left to right in Python numbers, in numpy's own
+    order, which is cheaper than the reduction call on a few entries.
+    Builtin ``sum`` would not do: it compensates float sums from Python
+    3.12 on.
     """
-    if y.shape[0] == 1:
-        k, y, yi, err_vec = k[0], y[0], yi[0], err_vec[0]
-        return (
-            [(row.dot, k[:s], yi, gen.dot, yi, k[s]) for s, row in _DP_STAGES],
-            (_DP_ERR.dot, k, err_vec),
-            (gen.dot, y, k[0]),
-        )
-    apply = partial(np.matmul, gen)
-    return (
-        [
+    if a.nbytes >= 8 * _SEQUENTIAL_TERMS:  # 8-byte real terms
+        return np.add.reduce(a)
+    total = 0.0
+    for value in a.tolist():
+        total += value
+    return total
+
+
+def _rms(v: np.ndarray, buf: np.ndarray) -> list[float]:
+    """Root mean square of |v| along the last axis, one per lane: ``v`` is
+    one lane (1-D) or lanes in rows; ``buf`` is real scratch of v's shape."""
+    np.abs(v, buf)
+    np.multiply(buf, buf, buf)
+    if buf.ndim == 1:
+        return [math.sqrt(_total(buf) / buf.size)]
+    n = buf.shape[1]
+    return [math.sqrt(total / n) for total in np.add.reduce(buf, axis=1).tolist()]
+
+
+def _step_calls(gen, y, h, yi, k, err_vec, abs_y, scale):
+    """The numpy calls of a :func:`_dormand_prince` step on the lanes of
+    ``y``, bound once per batch.
+
+    Returns ``attempt`` and the ``(function, operand, out)`` call of the
+    generator product at ``y`` into ``k[0]``.  ``attempt()`` tries one
+    step of size ``h`` from ``y``, whose moduli ``abs_y`` holds: the
+    stages into ``k``, the fifth-order state into ``yi``, the error
+    estimate into ``err_vec`` and its scale into ``scale``.
+
+    A 1-D ``y`` is one lane, whose products are ``dot`` calls.  A 2-D
+    ``y`` holds lanes in rows: ``np.matmul`` broadcasts the tableau rows
+    over the lanes' k and the generator over their states, and per lane
+    that is the BLAS call that ``dot`` makes on one lane.  The ufuncs take
+    ``out`` positionally, which skips a keyword parse per call; numpy
+    deprecates that for ``maximum`` alone.
+    """
+    if y.ndim == 1:
+        apply = gen.dot
+        stages = [(row.dot, k[:s], yi, apply, yi, k[s]) for s, row in _DP_STAGES]
+        error, refresh = _DP_ERR.dot, (apply, y, k[0])
+    else:
+        apply = partial(np.matmul, gen)
+        stages = [
             (partial(np.matmul, row), k[:, :s], yi)
             + (apply, yi[..., None], k[:, s, :, None])
             for s, row in _DP_STAGES
-        ],
-        (partial(np.matmul, _DP_ERR), k, err_vec),
-        (apply, y[..., None], k[:, 0, :, None]),
+        ]
+        error = partial(np.matmul, _DP_ERR)
+        refresh = (apply, y[..., None], k[:, 0, :, None])
+    # local names: the loop below runs once per step attempt
+    multiply, add, absolute, maximum = np.multiply, np.add, np.abs, np.maximum
+    rtol, atol = _RTOL_A, _ATOL_A
+
+    def attempt() -> None:
+        # every sum keeps the order of the plain expression in its comment
+        for combine, ks, yi_out, derive, yi_in, k_out in stages:
+            # yi = y + h * (k[:stage].T @ _DP_A[stage])
+            combine(ks, out=yi_out)
+            multiply(h, yi, yi)
+            add(y, yi, yi)
+            derive(yi_in, out=k_out)
+        # y5 is the last stage's yi; err_vec = h * (k.T @ _DP_ERR)
+        error(k, out=err_vec)
+        multiply(h, err_vec, err_vec)
+        # scale = atol + rtol * max(|y|, |y5|), non-finite where y5 is
+        absolute(yi, scale)
+        maximum(abs_y, scale, out=scale)
+        multiply(rtol, scale, scale)
+        add(atol, scale, scale)
+
+    return attempt, refresh
+
+
+def _control(err: float, time: float, h: float, steps: int, t: float):
+    """Step control of one lane after an attempt of size ``h`` from
+    ``time`` with scaled error norm ``err``.
+
+    Returns whether the step is accepted, the lane's new time, its next
+    step size (ending at ``t`` at the latest) and its accepted steps.
+    """
+    if not math.isfinite(err):
+        raise IntegrationError(f"non-finite error estimate at t = {time:.6g}")
+    accepted = err <= 1.0
+    if accepted:
+        time += h
+        steps += 1
+    if steps >= _MAX_STEPS:
+        raise IntegrationError(
+            f"step budget {_MAX_STEPS} exhausted at t = {time:.6g}; for long "
+            "stiff relaxations use equilibrate()"
+        )
+    # h *= min(5.0, max(0.2, factor)), without the builtins' call cost
+    factor = 0.9 * err ** -0.2 if err > 0 else 5.0
+    h *= 5.0 if factor > 5.0 else factor if factor > 0.2 else 0.2
+    # a last step that only closes a rounding gap to t is not an underflow
+    if time < t and h <= t * 1e-15:
+        raise IntegrationError(
+            f"step size underflow at t = {time:.6g} (stiff blow-up)"
+        )
+    rest = t - time
+    return accepted, time, h if h <= rest else rest, steps
+
+
+def _lane(gen, y, k0, t, time, h, steps, drift) -> tuple[np.ndarray, int, float]:
+    """Carry one lane, the vectorized state ``y`` (1-D, integrated in
+    place) with derivative ``k0`` at ``time``, to ``t``.
+
+    ``h`` is its next step size, ``steps`` and ``drift`` its accepted
+    steps and largest trace drift so far.  Its time, step size, counts and
+    decisions are Python scalars, and its sums are :func:`_total`'s.
+    Returns the final (d, d) state, the accepted steps and the drift.
+    """
+    n = y.size
+    d = math.isqrt(n)
+    k = np.empty((7, n), dtype=complex)
+    k[0] = k0
+    yi = np.empty(n, dtype=complex)
+    err_vec = np.empty(n, dtype=complex)
+    abs_y, scale, sq = np.empty(n), np.empty(n), np.empty(n)
+    conj_t = np.empty((d, d), dtype=complex)
+    y_mat, y5_mat = y.reshape(d, d), yi.reshape(d, d)
+    y5_t = y5_mat.T
+    trace = y[:: d + 1]
+    # a 0-d h skips broadcasting
+    h_c = np.empty((), dtype=complex)
+    attempt, (refresh, y_in, k0_out) = _step_calls(
+        gen, y, h_c, yi, k, err_vec, abs_y, scale
     )
+    # local names: the loop runs once per step attempt
+    absolute, divide, conjugate, add, multiply = (
+        np.abs, np.divide, np.conjugate, np.add, np.multiply
+    )
+    isfinite, total, rms, control, half = math.isfinite, _total, _rms, _control, _HALF
+    absolute(y, abs_y)
+    while True:
+        h_c[()] = h
+        attempt()
+        if not isfinite(total(scale)):
+            raise IntegrationError(f"non-finite state entries at t = {time:.6g}")
+        divide(err_vec, scale, err_vec)
+        (err,) = rms(err_vec, sq)
+        accepted, time, h, steps = control(err, time, h, steps, t)
+        if not accepted:
+            continue
+        # y = 0.5 * (y5 + y5^dag)
+        conjugate(y5_t, conj_t)
+        add(y5_mat, conj_t, y_mat)
+        multiply(half, y_mat, y_mat)
+        # re-evaluate: symmetrization invalidates FSAL
+        refresh(y_in, out=k0_out)
+        absolute(y, abs_y)
+        lane_drift = abs(total(trace) - 1.0)
+        if lane_drift > drift:
+            drift = float(lane_drift)
+        if time >= t:
+            return y_mat, steps, drift
 
 
 def _dormand_prince(gen, y: np.ndarray, t: float) -> list[tuple[np.ndarray, int, float]]:
@@ -332,31 +470,49 @@ def _dormand_prince(gen, y: np.ndarray, t: float) -> list[tuple[np.ndarray, int,
     Each step's local error stays below rtol ``_RK_RTOL`` and atol
     ``_RK_ATOL``.  ``gen`` is a dense generator.  The lanes share it and
     nothing else: each has its own step size, time, accept/reject decision
-    and step count, and its step control runs on Python floats, so every
-    lane gets the bits that it gets alone.  A lane that reaches ``t`` leaves
-    the batch.  Returns each lane's final (d, d) state, accepted steps
-    and largest trace drift, in lane order.
+    and step count, and its step control (:func:`_control`) runs on Python
+    floats, so every lane gets the bits that it gets alone.  A lane that
+    reaches ``t`` leaves the batch, and the last one left, or the only
+    one, finishes in :func:`_lane` on 1-D arrays, with its time, step
+    size, step count and drift in Python scalars.  There its three sums
+    per step (the scale's finiteness check, the error norm and the trace)
+    are :func:`_total`'s: below 8 real terms, where ``np.add.reduce``
+    itself adds left to right, they add the entries in Python floats and
+    keep numpy's bits without a reduction call.  Every product and
+    elementwise ufunc is the same call, on the same operands in the same
+    order, in either layout.  Returns each lane's final (d, d) state,
+    accepted steps and largest trace drift, in lane order.
     """
     lanes, n = y.shape
     d = math.isqrt(n)
+    if lanes == 1:
+        y = y[0]
+        k0 = gen.dot(y)
+    else:
+        k0 = np.empty_like(y)
+        np.matmul(gen, y[..., None], out=k0[..., None])
+    if not np.isfinite(k0).all():
+        raise IntegrationError("non-finite derivative at the initial state")
+    # the standard starting-step heuristic
+    scale0 = _RK_ATOL + _RK_RTOL * np.abs(y)
+    sq = np.empty(y.shape)
+    hs = [
+        min(t, 0.01 * d0 / d1 if d1 > 0 else t * 1e-3)
+        for d0, d1 in zip(_rms(y / scale0, sq), _rms(k0 / scale0, sq))
+    ]
+    if lanes == 1:
+        return [_lane(gen, y, k0, t, 0.0, hs[0], 0, 0.0)]
     results: list[tuple[np.ndarray, int, float] | None] = [None] * lanes
-    # per lane of the batch: accepted steps, largest trace drift, time, h
+    # per lane of the batch: accepted steps, largest trace drift, time
     steps = [0] * lanes
     drifts = [0.0] * lanes
     times = [0.0] * lanes
-    hs: list[float] = []
-    k0 = None
-    # rtol, atol, 1/2 and (below) h as arrays of the dtype each ufunc casts
-    # them to: the same values, without a scalar conversion per call
-    rtol_a = np.array(_RK_RTOL, dtype=float)
-    atol_a = np.array(_RK_ATOL, dtype=float)
-    half = np.array(0.5, dtype=complex)
     live = list(range(lanes))  # input index of each lane in the batch
-    while True:
-        # buffers of the live lanes; every sum keeps the order of the plain
-        # expressions in the comments
+    while len(live) > 1:
+        # buffers of the live lanes
         m = len(live)
         k = np.empty((m, 7, n), dtype=complex)
+        k[:, 0] = k0
         yi = np.empty_like(y)
         err_vec = np.empty_like(y)
         conj_t = np.empty((m, d, d), dtype=complex)
@@ -369,90 +525,42 @@ def _dormand_prince(gen, y: np.ndarray, t: float) -> list[tuple[np.ndarray, int,
         y5_mat = yi.reshape(m, d, d)
         y5_t = y5_mat.transpose(0, 2, 1)
         traces = y[:, :: d + 1]
-        stages, (error, k_all, err_out), (refresh, y_in, k0_out) = _products(
-            gen, y, yi, k, err_vec
+        h_c = np.empty((m, 1), dtype=complex)
+        attempt, (refresh, y_in, k0_out) = _step_calls(
+            gen, y, h_c, yi, k, err_vec, abs_y, scale
         )
-        if k0 is None:
-            refresh(y_in, out=k0_out)
-            if not np.isfinite(k0_out).all():
-                raise IntegrationError("non-finite derivative at the initial state")
-            # standard starting-step heuristic
-            scale0 = _RK_ATOL + _RK_RTOL * np.abs(y)
-            hs = [
-                min(t, 0.01 * d0 / d1 if d1 > 0 else t * 1e-3)
-                for d0, d1 in zip(_rms(y / scale0, sq), _rms(k[:, 0] / scale0, sq))
-            ]
-        else:
-            k[:, 0] = k0
-        # one lane multiplies by a 0-d h, which skips broadcasting
-        h_c = np.empty((m, 1) if m > 1 else (), dtype=complex)
+        np.abs(y, abs_y)
         done = []
         while not done:
-            if m > 1:
-                h_c[:, 0] = hs
-            else:
-                h_c[()] = hs[0]
-            for combine, ks, yi_out, derive, yi_in, k_out in stages:
-                # yi = y + h * (k[:stage].T @ _DP_A[stage])
-                combine(ks, out=yi_out)
-                np.multiply(h_c, yi, out=yi)
-                np.add(y, yi, out=yi)
-                derive(yi_in, out=k_out)
-            # y5 is the last stage's yi; err_vec = h * (k.T @ _DP_ERR)
-            error(k_all, out=err_out)
-            np.multiply(h_c, err_vec, out=err_vec)
-            # scale = atol + rtol * max(|y|, |y5|), non-finite where y5 is
-            np.abs(y, out=abs_y)
-            np.abs(yi, out=scale)
-            np.maximum(abs_y, scale, out=scale)
-            np.multiply(rtol_a, scale, out=scale)
-            np.add(atol_a, scale, out=scale)
+            h_c[:, 0] = hs
+            attempt()
             if not math.isfinite(np.add.reduce(scale, axis=None)):
                 lane = int(np.argmin(np.isfinite(np.add.reduce(scale, axis=1))))
                 raise IntegrationError(
                     f"non-finite state entries at t = {times[lane]:.6g}"
                 )
-            np.divide(err_flat, scale_flat, out=err_flat)
+            np.divide(err_flat, scale_flat, err_flat)
             accepted = []
             for lane, err in enumerate(_rms(err_vec, sq)):
-                if not math.isfinite(err):
-                    raise IntegrationError(
-                        f"non-finite error estimate at t = {times[lane]:.6g}"
-                    )
-                if err <= 1.0:
-                    times[lane] += hs[lane]
-                    steps[lane] += 1
+                ok, times[lane], hs[lane], steps[lane] = _control(
+                    err, times[lane], hs[lane], steps[lane], t
+                )
+                if ok:
                     accepted.append(lane)
-                if steps[lane] >= _MAX_STEPS:
-                    raise IntegrationError(
-                        f"step budget {_MAX_STEPS} exhausted at t = "
-                        f"{times[lane]:.6g}; for long stiff relaxations use "
-                        "equilibrate()"
-                    )
-                factor = 0.9 * err ** -0.2 if err > 0 else 5.0
-                hs[lane] *= min(5.0, max(0.2, factor))
-                # a last step that only closes a rounding gap to t is not
-                # an underflow
-                if times[lane] < t and hs[lane] <= t * 1e-15:
-                    raise IntegrationError(
-                        f"step size underflow at t = {times[lane]:.6g} "
-                        "(stiff blow-up)"
-                    )
-                # the next step ends at t at the latest
-                hs[lane] = min(hs[lane], t - times[lane])
             if not accepted:
                 continue
             # y = 0.5 * (y5 + y5^dag) on the accepted lanes
-            np.conjugate(y5_t, out=conj_t)
+            np.conjugate(y5_t, conj_t)
             if len(accepted) == m:
-                np.add(y5_mat, conj_t, out=y_mat)
-                np.multiply(half, y_mat, out=y_mat)
+                np.add(y5_mat, conj_t, y_mat)
+                np.multiply(_HALF, y_mat, y_mat)
             else:
-                np.add(y5_mat, conj_t, out=conj_t)
-                np.multiply(half, conj_t, out=conj_t)
+                np.add(y5_mat, conj_t, conj_t)
+                np.multiply(_HALF, conj_t, conj_t)
                 y_mat[accepted] = conj_t[accepted]
             # re-evaluate: symmetrization invalidates FSAL
             refresh(y_in, out=k0_out)
+            np.abs(y, abs_y)
             sums = np.add.reduce(traces, axis=1)
             for lane in accepted:
                 drift = abs(sums[lane] - 1.0)
@@ -462,13 +570,14 @@ def _dormand_prince(gen, y: np.ndarray, t: float) -> list[tuple[np.ndarray, int,
                     done.append(lane)
         for lane in done:
             results[live[lane]] = y_mat[lane], steps[lane], drifts[lane]
-        if len(done) == m:
-            break
         keep = [lane for lane in range(m) if times[lane] < t]
         live, steps, drifts, times, hs = (
             [values[lane] for lane in keep] for values in (live, steps, drifts, times, hs)
         )
         y, k0 = y[keep], k[keep, 0]
+    if live:
+        (lane,) = live
+        results[lane] = _lane(gen, y[0], k0[0], t, times[0], hs[0], steps[0], drifts[0])
     return results
 
 
@@ -485,7 +594,11 @@ def evolve(model: LindbladModel, rho0: np.ndarray, t: float) -> EvolutionReport:
     ``ValueError``, whatever ``t``.  ``t`` must be finite; a non-finite
     error estimate raises :class:`IntegrationError`.  This is the
     one-lane call of the integrator that :func:`equilibrate_lanes` runs
-    on many states at once, with the same bits per state.
+    on many states at once, with the same bits per state.  One lane runs
+    in :func:`_lane`: its step control reads Python floats, and its sums
+    of fewer than 8 real terms, numpy's sequential size, are added left
+    to right in Python floats (:func:`_total`), as ``np.add.reduce``
+    does there.
     """
     if not (0.0 <= t < math.inf):
         raise ValueError(f"evolution time must be finite and >= 0, got {t}")
@@ -620,6 +733,9 @@ def _windows(
     its change falls below ``change_tol``.
     """
     rhos = list(rhos)
+    # a square past the float range is inf and rules no window out; the
+    # power operator would raise OverflowError there
+    bound = change_tol * (1 + 1e-6)
     steps = [0] * len(rhos)
     drifts = [0.0] * len(rhos)
     changes = [math.inf] * len(rhos)
@@ -642,7 +758,7 @@ def _windows(
             # and the budget's last window takes the exact norm
             low, diag = np.tril(step, -1), step.diagonal().real
             floor = min(np.vdot(step, step).real, 2 * np.vdot(low, low).real + diag @ diag)
-            if w + 1 < budget and floor > (change_tol * (1 + 1e-6)) ** 2 > 1e-300:
+            if w + 1 < budget and floor > bound * bound > 1e-300:
                 running.append(lane)
                 continue
             changes[lane] = trace_norm(step)

@@ -2,7 +2,8 @@
 
 Random valid bath specs of all three kinds, at cold-bath and hot-bath
 occupations, from random diagonal and coherent two-level starts, over
-random fractions of the equilibration window.
+random fractions of the equilibration window.  The integrator's short
+sums (``_total``) equal ``np.add.reduce`` bit for bit.
 """
 
 import math
@@ -14,7 +15,7 @@ pytest.importorskip("hypothesis")
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ionotto.lindblad import evolve
+from ionotto.lindblad import _total, evolve
 from ionotto.reservoirs import ReservoirSpec
 from oracles import reference_evolve
 
@@ -65,3 +66,48 @@ def test_evolve_matches_reference_bits(spec, rho0, fraction):
     assert report.steps_taken == reference.steps_taken > 0
     assert report.max_trace_drift == reference.max_trace_drift
     assert report.min_eigenvalue == reference.min_eigenvalue
+
+
+REALS = st.floats(allow_nan=False, width=64)
+
+
+def same_bits(value, expected):
+    return np.array(value).tobytes() == np.array(expected).tobytes()
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(
+    values=st.one_of(
+        st.lists(REALS, min_size=1, max_size=7),
+        st.lists(st.complex_numbers(allow_nan=False), min_size=1, max_size=3),
+    )
+)
+def test_short_sums_are_numpys(values):
+    # below 8 real terms numpy adds left to right, and so does _total, in
+    # Python numbers; builtin sum compensates from Python 3.12 on
+    a = np.array(values)
+    total = _total(a)
+    assert type(total) is type(values[0])
+    expected = np.add.reduce(a)
+    if np.isnan(expected):  # inf - inf: both are nan, whatever their sign bit
+        assert np.isnan(total)
+    else:
+        assert same_bits(total, expected)
+
+
+@pytest.mark.parametrize("dtype", [float, complex])
+def test_longer_sums_are_numpys_pairwise_ones(dtype):
+    # from 8 real terms numpy sums in blocks, and left to right would lose
+    # the seven 1s against 1e16 that the blocks keep
+    terms = 8 if dtype is float else 4
+    a = np.array([1e16] + [1.0] * (terms - 1), dtype=dtype)
+    left_to_right = 0.0
+    for value in a.tolist():
+        left_to_right += value
+    assert np.add.reduce(a) != left_to_right
+    assert same_bits(_total(a), np.add.reduce(a))
+    # one term fewer is summed left to right in Python numbers, without
+    # compensation: the 1s stay lost
+    assert type(_total(a[:-1])) is dtype
+    assert same_bits(_total(a[:-1]), np.add.reduce(a[:-1]))
+    assert _total(a[:-1]) == 1e16

@@ -1,4 +1,5 @@
-"""Property: lanes of one Dormand-Prince loop get the bits of single runs.
+"""Property: lanes of one Dormand-Prince loop get the bits of single runs,
+and a single lane gets the bits of the plain reference loop.
 
 Random models of dim 1-4 (a Hermitian Hamiltonian and one to three dense
 channels) with 1-9 start states each.  A start may be the model's
@@ -8,7 +9,10 @@ several windows.  ``_dormand_prince`` on the stacked starts must return,
 per lane, the state bytes, step count and trace drift of ``evolve``;
 ``equilibrate_lanes`` must return ``equilibrate``'s report field for
 field, or raise when a single run raises, and refuse a model whose window
-is stiff, which ``equilibrate`` steps implicitly.
+is stiff, which ``equilibrate`` steps implicitly.  On models of dim 1-5,
+``evolve`` and a one-lane ``equilibrate_lanes`` run must match
+``reference_evolve`` and its windows: dim 1 and 2 add their norms and
+trace in Python floats, dim 3 only its trace, and dim 4 and 5 neither.
 """
 
 import numpy as np
@@ -20,14 +24,17 @@ from hypothesis import strategies as st
 
 from ionotto.lindblad import (
     DegenerateSteadyStateError,
+    EquilibrationError,
     LindbladModel,
     _dormand_prince,
+    _slowest_window,
     _stepper,
     equilibrate,
     equilibrate_lanes,
     evolve,
     steady_state,
 )
+from oracles import reference_evolve
 
 START_KINDS = ("stationary", "pure", "mixed", "diagonal")
 
@@ -48,10 +55,10 @@ def random_state(rng, dim, kind, model):
 
 
 @st.composite
-def lane_cases(draw):
-    """A model whose slow rate is its spectral gap, and the start states
-    of its lanes."""
-    dim = draw(st.integers(1, 4))
+def lane_cases(draw, max_dim=4):
+    """A model of dim 1 to ``max_dim`` whose slow rate is its spectral gap,
+    and the start states of its lanes."""
+    dim = draw(st.integers(1, max_dim))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     half = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
     channels = tuple(
@@ -115,3 +122,39 @@ def test_lanes_match_single_equilibrate(case):
         for field in report.__dataclass_fields__:
             if field != "final_state":
                 assert getattr(report, field) == getattr(single, field), field
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(
+    case=lane_cases(max_dim=5),
+    fraction=st.floats(min_value=1e-3, max_value=2.0),
+)
+def test_one_lane_matches_the_reference_loop(case, fraction):
+    model, starts = case
+    t = fraction * 5.0 / model.slow_rate
+    for rho in starts:
+        report = evolve(model, rho, t)
+        reference = reference_evolve(model, rho, t)
+        assert report.final_state.tobytes() == reference.final_state.tobytes()
+        assert report.steps_taken == reference.steps_taken
+        assert report.max_trace_drift == reference.max_trace_drift
+        assert report.min_eigenvalue == reference.min_eigenvalue
+    if _stepper(model) != "rk":
+        return
+    # a one-lane equilibrate_lanes run against its windows, one by one
+    dt = _slowest_window(model)
+    for rho in starts:
+        try:
+            (lane,) = equilibrate_lanes(model, [rho])
+        except EquilibrationError:
+            continue
+        steps, drift = 0, 0.0
+        for _ in range(lane.windows):
+            window = reference_evolve(model, rho, dt)
+            rho = window.final_state
+            steps += window.steps_taken
+            drift = max(drift, window.max_trace_drift)
+        assert lane.final_state.tobytes() == rho.tobytes()
+        assert lane.steps_taken == steps
+        assert lane.max_trace_drift == drift
+        assert lane.min_eigenvalue == window.min_eigenvalue

@@ -524,6 +524,17 @@ class TestEquilibrate:
         with pytest.raises(ValueError, match="change_tol"):
             equilibrate(model, ketbra(2, 1, 1), change_tol=change_tol)
 
+    @pytest.mark.parametrize("method", ["rk", "implicit"])
+    @pytest.mark.parametrize("change_tol", [1e155, 1e300])
+    def test_huge_change_tol_passes_the_first_window(self, change_tol, method):
+        # the Frobenius pre-test squares change_tol, which used to raise
+        # OverflowError past 1.3e154
+        model = two_level_model(method)
+        report = equilibrate(model, np.diag([1.0, 0.0]), change_tol=change_tol)
+        assert report.method == method
+        assert report.windows == 1
+        assert report.last_change < change_tol
+
     @pytest.mark.parametrize("window", [np.nan, np.inf])
     def test_bad_window_rejected(self, window):
         # the window 5 / slow_rate is nan for a nan rate and overflows to
