@@ -34,7 +34,7 @@ from .lindblad import (
     equilibrate_lanes,
     expectation,
 )
-from .operators import SpaceLayout, number_op, partial_trace, sigma_z, vacuum_state
+from .operators import SpaceLayout, kron, number_op, partial_trace, sigma_z, vacuum_state
 from .reservoirs import (
     ADIABATIC_RATIO_FLOOR,
     BathKind,
@@ -443,7 +443,7 @@ def _joint_bath_stroke(
     model = full_joint_model(settings, n_max)
     layout = SpaceLayout((2, n_max, n_max))
     vac = vacuum_state(n_max)
-    joint0 = np.kron(np.kron(bath_steady_state(spec), vac), vac)
+    joint0 = kron(bath_steady_state(spec), vac, vac)
     excitations = np.add.outer(np.arange(n_max), np.arange(n_max)).ravel()
     window = np.flatnonzero(np.tile(excitations < n_max, 2))
     kept = np.ix_(window, window)

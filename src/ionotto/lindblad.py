@@ -180,39 +180,10 @@ def liouvillian_matrix(model: LindbladModel, *, sparse: bool = False):
     places the terms' support, and each term is evaluated there as x[i, j]
     y[k, l], as ``np.kron`` does.  ``sparse``: CSR form, exact zeros dropped.
     """
-    d = model.dim
-    n = d * d
-    h = model.hamiltonian
-    channels = [(rate, op, op.conj().T @ op) for rate, op in model.channels if rate]
-    # flat indices (i d + k) n + j d + l of the structural nonzeros of
-    # x (x) I and I (x) x^T for x = H and each D, and of each L (x) L^*
-    diag = np.arange(d) * (n + 1)
-    i, j = np.nonzero(np.logical_or.reduce([h != 0] + [x != 0 for *_, x in channels]))
-    nz = [np.add.outer((i * n + j) * d, diag), np.add.outer(d * diag, j * n + i)]
-    for i, j in (np.nonzero(op) for _, op, _ in channels):
-        nz.append(np.add.outer((i * n + j) * d, i * n + j))
-    flat = np.concatenate([[-1]] + [block.ravel() for block in nz])
-    flat.sort()  # below every index, -1 makes each first occurrence differ
-    support = flat[1:][flat[1:] != flat[:-1]]
-    # x (x) y holds x[i, j] y[k, l] at (i d + k, j d + l); a factor I gives
-    # one of its two entries there, picked by k == l (or by i == j), so
-    # x (x) I and I (x) x read x from a table of x times either entry
-    quot, rem = np.divmod(np.arange(n), d)
-    unit = (quot == rem) * n
-    units = np.array([[0j], [1 + 0j]])
-    eyes = [(x.ravel() * units).ravel() for x in [h, h.T]]
-    eyes += [(x.ravel() * units).ravel() for *_, y in channels for x in (y, y.T)]
-    liou = np.empty(support.size, dtype=complex)
-    for start in range(0, support.size, 8192):  # runs that stay in cache
-        part = liou[start : start + 8192]
-        row, col = np.divmod(support[start : start + 8192], n)
-        ij, kl = quot[row] * d + quot[col], rem[row] * d + rem[col]
-        x_eye, eye_y = unit[kl] + ij, unit[ij] + kl
-        np.subtract(eyes[0][x_eye], eyes[1][eye_y], out=part)
-        part *= -1j
-        for c, (rate, op, _) in enumerate(channels, 1):
-            part += rate * (op.ravel()[ij] * op.ravel()[kl].conj())
-            part -= (rate / 2.0) * (eyes[2 * c][x_eye] + eyes[2 * c + 1][eye_y])
+    n = model.dim**2
+    terms = _Terms(model)
+    support = terms.support()
+    liou = terms.entries(support)
     if not sparse:
         dense = np.zeros(n * n, dtype=complex)
         dense[support] = liou
@@ -221,6 +192,100 @@ def liouvillian_matrix(model: LindbladModel, *, sparse: bool = False):
     out = sp.csr_matrix((liou, support % n, indptr), shape=(n, n))
     out.eliminate_zeros()
     return out
+
+
+class _Terms:
+    """The generator's terms, H and each channel's rate, L and D = L^dag L,
+    and the one assembly body of :func:`liouvillian_matrix` and of
+    :func:`equilibrate`'s sector block.
+
+    ``pattern`` holds the nonzeros of H and of every D: x (x) I and I (x)
+    x^T place x[i, j] at ((i, k), (j, k)) and ((k, j), (k, i)).
+    """
+
+    def __init__(self, model: LindbladModel) -> None:
+        self.d = model.dim
+        self.h = model.hamiltonian
+        self.channels = [
+            (rate, op, op.conj().T @ op) for rate, op in model.channels if rate
+        ]
+        self.pattern = np.logical_or.reduce(
+            [self.h != 0] + [x != 0 for *_, x in self.channels]
+        )
+
+    def support(self, inside: np.ndarray | None = None) -> np.ndarray:
+        """Sorted flat indices row n + col of the union of the terms'
+        structural nonzeros, in the rows that the boolean mask ``inside``
+        over vectorized entries selects (all rows by default)."""
+        d = self.d
+        n = d * d
+        rows = np.ones((d, d), dtype=bool) if inside is None else inside.reshape(d, d)
+        i, j = np.nonzero(self.pattern)
+        # rows (i d + k) of x (x) I, (k d + j) of I (x) x^T, (a d + a') of
+        # L (x) L^* for nonzeros (a, b) and (a', b') of L
+        p, k = np.nonzero(rows[i])
+        t, r = np.nonzero(rows[:, j].T)
+        flat = [[-1], (i[p] * n + j[p]) * d + k * (n + 1)]
+        flat.append(r * (d * n + d) + j[t] * n + i[t])
+        for a, b in (np.nonzero(op) for _, op, _ in self.channels):
+            p, r = np.nonzero(rows[np.ix_(a, a)])
+            flat.append((a[p] * n + b[p]) * d + a[r] * n + b[r])
+        flat = np.concatenate(flat)
+        flat.sort()  # below every index, -1 makes each first occurrence differ
+        return flat[1:][flat[1:] != flat[:-1]]
+
+    def reached(self, seeds: np.ndarray) -> np.ndarray:
+        """Boolean mask of the vectorized entries in the components of the
+        support's graph (edges joined both ways) that hold ``seeds``.
+
+        With c the components of ``pattern`` + ``pattern``^T, the terms
+        x (x) I and I (x) x^T join every block c(i) x c(k) into one piece,
+        and L (x) L^* joins block (c(i), c(k)) to (c(j), c(l)) for
+        L[i, j] L[k, l] != 0.  So the components are read from that block
+        graph, on q^2 vertices for q components of the pattern.
+        """
+        comp = _block_labels(self.pattern)
+        q = int(comp.max()) + 1
+        # L (x) L^* joins blocks (A, A') -> (B, B'), numbered A q + A', for
+        # links A -> B and A' -> B' of L between components
+        tails, heads = [np.empty(0, dtype=np.intp)], [np.empty(0, dtype=np.intp)]
+        for i, j in (np.nonzero(op) for _, op, _ in self.channels):
+            links = np.zeros((q, q), dtype=bool)
+            links[comp[i], comp[j]] = True
+            a, b = np.nonzero(links)
+            tails.append(np.add.outer(a * q, a).ravel())
+            heads.append(np.add.outer(b * q, b).ravel())
+        ends = np.concatenate(tails), np.concatenate(heads)
+        block = np.add.outer(comp * q, comp).ravel()  # the block of each entry
+        return _reached(*ends, q * q, block[seeds])[block]
+
+    def entries(self, flat: np.ndarray) -> np.ndarray:
+        """The generator at sorted flat indices taken from the support; each
+        entry is computed on its own, so a subset gets the bits of the whole."""
+        d, h, channels = self.d, self.h, self.channels
+        n = d * d
+        # x (x) y holds x[i, j] y[k, l] at (i d + k, j d + l); a factor I
+        # gives one of its two entries there, picked by k == l (or by
+        # i == j), so x (x) I holds x[i, j] times that entry, and I (x) x^T
+        # holds x[l, k]
+        quot, rem = np.divmod(np.arange(n), d)
+        diagonal = (quot == rem).astype(np.intp)
+        units = np.array([0j, 1 + 0j])
+        liou = np.empty(flat.size, dtype=complex)
+        for start in range(0, flat.size, 8192):  # runs that stay in cache
+            part = liou[start : start + 8192]
+            row, col = np.divmod(flat[start : start + 8192], n)
+            ij, kl = quot[row] * d + quot[col], rem[row] * d + rem[col]
+            lk = rem[col] * d + rem[row]
+            eye_kl, eye_ij = units[diagonal[kl]], units[diagonal[ij]]
+            np.subtract(h.ravel()[ij] * eye_kl, h.ravel()[lk] * eye_ij, out=part)
+            part *= -1j
+            for rate, op, opdop in channels:
+                part += rate * (op.ravel()[ij] * op.ravel()[kl].conj())
+                part -= (rate / 2.0) * (
+                    opdop.ravel()[ij] * eye_kl + opdop.ravel()[lk] * eye_ij
+                )
+        return liou
 
 
 def expectation(op: np.ndarray, rho: np.ndarray):
@@ -639,7 +704,9 @@ def steady_state(model: LindbladModel) -> np.ndarray:
     resolved.  The null vector comes from the block holding the smallest
     singular value.  The returned state is Hermitian with unit trace.
     Works on dense and sparse generators alike; each block is decomposed
-    dense, so the cost follows the largest block.
+    dense, so the cost follows the largest block.  The blocks are labelled
+    from the generator's nonzeros by :func:`_components`, the labelling of
+    :func:`equilibrate`'s sector.
     """
     if not model.channels or all(rate == 0.0 for rate, _ in model.channels):
         raise ValueError("steady_state needs at least one dissipative channel")
@@ -681,22 +748,87 @@ def _block_labels(liou) -> np.ndarray:
 
     A weak symmetry of the generator (parity, and for phase-insensitive
     baths a U(1) charge) makes L block-diagonal.  The blocks are the
-    connected components of the sparsity graph |L| + |L|^T.
+    connected components of the nonzero pattern of L + L^T, labelled by
+    :func:`_components` from the nonzeros of L, dense or sparse.
     """
-    _, labels = connected_components(sp.csr_matrix(abs(liou)), directed=False)
-    return labels
+    return _components(*liou.nonzero(), liou.shape[0])
 
 
-def _state_sector(liou: sp.csr_matrix, y0: np.ndarray, dim: int) -> np.ndarray:
-    """Indices of the vectorized entries that the dynamics from ``y0`` can reach.
+def _components(rows: np.ndarray, cols: np.ndarray, n: int) -> np.ndarray:
+    """Connected-component label of each of ``n`` vertices of the undirected
+    graph with edges (``rows``, ``cols``).
 
-    A block of :func:`_block_labels` without a nonzero of ``y0`` stays
-    exactly zero for all times, so it is left out of the solve; blocks
-    holding a diagonal entry (the trace) are always kept.
+    The edges go into one canonical CSR pattern both ways, so the strong
+    components of that symmetric graph are the components, and scipy finds
+    them without the transposed copy that its undirected search makes.
+    (scipy 1.17's strong components do not return on a pattern with
+    duplicate entries, so they are dropped.)
     """
-    labels = _block_labels(liou)
-    seeds = np.concatenate((np.arange(dim) * (dim + 1), np.flatnonzero(y0)))
-    return np.flatnonzero(np.isin(labels, labels[seeds]))
+    keys = np.concatenate(([-1], rows * n + cols, cols * n + rows))
+    keys.sort()  # below every key, -1 makes each first occurrence differ
+    keys = keys[1:][keys[1:] != keys[:-1]]
+    indptr = np.searchsorted(keys, np.arange(n + 1) * n)
+    graph = sp.csr_matrix((np.ones(keys.size), keys % n, indptr), shape=(n, n))
+    return connected_components(graph, directed=True, connection="strong")[1]
+
+
+def _reached(
+    rows: np.ndarray, cols: np.ndarray, n: int, seeds: np.ndarray
+) -> np.ndarray:
+    """Boolean mask of the vertices in the components of
+    :func:`_components`' graph that hold ``seeds``."""
+    labels = _components(rows, cols, n)
+    hit = np.zeros(labels.max() + 1, dtype=bool)
+    hit[labels[seeds]] = True
+    return hit[labels]
+
+
+def _sector_block(
+    model: LindbladModel, rho: np.ndarray
+) -> tuple[np.ndarray, sp.csr_matrix]:
+    """The vectorized entries that the dynamics from ``rho`` can reach, and
+    the generator's block on them (CSR, exact zeros dropped).
+
+    A block of :func:`_block_labels` without a nonzero of ``rho`` stays
+    exactly zero for all times; blocks holding a diagonal entry (the
+    trace) are always kept, and so are those holding a nonzero of rho^T:
+    windows re-symmetrize the state, so a start state that is Hermitian
+    only within tolerance keeps its transposed entries in the sector, and
+    every row of L rho outside the sector stays exactly zero.
+
+    :meth:`_Terms.reached` labels the components of the structural
+    support, and only their rows are placed and evaluated.  A structural
+    entry can cancel to an exact zero and split a component; the nonzero
+    pattern of those rows is then labelled again and the block rebuilt on
+    what stays joined to the seeds, so the sector is always that of the
+    generator's nonzero pattern, and the block equals
+    ``liouvillian_matrix(model, sparse=True)[sector][:, sector]`` bit for
+    bit.
+    """
+    d = model.dim
+    n = d * d
+    terms = _Terms(model)
+    held = np.flatnonzero((rho != 0) | (rho.T != 0))
+    seeds = np.concatenate((np.arange(d) * (d + 1), held))
+    inside = terms.reached(seeds)
+    while True:
+        support = terms.support(inside)
+        data = terms.entries(support)
+        nonzero = data != 0
+        if nonzero.all():
+            break
+        # exact zeros: drop them, and keep the components that the rest
+        # joins to the seeds
+        support, data = support[nonzero], data[nonzero]
+        kept = _reached(*np.divmod(support, n), n, seeds)
+        if np.array_equal(kept, inside):
+            break
+        inside = kept
+    sector = np.flatnonzero(inside)
+    indices = (np.cumsum(inside) - 1)[support % n]
+    indptr = np.searchsorted(support, np.append(sector, n) * n)
+    m = sector.size
+    return sector, sp.csr_matrix((data, indices, indptr), shape=(m, m))
 
 
 def _slowest_window(model: LindbladModel) -> float:
@@ -724,13 +856,16 @@ def _windows(
     dt: float,
     liou,
     sector_dim: int,
+    sector: np.ndarray | slice = slice(None),
 ) -> list[EquilibrationReport]:
     """The window loop of :func:`equilibrate` on the lanes ``rhos``.
 
     ``advance`` takes the states of the lanes still running and returns
     each one's state a window later, accepted steps and trace drift.
     Each lane keeps its own window count and window test and leaves once
-    its change falls below ``change_tol``.
+    its change falls below ``change_tol``.  ``liou`` is the generator, or
+    its block on the vectorized entries ``sector`` that hold every
+    nonzero of the states; ``rhs_residual`` is read from it.
     """
     rhos = list(rhos)
     # a square past the float range is inf and rules no window out; the
@@ -773,7 +908,7 @@ def _windows(
                 last_change=changes[lane],
                 max_trace_drift=drifts[lane],
                 min_eigenvalue=float(np.linalg.eigvalsh(rho).min()),
-                rhs_residual=float(np.abs(liou.dot(rho.reshape(-1))).max()),
+                rhs_residual=float(np.abs(liou.dot(rho.reshape(-1)[sector])).max()),
                 steps_taken=steps[lane],
                 sector_dim=sector_dim,
             )
@@ -809,13 +944,15 @@ def equilibrate(
     ``implicit`` and the effective ones ``rk``.
 
     ``rk`` integrates each window with :func:`evolve`.  ``implicit``
-    advances with backward-Euler macro-steps: one sparse LU of I - dt L,
-    with L the model's cached generator in CSR form, restricted to the
-    components of L that hold the trace or the start state, then one
-    triangular solve per window.  Entries outside those components stay
-    exactly zero, so the restriction changes neither the fixed point nor
-    the window count; ``sector_dim`` reports the size of the solved
-    system.  The scheme is L-stable, damps the fast motional scales
+    advances with backward-Euler macro-steps: one sparse LU of I - dt B,
+    with B the block of L on the components that hold the trace or the
+    start state, then one triangular solve per window.  Entries outside
+    those components stay exactly zero, so the restriction changes
+    neither the fixed point nor the window count; ``sector_dim`` reports
+    the size of the solved system, and ``rhs_residual`` is read from B.
+    :func:`_sector_block` assembles B alone, bit for bit the slice of
+    the full CSR generator, which is never built here.  The scheme is
+    L-stable, damps the fast motional scales
     regardless of stiffness, and shares the exact fixed point L rho = 0
     with the true dynamics, which is the quantity every caller extracts.
     """
@@ -831,16 +968,14 @@ def equilibrate(
             return [(report.final_state, report.steps_taken, report.max_trace_drift)]
 
         budget = _RK_WINDOWS
-        liou = model.generator
+        liou, sector = model.generator, slice(None)
         sector_dim = model.dim**2
     else:
         budget = _IMPLICIT_WINDOWS
-        liou = sp.csr_matrix(model.generator)
-        sector = _state_sector(liou, rho.reshape(-1), model.dim)
+        sector, liou = _sector_block(model, rho)
         sector_dim = int(sector.size)
-        block = liou[sector][:, sector]
         stepper = spla.splu(
-            (sp.identity(sector_dim, format="csc", dtype=complex) - dt * block).tocsc(),
+            (sp.identity(sector_dim, format="csc", dtype=complex) - dt * liou).tocsc(),
             permc_spec="MMD_AT_PLUS_A",
             options={"SymmetricMode": True},
         )
@@ -852,7 +987,9 @@ def equilibrate(
             mat = 0.5 * (mat + mat.conj().T)
             return [(mat, 1, float(abs(np.trace(mat) - 1.0)))]
 
-    (report,) = _windows(advance, [rho], budget, change_tol, method, dt, liou, sector_dim)
+    (report,) = _windows(
+        advance, [rho], budget, change_tol, method, dt, liou, sector_dim, sector
+    )
     return report
 
 

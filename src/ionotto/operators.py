@@ -37,10 +37,21 @@ __all__ = [
 
 
 def kron(*ops: np.ndarray) -> np.ndarray:
-    """Kronecker product of one or more operators, left to right."""
+    """Kronecker product of one or more operators, left to right.
+
+    Each product is one broadcast multiply into (rows, rows, cols, cols)
+    order and a reshape: every entry is the single product x[i, j] *
+    y[k, l], as in ``np.kron``, without its generic n-d path.
+    """
     if not ops:
         raise ValueError("kron needs at least one operator")
-    return reduce(np.kron, ops)
+    return reduce(_kron2, ops)
+
+
+def _kron2(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    x, y = np.asarray(x), np.asarray(y)
+    (r1, c1), (r2, c2) = x.shape, y.shape
+    return np.multiply(x[:, None, :, None], y[:, None, :]).reshape(r1 * r2, c1 * c2)
 
 
 @dataclass(frozen=True)

@@ -27,7 +27,7 @@ from functools import cached_property
 import numpy as np
 
 from .lindblad import LindbladModel
-from .operators import SpaceLayout, destroy, sigma_minus, sigma_plus
+from .operators import SpaceLayout, destroy, kron, sigma_minus, sigma_plus
 
 __all__ = [
     "BathKind",
@@ -386,8 +386,8 @@ def full_interaction_hamiltonian(settings: LaserSettings, n_max: int) -> np.ndar
     a = destroy(n_max)
     s_x, s_y = _couplings(settings, sigma_minus())
     ident = np.eye(n_max, dtype=complex)
-    h = np.kron(np.kron(s_x, a.conj().T), ident)
-    h += np.kron(np.kron(s_y, ident), a.conj().T)
+    h = kron(s_x, a.conj().T, ident)
+    h += kron(s_y, ident, a.conj().T)
     h += h.conj().T
     return h
 

@@ -14,6 +14,7 @@ from dataclasses import replace
 import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
+from scipy.sparse.csgraph import connected_components
 
 from ionotto.cycle import CycleConfig, prepare_bath_equilibria
 from ionotto.lindblad import (
@@ -30,7 +31,6 @@ from ionotto.lindblad import (
     LindbladModel,
     _check_state,
     _slowest_window,
-    _state_sector,
     _stepper,
     evolve,
     liouvillian_matrix,
@@ -371,6 +371,20 @@ def reference_liouvillian(model: LindbladModel, *, sparse: bool = False):
     return liou.tocsr() if sparse else liou
 
 
+def reference_state_sector(liou: sp.csr_matrix, y0: np.ndarray, dim: int) -> np.ndarray:
+    """Indices of the vectorized entries that the dynamics from ``y0`` can reach.
+
+    The connected components of the nonzero pattern of |L| + |L|^T, taken
+    from the whole generator ``liou`` (CSR, exact zeros dropped), that hold
+    a diagonal entry or a nonzero of ``y0``: the full-space route that
+    :func:`ionotto.lindblad._sector_block`, which labels the structural
+    support and evaluates entries on the sector's rows only, must match.
+    """
+    _, labels = connected_components(sp.csr_matrix(abs(liou)), directed=False)
+    seeds = np.concatenate((np.arange(dim) * (dim + 1), np.flatnonzero(y0)))
+    return np.flatnonzero(np.isin(labels, labels[seeds]))
+
+
 def reference_window_loop(
     model: LindbladModel,
     rho0: np.ndarray,
@@ -402,7 +416,7 @@ def reference_window_loop(
     elif method == "implicit":
         budget = _IMPLICIT_WINDOWS
         liou = liouvillian_matrix(model, sparse=True)
-        sector = _state_sector(liou, rho.reshape(-1), model.dim)
+        sector = reference_state_sector(liou, rho.reshape(-1), model.dim)
         sector_dim = int(sector.size)
         block = liou[sector][:, sector]
         stepper = spla.splu(

@@ -58,8 +58,12 @@ def random_state(rng, dim, kind, model):
 def lane_cases(draw, max_dim=4):
     """A model of dim 1 to ``max_dim`` whose slow rate is its spectral gap,
     and the start states of its lanes."""
-    dim = draw(st.integers(1, max_dim))
-    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    # the dimension follows the seed, which hypothesis draws about evenly,
+    # so every dimension comes up (a drawn integer in 1..max_dim came out
+    # uneven: dim 2 once in 40 examples, the 2 x 2 of every shipped row)
+    seed = draw(st.integers(0, 2**32 - 1))
+    dim = 1 + seed % max_dim
+    rng = np.random.default_rng(seed)
     half = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
     channels = tuple(
         (
