@@ -55,7 +55,6 @@ from .reservoirs import (
     ReservoirSpec,
     channels_from_settings,
     effective_collapse_channels,
-    full_interaction_hamiltonian,
     full_joint_model,
     gibbs_state,
     match_rabi_frequencies,
@@ -96,7 +95,6 @@ __all__ = [
     "equilibrate",
     "evolve",
     "expectation",
-    "full_interaction_hamiltonian",
     "full_joint_model",
     "full_v_model",
     "gibbs_state",

@@ -34,11 +34,12 @@ from .lindblad import (
     equilibrate_lanes,
     expectation,
 )
-from .operators import SpaceLayout, kron, number_op, partial_trace, sigma_z, vacuum_state
+from .operators import SpaceLayout, kron, partial_trace, sigma_z, vacuum_state
 from .reservoirs import (
     ADIABATIC_RATIO_FLOOR,
     BathKind,
     ReservoirSpec,
+    _excitation_window,
     bath_steady_state,
     full_joint_model,
     match_rabi_frequencies,
@@ -68,8 +69,8 @@ __all__ = [
 LAMB_DICKE_CEILING = 0.1
 # Energies closer to zero than this count as zero when classifying a regime.
 _REGIME_TOL = 1e-12
-# Largest motional truncation: the full-mode joint operators grow as
-# fock_dim**4 and take about 380 MB of memory at 32.
+# Largest motional truncation: the full-mode joint model has fock_dim
+# (fock_dim + 1) states, and building it at 32 peaks at about 98 MB.
 _MAX_FOCK_DIM = 32
 
 
@@ -432,34 +433,22 @@ class BathEquilibria:
 def _joint_bath_stroke(
     config: CycleConfig, spec: ReservoirSpec, label: str
 ) -> tuple[np.ndarray, tuple[str, ...], dict[str, float]]:
-    """Equilibrate bath steady state x vacuum x vacuum against one bath.
+    """Equilibrate bath steady state x two-mode vacuum against one bath.
 
-    The solve keeps only the joint basis states with n_x + n_y < fock_dim
+    The joint model keeps the two-mode states with n_x + n_y < fock_dim
     (an excitation-number-restricted truncation; the modes stay near
-    vacuum) and scatters its result back into the box layout.
+    vacuum), the vacuum first.
     """
-    n_max = config.fock_dim
     settings = match_rabi_frequencies(spec, config.lamb, config.kappa)
-    model = full_joint_model(settings, n_max)
-    layout = SpaceLayout((2, n_max, n_max))
-    vac = vacuum_state(n_max)
-    joint0 = kron(bath_steady_state(spec), vac, vac)
-    excitations = np.add.outer(np.arange(n_max), np.arange(n_max)).ravel()
-    window = np.flatnonzero(np.tile(excitations < n_max, 2))
-    kept = np.ix_(window, window)
-    restricted = LindbladModel(
-        hamiltonian=model.hamiltonian[kept],
-        channels=tuple((rate, op[kept]) for rate, op in model.channels),
-        slow_rate=model.slow_rate,
+    window = _excitation_window(config.fock_dim)
+    layout = SpaceLayout((2, window.size))
+    joint0 = kron(bath_steady_state(spec), vacuum_state(window.size))
+    report = equilibrate(full_joint_model(settings, config.fock_dim), joint0)
+    reduced = partial_trace(report.final_state, layout, keep=(0,))
+    max_occ = max(  # divmod gives n_x and n_y of each window state
+        expectation(layout.embed(np.diag(n).astype(complex), 1), report.final_state)
+        for n in divmod(window, config.fock_dim)
     )
-    report = equilibrate(restricted, joint0[kept])
-    final = np.zeros_like(joint0)
-    final[kept] = report.final_state
-    reduced = partial_trace(final, layout, keep=(0,))
-    number = number_op(n_max)
-    occ_x = expectation(layout.embed(number, 1), final)
-    occ_y = expectation(layout.embed(number, 2), final)
-    max_occ = max(occ_x, occ_y)
     lamb_dicke = config.lamb * math.sqrt(max(max_occ, 0.0))
     flags = []
     if lamb_dicke >= LAMB_DICKE_CEILING:

@@ -558,13 +558,20 @@ def _dormand_prince(gen, y: np.ndarray, t: float) -> list[tuple[np.ndarray, int,
         np.matmul(gen, y[..., None], out=k0[..., None])
     if not np.isfinite(k0).all():
         raise IntegrationError("non-finite derivative at the initial state")
-    # the standard starting-step heuristic
+    # the standard starting-step heuristic 0.01 d0 / d1; where d1's squares
+    # overflow (generators past about 1e142), d1 is scaled by the lane's
+    # largest |k0|, as LAPACK's dnrm2 scales, and that peak divides last
     scale0 = _RK_ATOL + _RK_RTOL * np.abs(y)
     sq = np.empty(y.shape)
-    hs = [
-        min(t, 0.01 * d0 / d1 if d1 > 0 else t * 1e-3)
-        for d0, d1 in zip(_rms(y / scale0, sq), _rms(k0 / scale0, sq))
-    ]
+    with np.errstate(over="ignore"):
+        d0s, d1s = _rms(y / scale0, sq), _rms(k0 / scale0, sq)
+    hs = [min(t, 0.01 * d0 / d1 if d1 > 0 else t * 1e-3) for d0, d1 in zip(d0s, d1s)]
+    for lane, d1 in enumerate(d1s):
+        if d1 == math.inf:
+            k, s = k0.reshape(lanes, n)[lane], scale0.reshape(lanes, n)[lane]
+            peak = np.abs(k).max()
+            size = np.abs(k) / peak / s
+            hs[lane] = min(t, 0.01 * d0s[lane] / math.sqrt(_total(size * size) / n) / peak)
     if lanes == 1:
         return [_lane(gen, y, k0, t, 0.0, hs[0], 0, 0.0)]
     results: list[tuple[np.ndarray, int, float] | None] = [None] * lanes

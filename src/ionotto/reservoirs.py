@@ -27,7 +27,7 @@ from functools import cached_property
 import numpy as np
 
 from .lindblad import LindbladModel
-from .operators import SpaceLayout, destroy, kron, sigma_minus, sigma_plus
+from .operators import destroy, kron, sigma_minus, sigma_plus
 
 __all__ = [
     "BathKind",
@@ -42,7 +42,6 @@ __all__ = [
     "effective_collapse_channels",
     "slow_relaxation_rate",
     "channels_from_settings",
-    "full_interaction_hamiltonian",
     "full_joint_model",
     "bath_steady_state",
     "gibbs_state",
@@ -373,33 +372,35 @@ def channels_from_settings(
     )
 
 
-def full_interaction_hamiltonian(settings: LaserSettings, n_max: int) -> np.ndarray:
-    """Joint electron-motion coupling in the interaction picture.
-
-    H = sum_alpha (s_alpha a_alpha^dag + s_alpha^dag a_alpha) on the
-    layout (2, n_max, n_max); the optical and motional carrier phases are
-    absorbed by the frame, so the matrix is time independent and
-    Hermitian by construction.
-    """
-    if n_max < 2:
-        raise ValueError(f"Fock truncation must be at least 2, got {n_max}")
-    a = destroy(n_max)
-    s_x, s_y = _couplings(settings, sigma_minus())
-    ident = np.eye(n_max, dtype=complex)
-    h = kron(s_x, a.conj().T, ident)
-    h += kron(s_y, ident, a.conj().T)
-    h += h.conj().T
-    return h
+def _excitation_window(n_max: int) -> np.ndarray:
+    """Box indices n_x n_max + n_y of the two-mode states with n_x + n_y < n_max."""
+    excitations = np.add.outer(np.arange(n_max), np.arange(n_max))
+    return np.flatnonzero(excitations.ravel() < n_max)
 
 
 def full_joint_model(settings: LaserSettings, n_max: int) -> LindbladModel:
-    """Joint model: laser coupling plus motional decay on both modes."""
-    layout = SpaceLayout((2, n_max, n_max))
-    a = destroy(n_max)
-    kappa_x, kappa_y = settings.rates
+    """Joint model: laser coupling plus motional decay on both modes.
+
+    The modes keep the excitation window n_x + n_y < n_max, in box order,
+    so the space (electron first) has dimension n_max (n_max + 1).  The
+    interaction-picture coupling H = sum_alpha (s_alpha a_alpha^dag +
+    s_alpha^dag a_alpha) is time independent and Hermitian by construction.
+    """
+    a = destroy(n_max)  # raises below 2 Fock states
+    ident = np.eye(n_max, dtype=complex)
+    window = _excitation_window(n_max)
+    kept = np.ix_(window, window)
+    modes = (kron(a, ident)[kept], kron(ident, a)[kept])
+    s_x, s_y = _couplings(settings, sigma_minus())
+    h = kron(s_x, modes[0].conj().T)
+    h += kron(s_y, modes[1].conj().T)
+    h += h.conj().T
     return LindbladModel(
-        hamiltonian=full_interaction_hamiltonian(settings, n_max),
-        channels=((kappa_x, layout.embed(a, 1)), (kappa_y, layout.embed(a, 2))),
+        hamiltonian=h,
+        channels=tuple(
+            (rate, kron(np.eye(2, dtype=complex), mode))
+            for rate, mode in zip(settings.rates, modes)
+        ),
         slow_rate=slow_relaxation_rate(settings.target),
     )
 

@@ -36,7 +36,16 @@ from ionotto.lindblad import (
     liouvillian_matrix,
     trace_norm,
 )
-from ionotto.operators import hermiticity_defect, vacuum_state
+from ionotto.operators import (
+    SpaceLayout,
+    destroy,
+    hermiticity_defect,
+    kron,
+    sigma_minus,
+    sigma_plus,
+    vacuum_state,
+)
+from ionotto.reservoirs import LaserSettings, slow_relaxation_rate
 
 
 def transition_probability(drive_rabi: float, tau_prime: float) -> float:
@@ -340,6 +349,33 @@ def reference_steady_state(model: LindbladModel) -> np.ndarray:
             "null vector is traceless; no normalizable steady state"
         )
     return (rho / tr).astype(complex)
+
+
+def box_joint_model(settings: LaserSettings, n_max: int) -> LindbladModel:
+    """The full mode's joint model on the whole box: both modes truncated
+    at ``n_max`` Fock states each, on the layout (2, n_max, n_max).
+
+    :func:`ionotto.reservoirs.full_joint_model` keeps the states with
+    n_x + n_y < n_max, and its operators must equal this model's sliced
+    to them, bit for bit.  The couplings s_alpha = (lambda / 2)
+    (Omega_alpha1 sigma_- + Omega_alpha2 sigma_+) are written out here.
+    """
+    layout = SpaceLayout((2, n_max, n_max))
+    a = destroy(n_max)
+    ident = np.eye(n_max, dtype=complex)
+    r1, r2, r3, r4 = settings.rabi
+    half = settings.lamb / 2.0
+    s_x = half * (r1 * sigma_minus() + r2 * sigma_plus())
+    s_y = half * (r3 * sigma_minus() + r4 * sigma_plus())
+    h = kron(s_x, a.conj().T, ident)
+    h += kron(s_y, ident, a.conj().T)
+    h += h.conj().T
+    kappa_x, kappa_y = settings.rates
+    return LindbladModel(
+        hamiltonian=h,
+        channels=((kappa_x, layout.embed(a, 1)), (kappa_y, layout.embed(a, 2))),
+        slow_rate=slow_relaxation_rate(settings.target),
+    )
 
 
 def reference_liouvillian(model: LindbladModel, *, sparse: bool = False):

@@ -47,13 +47,13 @@ from ionotto.reservoirs import (
     ReservoirSpec,
     channels_from_settings,
     effective_collapse_channels,
-    full_joint_model,
     gibbs_state,
     match_rabi_frequencies,
     spec_theta,
     squeezed_gibbs_state,
 )
 from oracles import (
+    box_joint_model,
     carrier_propagator_numeric,
     rabi_mixing_unitary,
     transition_probability,
@@ -166,7 +166,7 @@ def test_criterion_3_adiabatic_elimination_validity():
         lamb, n_max = 0.01, 6
 
         def reduced_full_state(spec: ReservoirSpec, kappa: float) -> np.ndarray:
-            model = full_joint_model(match_rabi_frequencies(spec, lamb, kappa), n_max)
+            model = box_joint_model(match_rabi_frequencies(spec, lamb, kappa), n_max)
             layout = SpaceLayout((2, n_max, n_max))
             start = kron(
                 bath_reference_state(spec), vacuum_state(n_max), vacuum_state(n_max)

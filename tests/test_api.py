@@ -43,7 +43,6 @@ def test_submodule_exports_resolve(module_name):
         ("_dormand_prince", "(gen, y, t)"),
         # the model builders read lamb, the rates and the target bath from
         # the settings; bench/workloads.py calls the oscillator ones
-        ("reservoirs.full_interaction_hamiltonian", "(settings, n_max)"),
         ("reservoirs.full_joint_model", "(settings, n_max)"),
         ("reservoirs.channels_from_settings", "(settings, lower)"),
         ("oscillator.match_rabi_for_mode", "(spec, lamb, gamma_ge, gamma_gf)"),

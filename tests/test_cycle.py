@@ -16,8 +16,9 @@ from ionotto.cycle import (
     reference_efficiencies,
     run_cycle_closed_form,
     run_cycle_effective,
+    run_cycle_effective_grid,
 )
-from ionotto.reservoirs import ReservoirSpec
+from ionotto.reservoirs import MAX_SQUEEZING, ReservoirSpec
 from oracles import (
     carrier_propagator_numeric,
     engine_efficiency_formula,
@@ -303,6 +304,23 @@ class TestEffectiveCycle:
                 )
                 assert delta < 1e-6, (config.hot.kind, name, delta)
             assert simulated.regime is analytic.regime
+
+    @pytest.mark.parametrize("squeezing", [171.4, 250.0, MAX_SQUEEZING])
+    def test_hot_squeezing_up_to_the_rate_limit(self, squeezing):
+        # past r = 171.4 the hot bath's generator exceeds 2e145, where the
+        # squares in the starting step's derivative norm overflow; one row
+        # and a grid of lanes must both run to MAX_SQUEEZING
+        config = panel_config(ReservoirSpec.squeezed_thermal(TWO_PI * 1e-4, 0.4, squeezing))
+        xis = [0.0, 0.25, 0.5]
+        rows = run_cycle_effective_grid(config, xis)
+        assert rows[1].energies == run_cycle_effective(config, 0.25).energies
+        for xi, simulated in zip(xis, rows):
+            analytic = run_cycle_closed_form(config, xi)
+            for name in ("w_expansion", "w_compression", "q_hot", "q_cold"):
+                delta = abs(
+                    getattr(simulated.energies, name) - getattr(analytic.energies, name)
+                )
+                assert delta < 1e-6, (squeezing, xi, name, delta)
 
     def test_identical_reservoirs_do_nothing(self):
         # the two gap relabelings shift energy by opposite amounts; the

@@ -22,14 +22,13 @@ from ionotto.operators import SpaceLayout, kron, partial_trace, vacuum_state
 from ionotto.reservoirs import (
     ReservoirSpec,
     bath_steady_state,
-    full_joint_model,
     gibbs_state,
     match_rabi_frequencies,
     spec_theta,
     squeezed_gibbs_state,
 )
 from ionotto.sweep import load_config
-from oracles import truncation_shift
+from oracles import box_joint_model, truncation_shift
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
 TWO_PI = 2 * math.pi
@@ -55,7 +54,7 @@ def effective_bath_state(spec: ReservoirSpec) -> np.ndarray:
 
 
 def full_bath_state(spec: ReservoirSpec, kappa: float, n_max: int = 6) -> np.ndarray:
-    model = full_joint_model(match_rabi_frequencies(spec, 0.01, kappa), n_max)
+    model = box_joint_model(match_rabi_frequencies(spec, 0.01, kappa), n_max)
     layout = SpaceLayout((2, n_max, n_max))
     start = kron(effective_bath_state(spec), vacuum_state(n_max), vacuum_state(n_max))
     report = equilibrate(model, start)
@@ -220,7 +219,7 @@ class TestExcitationWindow:
         vac = vacuum_state(fock_dim)
         for label, spec in (("cold", config.cold), ("hot", config.hot)):
             settings = match_rabi_frequencies(spec, config.lamb, kappa)
-            model = full_joint_model(settings, fock_dim)
+            model = box_joint_model(settings, fock_dim)
             start = kron(effective_bath_state(spec), vac, vac)
             report = equilibrate(model, start)
             box = partial_trace(report.final_state, layout, keep=(0,))
@@ -244,7 +243,7 @@ class TestExcitationWindow:
         )
         for spec, other_bath_state, cached in strokes:
             settings = match_rabi_frequencies(spec, config.lamb, config.kappa)
-            model = full_joint_model(settings, n_max)
+            model = box_joint_model(settings, n_max)
             start = kron(apply_transition_mixing(other_bath_state, xi), vac, vac)
             report = equilibrate(model, start)
             box = partial_trace(report.final_state, layout, keep=(0,))

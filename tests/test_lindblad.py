@@ -44,11 +44,11 @@ from ionotto.oscillator import effective_mode_model, match_rabi_for_mode
 from ionotto.reservoirs import (
     ReservoirSpec,
     bath_steady_state,
-    full_joint_model,
     match_rabi_frequencies,
 )
 from ionotto.sweep import load_config
 from oracles import (
+    box_joint_model,
     hermitian_propagator,
     reference_evolve,
     reference_window_loop,
@@ -112,7 +112,7 @@ def sparse_joint_start():
     """A fock-4 box joint model (dim 32, past the dense size limit) and a
     start state with electronic coherence."""
     spec = ReservoirSpec.thermal(2 * np.pi * 1e-4, 0.8)
-    model = full_joint_model(match_rabi_frequencies(spec, 0.01, 2 * np.pi), 4)
+    model = box_joint_model(match_rabi_frequencies(spec, 0.01, 2 * np.pi), 4)
     plus = 0.5 * np.ones((2, 2), dtype=complex)
     return model, kron(plus, thermal_state(4, 0.3), vacuum_state(4))
 
@@ -742,7 +742,7 @@ def full_space_backward_euler(model, rho0, change_tol=1e-8, budget=60):
 
 def squeezed_joint_model(n_max):
     spec = ReservoirSpec.squeezed_thermal(2 * np.pi * 1e-4, 0.4, 0.5)
-    return full_joint_model(match_rabi_frequencies(spec, 0.01, 2 * np.pi), n_max)
+    return box_joint_model(match_rabi_frequencies(spec, 0.01, 2 * np.pi), n_max)
 
 
 class TestSectorRestriction:
@@ -785,7 +785,7 @@ class TestSectorRestriction:
         cycle = load_config(CONFIG_DIR / f"{panel}.json").cycle
         n_max = cycle.fock_dim
         settings = match_rabi_frequencies(cycle.hot, cycle.lamb, cycle.kappa)
-        model = full_joint_model(settings, n_max)
+        model = box_joint_model(settings, n_max)
         vac = vacuum_state(n_max)
         report = equilibrate(model, kron(ketbra(2, 1, 1), vac, vac))
         assert report.method == "implicit"

@@ -6,14 +6,13 @@ import numpy as np
 import pytest
 
 from ionotto.lindblad import LindbladModel, expectation, steady_state
-from ionotto.operators import SpaceLayout, ketbra, sigma_minus, sigma_z
+from ionotto.operators import ketbra, sigma_minus, sigma_z
 from ionotto.reservoirs import (
     MAX_SQUEEZING,
     BathKind,
     ReservoirSpec,
     channels_from_settings,
     effective_collapse_channels,
-    full_interaction_hamiltonian,
     full_joint_model,
     gibbs_state,
     match_rabi_frequencies,
@@ -238,7 +237,7 @@ class TestFullInteraction:
         spec = ReservoirSpec.thermal(1e-3, 0.0)
         settings = match_rabi_frequencies(spec, 0.01, 2 * math.pi)
         zeroed = replace(settings, rabi=(0.0, 0.0, 0.0, 0.0), regime_ratio=math.inf)
-        h = full_interaction_hamiltonian(zeroed, 3)
+        h = full_joint_model(zeroed, 3).hamiltonian
         assert np.abs(h).max() == 0.0
 
     def test_hermitian_by_construction(self):
@@ -249,37 +248,42 @@ class TestFullInteraction:
             ReservoirSpec.thermal(1e-3, 0.5), 0.02, (2 * math.pi, 2 * math.pi),
             tuple(rng.uniform(0, 5, size=4)), regime_ratio=100.0,
         )
-        h = full_interaction_hamiltonian(settings, 4)
+        h = full_joint_model(settings, 4).hamiltonian
         assert np.abs(h - h.conj().T).max() <= 1e-14
 
     def test_single_sideband_coupling_element(self):
         from ionotto.reservoirs import LaserSettings
 
-        lamb, rabi = 0.01, 7.0
+        lamb, rabi, n_max = 0.01, 7.0, 3
         settings = LaserSettings(
             ReservoirSpec.thermal(1e-3, 0.5), lamb, (2 * math.pi, 2 * math.pi),
             (rabi, 0.0, 0.0, 0.0), regime_ratio=100.0,
         )
-        h = full_interaction_hamiltonian(settings, 2)
-        layout = SpaceLayout((2, 2, 2))
-        # couples |e,0,ny> <-> |g,1,ny> with element lambda Omega / 2,
-        # acting as the identity on the y mode
-        idx_e00 = 1 * 4 + 0 * 2 + 0
-        idx_g10 = 0 * 4 + 1 * 2 + 0
-        assert abs(h[idx_g10, idx_e00] - lamb * rabi / 2) < 1e-15
-        nonzero = {tuple(int(x) for x in pair) for pair in np.argwhere(np.abs(h) > 0)}
+        h = full_joint_model(settings, n_max).hamiltonian
+        # window states (n_x, n_y) with n_x + n_y < n_max, in box order
+        window = [(nx, ny) for nx in range(n_max) for ny in range(n_max) if nx + ny < n_max]
+        index = {state: i for i, state in enumerate(window)}
+        excited = len(window)  # offset of the excited electron
+        assert h.shape == (2 * excited, 2 * excited)
+        # couples |e, n_x, n_y> <-> |g, n_x + 1, n_y> with element
+        # lambda Omega sqrt(n_x + 1) / 2, acting as the identity on the y
+        # mode, wherever both states are in the window
         expected = set()
-        for ny in (0, 1):
-            expected.add((idx_g10 + ny, idx_e00 + ny))
-            expected.add((idx_e00 + ny, idx_g10 + ny))
+        for (nx, ny), i in index.items():
+            if (nx + 1, ny) in index:
+                lower, upper = excited + i, index[(nx + 1, ny)]
+                element = lamb * rabi * math.sqrt(nx + 1) / 2
+                assert abs(h[upper, lower] - element) < 1e-15
+                expected |= {(upper, lower), (lower, upper)}
+        assert len(expected) == 6
+        nonzero = {tuple(int(x) for x in pair) for pair in np.argwhere(np.abs(h) > 0)}
         assert nonzero == expected
-        assert layout.dim == h.shape[0]
 
     def test_too_small_truncation(self):
         spec = ReservoirSpec.thermal(1e-3, 0.5)
         settings = match_rabi_frequencies(spec, 0.01, 2 * math.pi)
         with pytest.raises(ValueError):
-            full_interaction_hamiltonian(settings, 1)
+            full_joint_model(settings, 1)
 
 
 class TestGibbsStates:
@@ -314,7 +318,7 @@ class TestFullJointModel:
     def test_channels_and_layout(self):
         spec = ReservoirSpec.thermal(2 * math.pi * 1e-4, 1.2)
         model = full_joint_model(match_rabi_frequencies(spec, 0.01, 2 * math.pi), 4)
-        assert model.dim == 2 * 4 * 4
+        assert model.dim == 4 * (4 + 1)  # the n_x + n_y < 4 window
         assert len(model.channels) == 2
         assert all(rate == 2 * math.pi for rate, _ in model.channels)
         assert model.slow_rate == pytest.approx(slow_relaxation_rate(spec))

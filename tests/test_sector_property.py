@@ -42,11 +42,10 @@ from ionotto.lindblad import (
 from ionotto.operators import kron, vacuum_state
 from ionotto.reservoirs import (
     ReservoirSpec,
-    full_joint_model,
     match_rabi_frequencies,
 )
 from ionotto.sweep import load_config
-from oracles import reference_state_sector, reference_window_loop
+from oracles import box_joint_model, reference_state_sector, reference_window_loop
 
 CONFIG_DIR = Path(__file__).resolve().parents[1] / "configs"
 
@@ -152,7 +151,7 @@ def test_sector_holds_the_transpose_of_the_start_state():
     settings = match_rabi_frequencies(
         ReservoirSpec.thermal(2 * np.pi * 1e-4, 0.4), 0.01, 2 * np.pi
     )
-    model = full_joint_model(settings, 4)
+    model = box_joint_model(settings, 4)
     d = model.dim
     vac = vacuum_state(4)
     electron = np.diag([0.5, 0.5]).astype(complex)

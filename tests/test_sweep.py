@@ -446,6 +446,31 @@ class TestCli:
             modes = {row["mode"] for row in csv.DictReader(handle)}
         assert modes == {"closed_form", "effective"}
 
+    @pytest.mark.parametrize("bath", ["cold", "hot"])
+    def test_matching_defect_exit_code(self, tmp_path, monkeypatch, capsys, bath):
+        # lasers whose first channel is off by one part in a million miss
+        # the target bath by about 1e-6 of its largest generator entry
+        import ionotto.cli as cli_module
+
+        real = cli_module.channels_from_settings
+
+        def skewed(settings, lower):
+            (rate, op), second = real(settings, lower)
+            if settings.target == getattr(cycle, bath):
+                rate *= 1 + 1e-6
+            return (rate, op), second
+
+        cycle = load_config(CONFIG_DIR / "fig2a.json").cycle
+        monkeypatch.setattr(cli_module, "channels_from_settings", skewed)
+        out = tmp_path / "out.csv"
+        config = str(CONFIG_DIR / "fig2a.json")
+        assert main(["validate", config]) == 2
+        sweep = ["sweep", config, "--modes", "closed_form", "--xi-points", "2"]
+        assert main(sweep + ["--output", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.count(f"configuration error: {bath}: the matched laser channels") == 2
+        assert not out.exists()
+
     def test_config_error_exit_code(self, tmp_path, capsys):
         bad = tmp_path / "bad.json"
         bad.write_text("{")
