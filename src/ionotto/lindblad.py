@@ -43,9 +43,9 @@ __all__ = [
     "trace_norm",
 ]
 
-# Largest model dimension whose generator is stored dense.  Larger models
-# (the joint ion models) are big and very sparse: their generator is
-# stored sparse and ``equilibrate`` steps them implicitly.
+# Largest model dimension with a (dense) generator.  Larger models (the
+# joint ion models) are big and very sparse: ``equilibrate`` and
+# ``steady_state`` assemble only blocks of their generator.
 _DENSE_MAX_DIM = 24
 # A dense model whose ``window_stiffness`` exceeds this is stiff: the joint
 # and V models measure 5.9e4 or more, the effective ones at most 2.1e3.
@@ -133,9 +133,15 @@ class LindbladModel:
         return self.hamiltonian.shape[0]
 
     @cached_property
-    def generator(self):
-        """:func:`liouvillian_matrix`, sparse for dim > ``_DENSE_MAX_DIM``."""
-        return liouvillian_matrix(self, sparse=self.dim > _DENSE_MAX_DIM)
+    def generator(self) -> np.ndarray:
+        """:func:`liouvillian_matrix`; a model past ``_DENSE_MAX_DIM`` raises
+        ``ValueError``."""
+        if self.dim > _DENSE_MAX_DIM:
+            raise ValueError(
+                f"no generator past model dim {_DENSE_MAX_DIM}, got {self.dim}: "
+                "equilibrate() and steady_state() solve it block by block"
+            )
+        return liouvillian_matrix(self)
 
     @cached_property
     def window_stiffness(self) -> float:
@@ -171,33 +177,27 @@ class EquilibrationReport:
     sector_dim: int = 0
 
 
-def liouvillian_matrix(model: LindbladModel, *, sparse: bool = False):
-    """Matrix of the generator acting on row-major vectorized states.
+def liouvillian_matrix(model: LindbladModel) -> np.ndarray:
+    """Dense matrix of the generator acting on row-major vectorized states.
 
     -1j (H x I - I x H^T), then per channel + rate L x L^* - (rate / 2)
     (D x I + I x D^T), D = L^dag L, summed in this order without forming a
     Kronecker product x: index arithmetic on the nonzeros of H, L and D
     places the terms' support, and each term is evaluated there as x[i, j]
-    y[k, l], as ``np.kron`` does.  ``sparse``: CSR form, exact zeros dropped.
+    y[k, l], as ``np.kron`` does.
     """
     n = model.dim**2
     terms = _Terms(model)
     support = terms.support()
-    liou = terms.entries(support)
-    if not sparse:
-        dense = np.zeros(n * n, dtype=complex)
-        dense[support] = liou
-        return dense.reshape(n, n)
-    indptr = np.searchsorted(support, np.arange(n + 1) * n)
-    out = sp.csr_matrix((liou, support % n, indptr), shape=(n, n))
-    out.eliminate_zeros()
-    return out
+    dense = np.zeros(n * n, dtype=complex)
+    dense[support] = terms.entries(support)
+    return dense.reshape(n, n)
 
 
 class _Terms:
     """The generator's terms, H and each channel's rate, L and D = L^dag L,
-    and the one assembly body of :func:`liouvillian_matrix` and of
-    :func:`equilibrate`'s sector block.
+    and the one assembly body of :func:`liouvillian_matrix`, of
+    :func:`equilibrate`'s sector block and of :func:`steady_state`'s blocks.
 
     ``pattern`` holds the nonzeros of H and of every D: x (x) I and I (x)
     x^T place x[i, j] at ((i, k), (j, k)) and ((k, j), (k, i)).
@@ -244,7 +244,7 @@ class _Terms:
         L[i, j] L[k, l] != 0.  So the components are read from that block
         graph, on q^2 vertices for q components of the pattern.
         """
-        comp = _block_labels(self.pattern)
+        comp = _components(*np.nonzero(self.pattern), self.d)
         q = int(comp.max()) + 1
         # L (x) L^* joins blocks (A, A') -> (B, B'), numbered A q + A', for
         # links A -> B and A' -> B' of L between components
@@ -662,7 +662,7 @@ def evolve(model: LindbladModel, rho0: np.ndarray, t: float) -> EvolutionReport:
     step the state is re-symmetrized, rho <- (rho + rho^dag)/2, which
     removes Hermiticity drift without affecting the accuracy order.  The
     right-hand side is the model's cached :attr:`LindbladModel.generator`,
-    which must be dense: a model past ``_DENSE_MAX_DIM`` raises
+    which stops at ``_DENSE_MAX_DIM``: a larger model raises
     ``ValueError``, whatever ``t``.  ``t`` must be finite; a non-finite
     error estimate raises :class:`IntegrationError`.  This is the
     one-lane call of the integrator that :func:`equilibrate_lanes` runs
@@ -676,7 +676,7 @@ def evolve(model: LindbladModel, rho0: np.ndarray, t: float) -> EvolutionReport:
         raise ValueError(f"evolution time must be finite and >= 0, got {t}")
     if model.dim > _DENSE_MAX_DIM:
         raise ValueError(
-            f"rk stepping needs a dense generator (model dim <= {_DENSE_MAX_DIM}); "
+            f"rk stepping needs a generator (model dim <= {_DENSE_MAX_DIM}); "
             "equilibrate() relaxes larger models with implicit windows"
         )
     rho = _check_state(rho0, model.dim)
@@ -703,28 +703,34 @@ def steady_state(model: LindbladModel) -> np.ndarray:
     """Stationary state as the null vector of the generator.
 
     A weak symmetry of the generator (a thermal bath conserves the
-    coherence order, a squeezed one the parity) splits it into the blocks
-    of :func:`_block_labels`.  Each block gets a dense singular-value
-    decomposition; permuting L to block-diagonal form keeps its singular
-    values, so the pooled values locate the null space of the whole L.
-    A null-space dimension other than one is reported, never silently
-    resolved.  The null vector comes from the block holding the smallest
-    singular value.  The returned state is Hermitian with unit trace.
-    Works on dense and sparse generators alike; each block is decomposed
-    dense, so the cost follows the largest block.  The blocks are labelled
-    from the generator's nonzeros by :func:`_components`, the labelling of
-    :func:`equilibrate`'s sector.
+    coherence order, a squeezed one the parity) splits it into blocks:
+    the components of its nonzero pattern, labelled by :func:`_components`
+    as :func:`equilibrate`'s sector is.  Each block gets a dense
+    singular-value decomposition; permuting L to block-diagonal form
+    keeps its singular values, so the pooled values locate the null space
+    of the whole L.  A null-space dimension other than one is reported,
+    never silently resolved.  The null vector comes from the block holding
+    the smallest singular value.  The returned state is Hermitian with
+    unit trace.  :class:`_Terms` evaluates the generator's entries on its
+    support, so no full-space matrix is built at any size, and the cost
+    follows the largest block.
     """
     if not model.channels or all(rate == 0.0 for rate, _ in model.channels):
         raise ValueError("steady_state needs at least one dissipative channel")
-    gen = model.generator
-    labels = _block_labels(gen)
-    sparse = sp.issparse(gen)
+    n = model.dim**2
+    terms = _Terms(model)
+    support = terms.support()
+    data = terms.entries(support)
+    rows, cols = np.divmod(support[data != 0], n)
+    data = data[data != 0]
+    labels = _components(rows, cols, n)
     svals = []
     smin = math.inf
     for label in range(labels.max() + 1):
         block = np.flatnonzero(labels == label)
-        sub = gen[block][:, block].toarray() if sparse else gen[np.ix_(block, block)]
+        held = labels[rows] == label
+        sub = np.zeros((block.size, block.size), dtype=complex)
+        sub[tuple(np.searchsorted(block, (rows[held], cols[held])))] = data[held]
         _, block_svals, vh = np.linalg.svd(sub)
         svals.append(block_svals)
         if block_svals[-1] < smin:
@@ -748,17 +754,6 @@ def steady_state(model: LindbladModel) -> np.ndarray:
             "null vector is traceless; no normalizable steady state"
         )
     return (rho / tr).astype(complex)
-
-
-def _block_labels(liou) -> np.ndarray:
-    """Block label of every vectorized entry under the generator ``liou``.
-
-    A weak symmetry of the generator (parity, and for phase-insensitive
-    baths a U(1) charge) makes L block-diagonal.  The blocks are the
-    connected components of the nonzero pattern of L + L^T, labelled by
-    :func:`_components` from the nonzeros of L, dense or sparse.
-    """
-    return _components(*liou.nonzero(), liou.shape[0])
 
 
 def _components(rows: np.ndarray, cols: np.ndarray, n: int) -> np.ndarray:
@@ -796,21 +791,21 @@ def _sector_block(
     """The vectorized entries that the dynamics from ``rho`` can reach, and
     the generator's block on them (CSR, exact zeros dropped).
 
-    A block of :func:`_block_labels` without a nonzero of ``rho`` stays
-    exactly zero for all times; blocks holding a diagonal entry (the
-    trace) are always kept, and so are those holding a nonzero of rho^T:
-    windows re-symmetrize the state, so a start state that is Hermitian
-    only within tolerance keeps its transposed entries in the sector, and
-    every row of L rho outside the sector stays exactly zero.
+    A component of the generator's nonzero pattern (:func:`_components`)
+    without a nonzero of ``rho`` stays exactly zero for all times;
+    components holding a diagonal entry (the trace) are always kept, and
+    so are those holding a nonzero of rho^T: windows re-symmetrize the
+    state, so a start state that is Hermitian only within tolerance keeps
+    its transposed entries in the sector, and every row of L rho outside
+    the sector stays exactly zero.
 
     :meth:`_Terms.reached` labels the components of the structural
     support, and only their rows are placed and evaluated.  A structural
     entry can cancel to an exact zero and split a component; the nonzero
     pattern of those rows is then labelled again and the block rebuilt on
     what stays joined to the seeds, so the sector is always that of the
-    generator's nonzero pattern, and the block equals
-    ``liouvillian_matrix(model, sparse=True)[sector][:, sector]`` bit for
-    bit.
+    generator's nonzero pattern, and the block holds the nonzeros of
+    :func:`liouvillian_matrix` on the sector bit for bit.
     """
     d = model.dim
     n = d * d
@@ -845,10 +840,11 @@ def _slowest_window(model: LindbladModel) -> float:
 
 
 def _stepper(model: LindbladModel) -> str:
-    """The window stepper of :func:`equilibrate`: ``implicit`` for a sparse
-    generator (dim > ``_DENSE_MAX_DIM``; no stiffness is computed) or a
-    stiff window (``window_stiffness`` above ``_STIFF_WINDOW``), where rk
-    would take tens of thousands of steps per window; ``rk`` otherwise."""
+    """The window stepper of :func:`equilibrate`: ``implicit`` for a model
+    past ``_DENSE_MAX_DIM``, which has no generator (no stiffness is
+    computed), or a stiff window (``window_stiffness`` above
+    ``_STIFF_WINDOW``), where rk would take tens of thousands of steps per
+    window; ``rk`` otherwise."""
     if model.dim > _DENSE_MAX_DIM or model.window_stiffness > _STIFF_WINDOW:
         return "implicit"
     return "rk"
@@ -957,10 +953,10 @@ def equilibrate(
     those components stay exactly zero, so the restriction changes
     neither the fixed point nor the window count; ``sector_dim`` reports
     the size of the solved system, and ``rhs_residual`` is read from B.
-    :func:`_sector_block` assembles B alone, bit for bit the slice of
-    the full CSR generator, which is never built here.  The scheme is
-    L-stable, damps the fast motional scales
-    regardless of stiffness, and shares the exact fixed point L rho = 0
+    :func:`_sector_block` assembles B alone, bit for bit the nonzeros of
+    the full generator on the sector, which is never built here.  The
+    scheme is L-stable, damps the fast motional scales regardless of
+    stiffness, and shares the exact fixed point L rho = 0
     with the true dynamics, which is the quantity every caller extracts.
     """
     if not (0.0 < change_tol < math.inf):
@@ -1016,8 +1012,9 @@ def equilibrate_lanes(
     dt = _slowest_window(model)
     if _stepper(model) != "rk":
         raise ValueError(
-            "equilibrate_lanes steps with rk only, and this model is sparse or "
-            "stiff: relax it with equilibrate(), which steps it with implicit windows"
+            "equilibrate_lanes steps with rk only, and this model is past dim "
+            f"{_DENSE_MAX_DIM} or stiff: relax it with equilibrate(), which "
+            "steps it with implicit windows"
         )
     dim = model.dim
     gen = model.generator

@@ -332,16 +332,49 @@ def reference_steady_state(model: LindbladModel) -> np.ndarray:
     """
     if not model.channels or all(rate == 0.0 for rate, _ in model.channels):
         raise ValueError("steady_state needs at least one dissipative channel")
-    liou = liouvillian_matrix(model)
-    _, svals, vh = np.linalg.svd(liou)
-    smax = float(svals[0])
-    null_tol = max(smax, 1e-300) * 1e-9
+    _, svals, vh = np.linalg.svd(liouvillian_matrix(model))
+    return _null_state(model.dim, svals, vh[-1].conj())
+
+
+def reference_block_steady_state(model: LindbladModel) -> np.ndarray:
+    """Stationary state from one dense SVD per block of the full-space
+    sparse generator.
+
+    The blocks are the connected components of the nonzero pattern of
+    ``reference_liouvillian(model, sparse=True)``, and each is cut from
+    that matrix: the full-space route of
+    :func:`ionotto.lindblad.steady_state`, which assembles its blocks from
+    the generator's terms and must return the same state bit for bit.
+    The null vector comes from the block holding the smallest singular
+    value.
+    """
+    if not model.channels or all(rate == 0.0 for rate, _ in model.channels):
+        raise ValueError("steady_state needs at least one dissipative channel")
+    liou = reference_liouvillian(model, sparse=True)
+    _, labels = connected_components(sp.csr_matrix(abs(liou)), directed=False)
+    svals, smin = [], math.inf
+    for label in range(labels.max() + 1):
+        block = np.flatnonzero(labels == label)
+        _, block_svals, vh = np.linalg.svd(liou[block][:, block].toarray())
+        svals.append(block_svals)
+        if block_svals[-1] < smin:
+            smin = block_svals[-1]
+            null_vec = np.zeros(model.dim**2, dtype=complex)
+            null_vec[block] = vh[-1].conj()
+    return _null_state(model.dim, np.concatenate(svals), null_vec)
+
+
+def _null_state(dim: int, svals: np.ndarray, null_vec: np.ndarray) -> np.ndarray:
+    """The unit-trace Hermitian state of the null vector ``null_vec``; a
+    null space of dimension other than one under the singular values
+    ``svals`` raises."""
+    null_tol = max(float(svals.max()), 1e-300) * 1e-9
     null_count = int(np.count_nonzero(svals <= null_tol))
     if null_count != 1:
         raise DegenerateSteadyStateError(
             f"Liouvillian null space has dimension {null_count}, expected 1"
         )
-    rho = vh[-1].conj().reshape(model.dim, model.dim)
+    rho = null_vec.reshape(dim, dim)
     rho = 0.5 * (rho + rho.conj().T)
     tr = np.trace(rho)
     if abs(tr) < 1e-12 * np.linalg.norm(rho):
@@ -381,7 +414,8 @@ def box_joint_model(settings: LaserSettings, n_max: int) -> LindbladModel:
 def reference_liouvillian(model: LindbladModel, *, sparse: bool = False):
     """Matrix of the generator acting on row-major vectorized states.
 
-    Dense by default; ``sparse`` builds the same entries in CSR form.
+    Dense by default; ``sparse`` builds the same entries in CSR form and
+    drops the zeros that ``sp.kron`` stores.
 
     The sum of Kronecker products, formed with ``np.kron`` or ``sp.kron``:
     the reference that :func:`ionotto.lindblad.liouvillian_matrix`, which
@@ -404,7 +438,11 @@ def reference_liouvillian(model: LindbladModel, *, sparse: bool = False):
         op = convert(op)
         liou = liou + rate * kron(op, op.conj())
         liou = liou - (rate / 2.0) * (kron(opdop, ident) + kron(ident, opdop.T))
-    return liou.tocsr() if sparse else liou
+    if not sparse:
+        return liou
+    liou = liou.tocsr()
+    liou.eliminate_zeros()
+    return liou
 
 
 def reference_state_sector(liou: sp.csr_matrix, y0: np.ndarray, dim: int) -> np.ndarray:
@@ -451,7 +489,7 @@ def reference_window_loop(
         sector_dim = model.dim**2
     elif method == "implicit":
         budget = _IMPLICIT_WINDOWS
-        liou = liouvillian_matrix(model, sparse=True)
+        liou = reference_liouvillian(model, sparse=True)
         sector = reference_state_sector(liou, rho.reshape(-1), model.dim)
         sector_dim = int(sector.size)
         block = liou[sector][:, sector]

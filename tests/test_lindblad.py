@@ -7,6 +7,7 @@ import pytest
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 from scipy.linalg import expm
+from scipy.sparse.csgraph import connected_components
 
 import ionotto.lindblad as lindblad_module
 import ionotto.cycle as cycle_module
@@ -51,6 +52,7 @@ from oracles import (
     box_joint_model,
     hermitian_propagator,
     reference_evolve,
+    reference_liouvillian,
     reference_window_loop,
     thermal_state,
 )
@@ -62,15 +64,15 @@ H2_ZERO = np.zeros((2, 2), dtype=complex)
 
 @pytest.fixture
 def built(monkeypatch):
-    """The ``sparse`` flag of every generator that lindblad builds."""
-    flags = []
+    """The model dimension of every generator that lindblad builds."""
+    dims = []
 
-    def spy(model, *, sparse=False):
-        flags.append(sparse)
-        return liouvillian_matrix(model, sparse=sparse)
+    def spy(model):
+        dims.append(model.dim)
+        return liouvillian_matrix(model)
 
     monkeypatch.setattr(lindblad_module, "liouvillian_matrix", spy)
-    return flags
+    return dims
 
 
 @pytest.fixture
@@ -316,15 +318,15 @@ class TestGenerator:
         model = LindbladModel(
             np.diag(np.arange(dim)).astype(complex), ((0.3, destroy(dim)),)
         )
+        if dim > _DENSE_MAX_DIM:
+            with pytest.raises(ValueError, match="steady_state"):
+                model.generator
+            assert built == []
+            return
         generator = model.generator
         assert model.generator is generator
-        sparse = dim > _DENSE_MAX_DIM
-        assert built == [sparse]
-        assert sp.issparse(generator) == sparse
-        expected = liouvillian_matrix(model, sparse=sparse)
-        if sparse:
-            generator, expected = generator.toarray(), expected.toarray()
-        assert np.array_equal(generator, expected)
+        assert built == [dim]
+        assert np.array_equal(generator, liouvillian_matrix(model))
 
     def test_equilibrate_builds_one_generator(self, built):
         cycle = load_config(CONFIG_DIR / "fig2c.json").cycle
@@ -332,27 +334,27 @@ class TestGenerator:
         report = equilibrate(cycle.hot.bath_model, start)
         assert report.method == "rk"
         assert report.windows > 1
-        assert built == [False]
+        assert built == [2]
 
     @pytest.mark.parametrize("n_max, sparse", [(3, False), (4, True)])
     def test_implicit_equilibrations_build_one_generator(self, n_max, sparse, built):
         # dim 18 keeps the cached generator dense (its stiffness reads it);
         # the implicit solve of either size builds only its sector's block,
-        # so a sparse (dim 32) model builds no full-space generator
+        # so a dim 32 model builds no full-space generator
         model, _ = small_joint_model(gamma=STIFF_GAMMA, n_max=n_max)
         vac = vacuum_state(n_max)
         for start in (ketbra(2, 0, 0), ketbra(2, 1, 1)):
             report = equilibrate(model, kron(start, vac, vac))
             assert report.method == "implicit"
-        assert built == ([] if sparse else [False])
+        assert built == ([] if sparse else [18])
 
     def test_effective_row_builds_two_generators(self, built):
         # a freshly loaded config: its specs have not built a bath model yet
         cycle = load_config(CONFIG_DIR / "fig2a.json").cycle
         for xi in (0.0, 0.1, 0.3, 0.5):
             run_cycle_effective(cycle, xi)
-        # one dense generator per bath spec, over all rows
-        assert built == [False, False]
+        # one generator per bath spec, over all rows
+        assert built == [2, 2]
 
 
 class TestExpectation:
@@ -434,11 +436,42 @@ class TestSteadyState:
         steady_state(mode_model(spec, 20))
         assert svd_shapes == [(200, 200), (200, 200)]
 
-    def test_sparse_generator_matches_implicit_equilibration(self, svd_shapes):
-        # dim 32 is past the dense size limit: blocks are cut from the
-        # sparse generator, and no SVD sees the whole 1024 x 1024 matrix
+    def test_blocks_split_at_exact_cancellations(self, svd_shapes):
+        # |0><1| + |2><3| and |0><1| - |2><3| at one rate cancel to exact
+        # zeros at ((0, 2), (1, 3)) and ((2, 0), (3, 1)) of L (x) L^*: the
+        # blocks are those of the nonzeros, 13 against 11 structural ones
+        pair = np.zeros((2, 4, 4), dtype=complex)
+        pair[:, 0, 1] = 1.0
+        pair[:, 2, 3] = (1.0, -1.0)
+        jumps = (0.5, ketbra(4, 0, 1)), (0.5, ketbra(4, 0, 2))
+        model = LindbladModel(
+            np.diag([0.0, 1.0, 0.3, 2.0]).astype(complex),
+            ((1.0, pair[0]), (1.0, pair[1])) + jumps,
+        )
+        steady_state(model)
+        liou = reference_liouvillian(model, sparse=True)
+        count, labels = connected_components(abs(liou), directed=False)
+        assert count == 13
+        assert sorted(svd_shapes) == sorted((m, m) for m in np.bincount(labels))
+
+    def test_builds_no_generator(self, built):
+        spec = ReservoirSpec.squeezed_thermal(2 * np.pi * 2e-4, 0.4, 0.5)
+        for model in (
+            thermal_two_level_model(0.7, 0.4),
+            mode_model(spec, 20),
+            sparse_joint_start()[0],
+        ):
+            steady_state(model)
+            assert "generator" not in vars(model)
+        assert built == []
+
+    def test_model_past_the_dense_size_matches_implicit_equilibration(
+        self, svd_shapes
+    ):
+        # dim 32 is past the dense size limit: blocks are assembled from
+        # the terms, and no SVD sees the whole 1024 x 1024 matrix
         model, _ = sparse_joint_start()
-        assert sp.issparse(model.generator)
+        assert model.dim > _DENSE_MAX_DIM
         direct = steady_state(model)
         assert max(rows for rows, _ in svd_shapes) < model.dim**2
         assert sum(rows for rows, _ in svd_shapes) == model.dim**2
@@ -689,12 +722,6 @@ class TestEquilibrateMatchesWindowLoop:
 
 
 class TestLiouvillianMatrix:
-    def test_sparse_matches_dense(self):
-        model = thermal_two_level_model(0.7, 0.4)
-        dense = liouvillian_matrix(model)
-        sparse = liouvillian_matrix(model, sparse=True).toarray()
-        assert np.array_equal(dense, sparse)
-
     def test_builds_no_kronecker_product(self, monkeypatch):
         models = [
             thermal_two_level_model(0.7, 0.4),
@@ -711,7 +738,7 @@ class TestLiouvillianMatrix:
         monkeypatch.setattr(sp, "kron", spy)
         for model in models:
             liouvillian_matrix(model)
-            liouvillian_matrix(model, sparse=True)
+            steady_state(model)
         assert calls == []
 
     def test_generator_annihilates_steady_state(self):
@@ -727,7 +754,7 @@ def full_space_backward_euler(model, rho0, change_tol=1e-8, budget=60):
     """Reference window loop: backward Euler on the whole vectorized space."""
     d = model.dim
     dt = 5.0 / model.slow_rate
-    liou = liouvillian_matrix(model, sparse=True)
+    liou = reference_liouvillian(model, sparse=True)
     lu = spla.splu((sp.identity(d * d, format="csc", dtype=complex) - dt * liou).tocsc())
     rho = rho0
     for window in range(1, budget + 1):

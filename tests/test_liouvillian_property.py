@@ -6,15 +6,15 @@ that may be zero.  Entries come from a grid with signed zeros and with
 negative, imaginary and fractional parts.
 
 The dense output equals ``reference_liouvillian``, and every nonzero entry
-is bit-equal to it.  The sparse output is, to the bit, the canonical CSR
-form of the dense reference's nonzeros.  Against the sparse reference it
-has the same structure once the reference drops its stored zeros, and the
-same values: that reference keeps explicit zeros inside the BSR blocks
-that ``sp.kron`` builds for half-full factors (every identity of dim 1 or
-2), and because its sums skip absent entries, a zero real or imaginary part
-can carry the opposite sign there.  On every model the library builds, the
-two reference forms agree bit for bit, and the ``test_shipped_*`` tests
-compare the sparse output with the sparse reference directly.
+is bit-equal to it.  The nonzeros that ``_Terms`` evaluates on its support,
+which ``steady_state`` and ``equilibrate``'s sector block read on models
+of any size, are, to the bit, the canonical CSR form of the dense
+reference's nonzeros.  Against the sparse reference they have the same
+structure and the same values: that reference sums the ``sp.kron`` terms
+of the nonzeros only, so a zero real or imaginary part can carry the
+opposite sign there.  On every model the library builds, the two
+reference forms agree bit for bit, and the ``test_shipped_*`` tests
+compare the assembled nonzeros with the sparse reference directly.
 
 The generator also picks ``equilibrate``'s stepper: ``test_stepper_*``
 pin it, and the stiffness figure it reads, on each model family at the
@@ -41,6 +41,7 @@ from ionotto.lindblad import (
     EquilibrationReport,
     LindbladModel,
     _stepper,
+    _Terms,
     liouvillian_matrix,
 )
 from ionotto.oscillator import (
@@ -84,6 +85,18 @@ def random_models(draw):
     return LindbladModel(half + half.conj().T, channels)
 
 
+def assembled_csr(model):
+    """The nonzeros that ``_Terms`` evaluates on the whole support, in
+    canonical CSR form."""
+    n = model.dim**2
+    terms = _Terms(model)
+    support = terms.support()
+    data = terms.entries(support)
+    support, data = support[data != 0], data[data != 0]
+    indptr = np.searchsorted(support, np.arange(n + 1) * n)
+    return sp.csr_matrix((data, support % n, indptr), shape=(n, n))
+
+
 def assert_dense_bits(dense, reference):
     assert dense.shape == reference.shape and dense.flags.c_contiguous
     assert np.array_equal(dense, reference)
@@ -102,10 +115,9 @@ def assert_same_csr(matrix, reference):
 def test_assembly_matches_kronecker_sum(model):
     reference = reference_liouvillian(model)
     assert_dense_bits(liouvillian_matrix(model), reference)
-    sparse = liouvillian_matrix(model, sparse=True)
+    sparse = assembled_csr(model)
     assert_same_csr(sparse, sp.csr_matrix(reference))
     stored = reference_liouvillian(model, sparse=True)
-    stored.eliminate_zeros()
     assert np.array_equal(sparse.indptr, stored.indptr)
     assert np.array_equal(sparse.indices, stored.indices)
     assert np.array_equal(sparse.data, stored.data)
@@ -155,10 +167,10 @@ def window_models(panel, fock_dim, monkeypatch):
 
 
 def assert_matches_reference(model):
-    """Sparse output against the sparse reference to the bit, structure
-    included; the dense output too while the dense reference stays small."""
-    sparse = liouvillian_matrix(model, sparse=True)
-    assert_same_csr(sparse, reference_liouvillian(model, sparse=True))
+    """Assembled nonzeros against the sparse reference to the bit,
+    structure included; the dense output too while the dense reference
+    stays small."""
+    assert_same_csr(assembled_csr(model), reference_liouvillian(model, sparse=True))
     if model.dim <= _DENSE_MAX_DIM:
         assert_dense_bits(liouvillian_matrix(model), reference_liouvillian(model))
 
@@ -235,5 +247,5 @@ def test_stepper_of_sparse_models(family, sizes, monkeypatch):
     for model in family_models(family, sizes, monkeypatch):
         assert model.dim > _DENSE_MAX_DIM
         assert _stepper(model) == "implicit"
-        # no stiffness figure is computed for a sparse generator
+        # no stiffness figure is computed: such a model has no generator
         assert "window_stiffness" not in vars(model)

@@ -2,7 +2,7 @@
 
 ``equilibrate`` steps a sparse model on the generator's block over the
 reached sector, which ``_sector_block`` labels and assembles without the
-whole generator.  The reference takes ``liouvillian_matrix(model,
+whole generator.  The reference takes ``reference_liouvillian(model,
 sparse=True)``, labels its components (``oracles.reference_state_sector``)
 and slices the block.  The sector, the block's ``data``, ``indices`` and
 ``indptr`` bytes, and the residual max |L rho| read from the block for a
@@ -37,7 +37,6 @@ from ionotto.lindblad import (
     LindbladModel,
     _sector_block,
     equilibrate,
-    liouvillian_matrix,
 )
 from ionotto.operators import kron, vacuum_state
 from ionotto.reservoirs import (
@@ -45,14 +44,19 @@ from ionotto.reservoirs import (
     match_rabi_frequencies,
 )
 from ionotto.sweep import load_config
-from oracles import box_joint_model, reference_state_sector, reference_window_loop
+from oracles import (
+    box_joint_model,
+    reference_liouvillian,
+    reference_state_sector,
+    reference_window_loop,
+)
 
 CONFIG_DIR = Path(__file__).resolve().parents[1] / "configs"
 
 
 def assert_block_matches_oracle(model, rho, rng):
     sector, block = _sector_block(model, rho)
-    liou = liouvillian_matrix(model, sparse=True)
+    liou = reference_liouvillian(model, sparse=True)
     expected_sector = reference_state_sector(liou, rho.reshape(-1), model.dim)
     assert sector.tobytes() == expected_sector.tobytes()
     expected = liou[expected_sector][:, expected_sector]
@@ -167,5 +171,5 @@ def test_sector_holds_the_transpose_of_the_start_state():
     outside[sector] = False
     assert report.sector_dim == sector.size
     assert not report.final_state.reshape(-1)[outside].any()
-    full = liouvillian_matrix(model, sparse=True).dot(report.final_state.reshape(-1))
+    full = reference_liouvillian(model, sparse=True).dot(report.final_state.reshape(-1))
     assert report.rhs_residual == float(np.abs(full).max())

@@ -333,6 +333,18 @@ class TestGoldenValidate:
         assert report == (GOLDEN_DIR / f"validate_{name}.txt").read_bytes()
 
 
+class TestGoldenSteadystate:
+    """``ionotto steadystate`` on the shipped configs prints the committed
+    report byte for byte: both baths' analytic and null-space populations
+    and their deviation."""
+
+    @pytest.mark.parametrize("name", ["fig2a", "fig2b", "fig2c"])
+    def test_matches_golden(self, capsys, name):
+        assert main(["steadystate", str(CONFIG_DIR / f"{name}.json")]) == 0
+        report = capsys.readouterr().out.encode("utf-8")
+        assert report == (GOLDEN_DIR / f"steadystate_{name}.txt").read_bytes()
+
+
 class TestEmitCsv:
     def test_header_and_otto_value(self, tmp_path):
         result = run_sweep(closed_form_sweep(tmp_path, xi_grid=(0.0,)))
@@ -657,3 +669,29 @@ class TestCli:
         assert "null-space populations" in report
         # inverted bath: excited population 0.8 appears for the hot side
         assert "0.800000000" in report
+
+    @pytest.mark.parametrize("squeezing, code", [(5, 0), (6, 3)])
+    def test_steadystate_degenerate_bath_exit_code(
+        self, tmp_path, capsys, squeezing, code
+    ):
+        # the squeezed bath's slower coherence rate is about e^(-4 r) of
+        # its largest: 2.1e-9 at r = 5, 3.8e-11 at r = 6, below the 1e-9
+        # null tolerance, where validate still accepts the config
+        document = json.loads((CONFIG_DIR / "fig2c.json").read_text())
+        document["hot"]["squeezing"]["value"] = squeezing
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps(document))
+        assert main(["steadystate", str(config)]) == code
+        captured = capsys.readouterr()
+        lines = captured.out.splitlines()
+        hot_lines = 1 if code else 3
+        labels = [line.split(" ")[0] for line in lines]
+        assert labels == ["[cold]"] * 3 + ["[hot]"] * hot_lines
+        assert lines[3].startswith("[hot] analytic populations")
+        if code:
+            assert captured.err == (
+                "[hot] null-space solver failed: DegenerateSteadyStateError: "
+                "Liouvillian null space has dimension 2, expected 1\n"
+            )
+        else:
+            assert captured.err == ""
