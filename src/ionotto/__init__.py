@@ -16,7 +16,6 @@ from .cycle import (
     Regime,
     StrokeEnergy,
     classify_regime,
-    closed_form_thermo,
     prepare_bath_equilibria,
     reference_efficiencies,
     run_cycle_closed_form,
@@ -87,7 +86,6 @@ __all__ = [
     "VSystemConfig",
     "channels_from_settings",
     "classify_regime",
-    "closed_form_thermo",
     "destroy",
     "effective_collapse_channels",
     "effective_mode_model",

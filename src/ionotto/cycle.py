@@ -11,9 +11,11 @@ cold bath, closing the loop.
 Work is booked on the unitary strokes and heat on the bath strokes as
 energy differences of the bare gap Hamiltonian at the stroke boundaries,
 with the carrier-drive energy counted as work injected by the classical
-field.  Three execution modes produce the same bookkeeping: closed-form
-expressions, simulated effective two-level dynamics, and the full joint
-dynamics of electron plus two damped motional modes.
+field.  One stroke engine books every mode; the modes differ only in how
+they reach the bath endpoints: the closed form takes the effective baths'
+analytic steady states, the effective mode integrates the eliminated
+two-level dynamics, and the full mode solves the joint dynamics of
+electron plus two damped motional modes.
 
 All energies are reported in units of hbar * omega_c.
 """
@@ -34,7 +36,7 @@ from .lindblad import (
     equilibrate_lanes,
     expectation,
 )
-from .operators import SpaceLayout, kron, partial_trace, sigma_z, vacuum_state
+from .operators import SpaceLayout, kron, partial_trace, vacuum_state
 from .reservoirs import (
     ADIABATIC_RATIO_FLOOR,
     BathKind,
@@ -54,7 +56,6 @@ __all__ = [
     "CycleResult",
     "BathEquilibria",
     "apply_transition_mixing",
-    "closed_form_thermo",
     "classify_regime",
     "reference_efficiencies",
     "run_cycle_closed_form",
@@ -67,6 +68,8 @@ __all__ = [
 
 # Validity ceiling for lambda * sqrt(max <a^dag a>) after a joint run.
 LAMB_DICKE_CEILING = 0.1
+# Ceiling for a joint bath solve's relative residual max |B rho| / max |B|.
+_RESIDUAL_CEILING = 1e-8
 # Energies closer to zero than this count as zero when classifying a regime.
 _REGIME_TOL = 1e-12
 # Largest motional truncation: the full-mode joint model has fock_dim
@@ -195,33 +198,6 @@ def apply_transition_mixing(state: np.ndarray, xi: float) -> np.ndarray:
     ).astype(complex)
 
 
-def closed_form_thermo(config: CycleConfig, xi: float) -> StrokeEnergy:
-    """Per-stroke energies from the analytic stroke bookkeeping.
-
-    With T_c = tanh(theta_c), T_h = zeta * tanh(theta_h) (theta_h signed,
-    negative for an inverted hot bath) and R = omega_h / omega_c:
-
-        W_exp  = T_c (1 - R (1 - 2 xi)) / 2
-        W_comp = T_h (R - (1 - 2 xi)) / 2
-        Q_hot  = R ((1 - 2 xi) T_c - T_h) / 2
-        Q_cold = -(T_c - (1 - 2 xi) T_h) / 2
-
-    which sum to zero identically for every xi, theta and squeezing.
-    """
-    if not 0.0 <= xi <= 1.0:
-        raise ValueError(f"transition probability must lie in [0, 1], got {xi}")
-    ratio = config.frequency_ratio
-    t_c = math.tanh(config.theta_cold)
-    t_h = config.zeta * math.tanh(config.theta_hot)
-    survival = 1.0 - 2.0 * xi
-    return StrokeEnergy(
-        w_expansion=0.5 * t_c * (1.0 - ratio * survival),
-        w_compression=0.5 * t_h * (ratio - survival),
-        q_hot=0.5 * ratio * (survival * t_c - t_h),
-        q_cold=-0.5 * (t_c - survival * t_h),
-    )
-
-
 def classify_regime(w_net: float, q_hot: float, q_cold: float) -> Regime:
     """Thermal-machine label from the signs of (W_net, Q_hot, Q_cold).
 
@@ -298,15 +274,15 @@ def _result_from_energies(
 
 
 def run_cycle_closed_form(config: CycleConfig, xi: float) -> CycleResult:
-    """Evaluate the cycle from the analytic stroke bookkeeping."""
-    return _result_from_energies(
-        config, xi, CycleMode.CLOSED_FORM, closed_form_thermo(config, xi)
-    )
+    """Evaluate the cycle with the effective baths' analytic steady states
+    as its bath endpoints."""
+    cold, hot = bath_steady_state(config.cold), bath_steady_state(config.hot)
+    return _fixed_endpoint_row(config, xi, CycleMode.CLOSED_FORM, cold, hot)
 
 
 def _gap_energy(state: np.ndarray, gap: float) -> float:
     """tr(H state) with H = (gap / 2) sigma_z, gap in units of omega_c."""
-    return 0.5 * gap * expectation(sigma_z(), state)
+    return float(0.5 * gap * (state[1, 1].real - state[0, 0].real))
 
 
 def _run_strokes(
@@ -317,12 +293,12 @@ def _run_strokes(
     cool: Callable[[list[np.ndarray]], list[np.ndarray]],
 ) -> tuple[list[StrokeEnergy], list[np.ndarray]]:
     """Run the four strokes from ``start`` at each transition probability
-    of ``xis`` and book their energies.
+    of ``xis`` and book their energies: the one bookkeeping of every mode.
 
     ``heat`` and ``cool`` map the electronic states entering a bath stroke,
     one per transition probability, to the states leaving it; they are all
-    that distinguishes the simulated modes.  Returns the stroke energies
-    and the state after cooling of each transition probability.
+    that distinguishes the modes.  Returns the stroke energies and the
+    state after cooling of each transition probability.
     """
     ratio = config.frequency_ratio
     mixed_hot_gap = [apply_transition_mixing(start, xi) for xi in xis]
@@ -348,6 +324,23 @@ def _run_strokes(
             )
         )
     return energies, cold_states
+
+
+def _fixed_endpoint_row(
+    config: CycleConfig,
+    xi: float,
+    mode: CycleMode,
+    cold_state: np.ndarray,
+    hot_state: np.ndarray,
+    flags: tuple[str, ...] = (),
+    diagnostics: Mapping[str, float] | None = None,
+) -> CycleResult:
+    """The row whose bath strokes end in ``cold_state`` and ``hot_state``
+    whatever state they start from; the cycle starts in ``cold_state``."""
+    (energies,), _ = _run_strokes(
+        config, [xi], cold_state, lambda _: [hot_state], lambda _: [cold_state]
+    )
+    return _result_from_energies(config, xi, mode, energies, flags, diagnostics)
 
 
 def _effective_rows(
@@ -394,7 +387,7 @@ def run_cycle_effective(config: CycleConfig, xi: float) -> CycleResult:
     Bath strokes integrate the engineered collapse channels to
     equilibration; unitary strokes relabel the gap and apply the carrier
     population mixing.  Energies are booked at the stroke boundaries and
-    match :func:`closed_form_thermo` to the equilibration tolerance.
+    match :func:`run_cycle_closed_form` to the equilibration tolerance.
     """
     (row,) = _effective_rows(
         config, [xi], lambda model, states: [equilibrate(model, rho) for rho in states]
@@ -455,6 +448,10 @@ def _joint_bath_stroke(
         flags.append(f"lamb_dicke_violation:{label}")
     if settings.regime_ratio < ADIABATIC_RATIO_FLOOR:
         flags.append(f"adiabatic_ratio_low:{label}")
+    # a window too short for the joint model's rates can pass its change
+    # test without moving the state; the residual tells
+    if not report.rhs_residual <= _RESIDUAL_CEILING:
+        flags.append(f"solver_residual_high:{label}")
     diagnostics = {
         f"{label}_regime_ratio": settings.regime_ratio,
         f"{label}_max_mode_occupation": max_occ,
@@ -492,14 +489,12 @@ def run_cycle_full(
     :func:`prepare_bath_equilibria` holds both, so one bath solve serves
     every transition probability of a config.
     """
-    (energies,), _ = _run_strokes(
+    return _fixed_endpoint_row(
         config,
-        [xi],
+        xi,
+        CycleMode.FULL,
         equilibria.cold_state,
-        lambda states: [equilibria.hot_state] * len(states),
-        lambda states: [equilibria.cold_state] * len(states),
-    )
-    diagnostics = dict(equilibria.diagnostics)
-    return _result_from_energies(
-        config, xi, CycleMode.FULL, energies, equilibria.flags, diagnostics
+        equilibria.hot_state,
+        equilibria.flags,
+        dict(equilibria.diagnostics),
     )

@@ -171,6 +171,8 @@ class EquilibrationReport:
     last_change: float
     max_trace_drift: float
     min_eigenvalue: float
+    # max |L rho| over the largest |entry| of L (of its sector block when
+    # the stepper solved one)
     rhs_residual: float
     steps_taken: int = 0
     # size of the vectorized system the stepper solved
@@ -868,9 +870,15 @@ def _windows(
     Each lane keeps its own window count and window test and leaves once
     its change falls below ``change_tol``.  ``liou`` is the generator, or
     its block on the vectorized entries ``sector`` that hold every
-    nonzero of the states; ``rhs_residual`` is read from it.
+    nonzero of the states; ``rhs_residual`` is read from it: max |L rho|
+    relative to the largest |entry| of ``liou``, so that it does not grow
+    with the generator's scale.
     """
     rhos = list(rhos)
+    # the largest |entry| of L; for a CSR block, over its stored entries,
+    # which abs() of the matrix would first copy into a new matrix
+    entries = liou.data if isinstance(liou, sp.csr_matrix) else liou
+    scale = float(np.abs(entries).max(initial=0.0))
     # a square past the float range is inf and rules no window out; the
     # power operator would raise OverflowError there
     bound = change_tol * (1 + 1e-6)
@@ -911,7 +919,8 @@ def _windows(
                 last_change=changes[lane],
                 max_trace_drift=drifts[lane],
                 min_eigenvalue=float(np.linalg.eigvalsh(rho).min()),
-                rhs_residual=float(np.abs(liou.dot(rho.reshape(-1)[sector])).max()),
+                rhs_residual=float(np.abs(liou.dot(rho.reshape(-1)[sector])).max())
+                / (scale or 1.0),
                 steps_taken=steps[lane],
                 sector_dim=sector_dim,
             )

@@ -16,7 +16,7 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 from scipy.sparse.csgraph import connected_components
 
-from ionotto.cycle import CycleConfig, prepare_bath_equilibria
+from ionotto.cycle import CycleConfig, StrokeEnergy, prepare_bath_equilibria
 from ionotto.lindblad import (
     _IMPLICIT_WINDOWS,
     _MAX_STEPS,
@@ -148,6 +148,33 @@ def carrier_propagator_numeric(
             product = product[:-1]
         product = product[1::2] @ product[0::2]
     return carry @ product[0]
+
+
+def closed_form_thermo(config: CycleConfig, xi: float) -> StrokeEnergy:
+    """Per-stroke energies from the analytic stroke bookkeeping.
+
+    With T_c = tanh(theta_c), T_h = zeta * tanh(theta_h) (theta_h signed,
+    negative for an inverted hot bath) and R = omega_h / omega_c:
+
+        W_exp  = T_c (1 - R (1 - 2 xi)) / 2
+        W_comp = T_h (R - (1 - 2 xi)) / 2
+        Q_hot  = R ((1 - 2 xi) T_c - T_h) / 2
+        Q_cold = -(T_c - (1 - 2 xi) T_h) / 2
+
+    which sum to zero identically for every xi, theta and squeezing.  The
+    library books these energies from the bath endpoint states instead
+    (:func:`ionotto.cycle.run_cycle_closed_form`).
+    """
+    ratio = config.frequency_ratio
+    t_c = math.tanh(config.theta_cold)
+    t_h = config.zeta * math.tanh(config.theta_hot)
+    survival = 1.0 - 2.0 * xi
+    return StrokeEnergy(
+        w_expansion=0.5 * t_c * (1.0 - ratio * survival),
+        w_compression=0.5 * t_h * (ratio - survival),
+        q_hot=0.5 * ratio * (survival * t_c - t_h),
+        q_cold=-0.5 * (t_c - survival * t_h),
+    )
 
 
 def engine_efficiency_formula(config: CycleConfig, xi: float) -> float:
@@ -471,7 +498,9 @@ def reference_window_loop(
     The loop of :func:`ionotto.lindblad.equilibrate` before its Frobenius
     pre-test, with a generator built per call: ``equilibrate`` skips the
     eigenvalue decomposition on windows that cannot pass and must report
-    the same windows, changes, residuals and states bit for bit.
+    the same windows, changes, residuals and states bit for bit; the
+    residual is max |L rho| over the largest |entry| of the generator, or
+    of its sector block for ``implicit`` windows.
     ``method`` forces ``rk`` or ``implicit`` windows; by default the loop
     takes the stepper that ``equilibrate`` picks for the model.
     """
@@ -486,6 +515,7 @@ def reference_window_loop(
 
         budget = _RK_WINDOWS
         liou = model.generator
+        scale = float(np.abs(liou).max())
         sector_dim = model.dim**2
     elif method == "implicit":
         budget = _IMPLICIT_WINDOWS
@@ -493,6 +523,7 @@ def reference_window_loop(
         sector = reference_state_sector(liou, rho.reshape(-1), model.dim)
         sector_dim = int(sector.size)
         block = liou[sector][:, sector]
+        scale = float(abs(block).max())
         stepper = spla.splu(
             (sp.identity(sector_dim, format="csc", dtype=complex) - dt * block).tocsc(),
             permc_spec="MMD_AT_PLUS_A",
@@ -527,7 +558,7 @@ def reference_window_loop(
                 last_change=change,
                 max_trace_drift=max_drift,
                 min_eigenvalue=float(np.linalg.eigvalsh(rho).min()),
-                rhs_residual=float(np.abs(liou.dot(rho.reshape(-1))).max()),
+                rhs_residual=float(np.abs(liou.dot(rho.reshape(-1))).max()) / scale,
                 steps_taken=steps,
                 sector_dim=sector_dim,
             )

@@ -16,7 +16,6 @@ from ionotto.cycle import (
     CycleConfig,
     Regime,
     apply_transition_mixing,
-    closed_form_thermo,
     prepare_bath_equilibria,
     reference_efficiencies,
     run_cycle_closed_form,
@@ -224,10 +223,9 @@ def test_criterion_4_closed_form_identities():
                 hot=hot,
             )
             xi = rng.uniform(0.0, 1.0)
-            energies = closed_form_thermo(config, xi)
-            assert abs(energies.first_law_defect) <= 1e-12
+            result = run_cycle_closed_form(config, xi)
+            assert abs(result.energies.first_law_defect) <= 1e-12
             if hot.kind is not BathKind.NEGATIVE_TEMPERATURE:
-                result = run_cycle_closed_form(config, xi)
                 if result.regime is Regime.HEAT_ENGINE:
                     engines += 1
                     assert result.efficiency <= result.eta_otto + 1e-12
@@ -246,12 +244,12 @@ def test_criterion_5_figure_endpoints_and_threshold():
         # engine boundary of the hot-thermal panel by sign scan plus bisection
         config = PANELS["a"]
         grid = np.linspace(0.0, 0.2, 4001)
-        works = [closed_form_thermo(config, x).net_work for x in grid]
+        works = [run_cycle_closed_form(config, x).energies.net_work for x in grid]
         k = next(i for i in range(len(works) - 1) if works[i] < 0 <= works[i + 1])
         lo, hi = grid[k], grid[k + 1]
         for _ in range(60):
             mid = 0.5 * (lo + hi)
-            if closed_form_thermo(config, mid).net_work < 0:
+            if run_cycle_closed_form(config, mid).energies.net_work < 0:
                 lo = mid
             else:
                 hi = mid

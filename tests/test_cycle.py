@@ -1,5 +1,6 @@
 import math
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -7,20 +8,23 @@ import pytest
 import ionotto
 import ionotto.cycle as cycle_module
 from ionotto.cycle import (
+    BathEquilibria,
     CycleConfig,
     CycleMode,
     Regime,
     apply_transition_mixing,
     classify_regime,
-    closed_form_thermo,
     reference_efficiencies,
     run_cycle_closed_form,
     run_cycle_effective,
     run_cycle_effective_grid,
+    run_cycle_full,
 )
-from ionotto.reservoirs import MAX_SQUEEZING, ReservoirSpec
+from ionotto.reservoirs import MAX_SQUEEZING, ReservoirSpec, bath_steady_state
+from ionotto.sweep import load_config
 from oracles import (
     carrier_propagator_numeric,
+    closed_form_thermo,
     engine_efficiency_formula,
     pulse_duration,
     rabi_mixing_unitary,
@@ -28,7 +32,9 @@ from oracles import (
     unitarity_defect,
 )
 
+CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
 TWO_PI = 2 * math.pi
+STROKES = ("w_expansion", "w_compression", "q_hot", "q_cold")
 
 
 def panel_config(hot: ReservoirSpec) -> CycleConfig:
@@ -130,7 +136,7 @@ class TestClosedFormThermo:
         # equal thetas, xi = 0: every energy term cancels except the gap
         # relabeling, which transfers tanh(theta) (R - 1) / 2 through each
         # unitary stroke with opposite signs
-        energies = closed_form_thermo(config, 0.0)
+        energies = run_cycle_closed_form(config, 0.0).energies
         assert abs(energies.net_work) < 1e-15
         assert abs(energies.q_hot) < 1e-15
         assert abs(energies.q_cold) < 1e-15
@@ -138,7 +144,7 @@ class TestClosedFormThermo:
     def test_thermal_panel_reference_value(self):
         # tanh(theta) = 1/(1+2n) for a Bose-Einstein bath, so at xi = 0
         # W_net / (hbar omega_c) = -(R-1)/2 (1/2.2 - 1/3.4) = -7.5/187
-        energies = closed_form_thermo(CONFIG_THERMAL, 0.0)
+        energies = run_cycle_closed_form(CONFIG_THERMAL, 0.0).energies
         assert abs(energies.net_work - (-7.5 / 187.0)) < 1e-15
         assert energies.net_work < 0
 
@@ -155,8 +161,84 @@ class TestClosedFormThermo:
                     1e-3, rng.uniform(0.05, 3.0), rng.uniform(0.01, 2.0)
                 ),
             )
-            energies = closed_form_thermo(config, rng.uniform(0.0, 1.0))
+            energies = run_cycle_closed_form(config, rng.uniform(0.0, 1.0)).energies
             assert abs(energies.first_law_defect) <= 1e-12
+
+
+def analytic_equilibria(config: CycleConfig) -> BathEquilibria:
+    """Bath endpoints without a solve: the effective baths' steady states."""
+    return BathEquilibria(
+        cold_state=bath_steady_state(config.cold),
+        hot_state=bath_steady_state(config.hot),
+        flags=("a_flag:hot",),
+        diagnostics={"hot_windows": 1.0},
+    )
+
+
+class TestOneBookkeeping:
+    """The closed form books its analytic bath endpoints through the stroke
+    engine that books the simulated modes."""
+
+    @pytest.mark.parametrize("panel", ["fig2a", "fig2b", "fig2c"])
+    def test_closed_form_matches_the_analytic_energies(self, panel):
+        sweep = load_config(CONFIG_DIR / f"{panel}.json")
+        for xi in sweep.xi_grid:
+            result = run_cycle_closed_form(sweep.cycle, xi)
+            expected = closed_form_thermo(sweep.cycle, xi)
+            for name in STROKES:
+                delta = abs(getattr(result.energies, name) - getattr(expected, name))
+                assert delta <= 4e-16, (xi, name, delta)
+            assert result.flags == () and result.diagnostics is None
+            assert result.mode is CycleMode.CLOSED_FORM
+
+    def test_closed_form_and_full_share_one_row_helper(self, monkeypatch):
+        # neither public row function calls the other; both book through
+        # _fixed_endpoint_row, so analytic endpoints give the closed form's
+        # energies in the full mode bit for bit
+        modes = []
+        helper = cycle_module._fixed_endpoint_row
+
+        def spy(*args, **kwargs):
+            modes.append(args[2])
+            return helper(*args, **kwargs)
+
+        def cross_call(*args, **kwargs):
+            raise AssertionError("a row function called the other one")
+
+        monkeypatch.setattr(cycle_module, "_fixed_endpoint_row", spy)
+        monkeypatch.setattr(cycle_module, "run_cycle_closed_form", cross_call)
+        monkeypatch.setattr(cycle_module, "run_cycle_full", cross_call)
+        for config in ALL_CONFIGS:
+            equilibria = analytic_equilibria(config)
+            for xi in (0.0, 0.02, 0.3, 1.0):
+                closed = run_cycle_closed_form(config, xi)
+                full = run_cycle_full(config, xi, equilibria)
+                assert full.energies == closed.energies
+                assert full.regime is closed.regime
+                assert full.efficiency == closed.efficiency
+                assert full.flags == ("a_flag:hot",)
+                assert full.diagnostics == {"hot_windows": 1.0}
+        assert modes == [CycleMode.CLOSED_FORM, CycleMode.FULL] * 12
+
+    @pytest.mark.parametrize("xi", [-0.1, 1.1, math.nan])
+    def test_transition_probability_checked_before_any_solve(self, xi, monkeypatch):
+        def solve(*args, **kwargs):
+            raise AssertionError("a bath solve ran")
+
+        monkeypatch.setattr(cycle_module, "equilibrate", solve)
+        monkeypatch.setattr(cycle_module, "equilibrate_lanes", solve)
+        equilibria = analytic_equilibria(CONFIG_SQUEEZED)
+        runs = (
+            lambda: run_cycle_closed_form(CONFIG_SQUEEZED, xi),
+            lambda: run_cycle_effective(CONFIG_SQUEEZED, xi),
+            lambda: run_cycle_effective_grid(CONFIG_SQUEEZED, [0.1, xi]),
+            lambda: run_cycle_full(CONFIG_SQUEEZED, xi, equilibria),
+        )
+        for run in runs:
+            with pytest.raises(
+                ValueError, match=r"transition probability must lie in \[0, 1\], got"
+            ):
+                run()
 
 
 class TestRegimeClassifier:
@@ -197,12 +279,14 @@ class TestClosedFormCycle:
         # sign scan of the net work: the engine window closes at
         # xi* = (R-1)(Tc - Th) / (2 (R Tc + Th)) = 3/73
         xi_grid = np.linspace(0.0, 0.2, 2001)
-        works = [closed_form_thermo(CONFIG_THERMAL, x).net_work for x in xi_grid]
+        works = [
+            run_cycle_closed_form(CONFIG_THERMAL, x).energies.net_work for x in xi_grid
+        ]
         crossing = next(i for i in range(len(works) - 1) if works[i] < 0 <= works[i + 1])
         lo, hi = xi_grid[crossing], xi_grid[crossing + 1]
         for _ in range(60):
             mid = 0.5 * (lo + hi)
-            if closed_form_thermo(CONFIG_THERMAL, mid).net_work < 0:
+            if run_cycle_closed_form(CONFIG_THERMAL, mid).energies.net_work < 0:
                 lo = mid
             else:
                 hi = mid
@@ -350,6 +434,7 @@ MOVED_TO_ORACLES = (
     "rabi_mixing_unitary",
     "carrier_propagator_numeric",
     "engine_efficiency_formula",
+    "closed_form_thermo",
     "truncation_shift",
     "thermal_state",
     "hermitian_propagator",
