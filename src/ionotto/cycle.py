@@ -34,9 +34,8 @@ from .lindblad import (
     LindbladModel,
     equilibrate,
     equilibrate_lanes,
-    expectation,
 )
-from .operators import SpaceLayout, kron, partial_trace, vacuum_state
+from .operators import SpaceLayout, _truncation, kron, partial_trace, vacuum_state
 from .reservoirs import (
     ADIABATIC_RATIO_FLOOR,
     BathKind,
@@ -126,7 +125,7 @@ class CycleConfig:
         for label, spec in (("cold", self.cold), ("hot", self.hot)):
             if spec.n_occupation <= 0:
                 raise ValueError(f"the {label} reservoir needs occupation > 0")
-        if not 2 <= self.fock_dim <= _MAX_FOCK_DIM:
+        if not 2 <= _truncation(self.fock_dim, "fock_dim") <= _MAX_FOCK_DIM:
             raise ValueError(
                 f"fock_dim must lie in [2, {_MAX_FOCK_DIM}], got {self.fock_dim}"
             )
@@ -438,9 +437,10 @@ def _joint_bath_stroke(
     joint0 = kron(bath_steady_state(spec), vacuum_state(window.size))
     report = equilibrate(full_joint_model(settings, config.fock_dim), joint0)
     reduced = partial_trace(report.final_state, layout, keep=(0,))
+    # each window state's population, summed over the electron
+    populations = report.final_state.diagonal().real.reshape(2, window.size).sum(axis=0)
     max_occ = max(  # divmod gives n_x and n_y of each window state
-        expectation(layout.embed(np.diag(n).astype(complex), 1), report.final_state)
-        for n in divmod(window, config.fock_dim)
+        float(populations @ n) for n in divmod(window, config.fock_dim)
     )
     lamb_dicke = config.lamb * math.sqrt(max(max_occ, 0.0))
     flags = []

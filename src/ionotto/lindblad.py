@@ -139,7 +139,8 @@ class LindbladModel:
         if self.dim > _DENSE_MAX_DIM:
             raise ValueError(
                 f"no generator past model dim {_DENSE_MAX_DIM}, got {self.dim}: "
-                "equilibrate() and steady_state() solve it block by block"
+                "equilibrate() relaxes it with implicit windows and "
+                "steady_state() solves it block by block"
             )
         return liouvillian_matrix(self)
 
@@ -664,9 +665,10 @@ def evolve(model: LindbladModel, rho0: np.ndarray, t: float) -> EvolutionReport:
     step the state is re-symmetrized, rho <- (rho + rho^dag)/2, which
     removes Hermiticity drift without affecting the accuracy order.  The
     right-hand side is the model's cached :attr:`LindbladModel.generator`,
-    which stops at ``_DENSE_MAX_DIM``: a larger model raises
-    ``ValueError``, whatever ``t``.  ``t`` must be finite; a non-finite
-    error estimate raises :class:`IntegrationError`.  This is the
+    read before the state check and the ``t == 0`` return, so a model past
+    ``_DENSE_MAX_DIM`` raises its ``ValueError`` whatever ``t``.  ``t``
+    must be finite; a non-finite error estimate raises
+    :class:`IntegrationError`.  This is the
     one-lane call of the integrator that :func:`equilibrate_lanes` runs
     on many states at once, with the same bits per state.  One lane runs
     in :func:`_lane`: its step control reads Python floats, and its sums
@@ -676,11 +678,7 @@ def evolve(model: LindbladModel, rho0: np.ndarray, t: float) -> EvolutionReport:
     """
     if not (0.0 <= t < math.inf):
         raise ValueError(f"evolution time must be finite and >= 0, got {t}")
-    if model.dim > _DENSE_MAX_DIM:
-        raise ValueError(
-            f"rk stepping needs a generator (model dim <= {_DENSE_MAX_DIM}); "
-            "equilibrate() relaxes larger models with implicit windows"
-        )
+    gen = model.generator
     rho = _check_state(rho0, model.dim)
     if t == 0.0:
         return EvolutionReport(
@@ -690,9 +688,7 @@ def evolve(model: LindbladModel, rho0: np.ndarray, t: float) -> EvolutionReport:
             min_eigenvalue=float(np.linalg.eigvalsh(rho).min()),
         )
     # step control runs on Python floats
-    ((final, steps, drift),) = _dormand_prince(
-        model.generator, rho.reshape(1, -1).copy(), float(t)
-    )
+    ((final, steps, drift),) = _dormand_prince(gen, rho.reshape(1, -1).copy(), float(t))
     return EvolutionReport(
         final_state=final,
         steps_taken=steps,
@@ -802,10 +798,12 @@ def _sector_block(
     the sector stays exactly zero.
 
     :meth:`_Terms.reached` labels the components of the structural
-    support, and only their rows are placed and evaluated.  A structural
-    entry can cancel to an exact zero and split a component; the nonzero
-    pattern of those rows is then labelled again and the block rebuilt on
-    what stays joined to the seeds, so the sector is always that of the
+    support, and only their rows are placed and evaluated, once.  A
+    structural entry can cancel to an exact zero and split a component;
+    the nonzero pattern of those rows is then labelled again and the
+    entries filtered to what stays joined to the seeds.  Each entry is
+    computed on its own, so the filtered arrays are those of an
+    evaluation on the relabelled rows; the sector is always that of the
     generator's nonzero pattern, and the block holds the nonzeros of
     :func:`liouvillian_matrix` on the sector bit for bit.
     """
@@ -815,19 +813,16 @@ def _sector_block(
     held = np.flatnonzero((rho != 0) | (rho.T != 0))
     seeds = np.concatenate((np.arange(d) * (d + 1), held))
     inside = terms.reached(seeds)
-    while True:
-        support = terms.support(inside)
-        data = terms.entries(support)
-        nonzero = data != 0
-        if nonzero.all():
-            break
-        # exact zeros: drop them, and keep the components that the rest
-        # joins to the seeds
+    support = terms.support(inside)
+    data = terms.entries(support)
+    nonzero = data != 0
+    if not nonzero.all():
+        # exact zeros: drop them, and keep the rows of the components that
+        # the rest joins to the seeds; a kept row's columns are kept too
         support, data = support[nonzero], data[nonzero]
-        kept = _reached(*np.divmod(support, n), n, seeds)
-        if np.array_equal(kept, inside):
-            break
-        inside = kept
+        inside = _reached(*np.divmod(support, n), n, seeds)
+        rows = inside[support // n]
+        support, data = support[rows], data[rows]
     sector = np.flatnonzero(inside)
     indices = (np.cumsum(inside) - 1)[support % n]
     indptr = np.searchsorted(support, np.append(sector, n) * n)
@@ -855,30 +850,33 @@ def _stepper(model: LindbladModel) -> str:
 def _windows(
     advance: Callable[[list[np.ndarray]], list[tuple[np.ndarray, int, float]]],
     rhos: Sequence[np.ndarray],
-    budget: int,
     change_tol: float,
-    method: str,
     dt: float,
     liou,
-    sector_dim: int,
-    sector: np.ndarray | slice = slice(None),
+    sector: np.ndarray | None = None,
 ) -> list[EquilibrationReport]:
     """The window loop of :func:`equilibrate` on the lanes ``rhos``.
 
     ``advance`` takes the states of the lanes still running and returns
     each one's state a window later, accepted steps and trace drift.
     Each lane keeps its own window count and window test and leaves once
-    its change falls below ``change_tol``.  ``liou`` is the generator, or
-    its block on the vectorized entries ``sector`` that hold every
-    nonzero of the states; ``rhs_residual`` is read from it: max |L rho|
-    relative to the largest |entry| of ``liou``, so that it does not grow
-    with the generator's scale.
+    its change falls below ``change_tol``.  ``liou`` sets the stepper,
+    budget and ``sector_dim`` (its size): the dense generator steps
+    ``rk`` with ``_RK_WINDOWS``, its CSR block on the vectorized entries
+    ``sector``, which hold every nonzero of the states, steps
+    ``implicit`` with ``_IMPLICIT_WINDOWS``.  ``rhs_residual`` is max
+    |L rho| relative to the largest |entry| of ``liou``, so that it does
+    not grow with the generator's scale.
     """
-    rhos = list(rhos)
-    # the largest |entry| of L; for a CSR block, over its stored entries,
-    # which abs() of the matrix would first copy into a new matrix
-    entries = liou.data if isinstance(liou, sp.csr_matrix) else liou
+    rhos = [np.asarray(rho, dtype=complex) for rho in rhos]
+    if sector is None:
+        budget, method, entries, sector = _RK_WINDOWS, "rk", liou, slice(None)
+    else:
+        # the largest |entry| of a CSR block is over its stored entries,
+        # which abs() of the matrix would first copy into a new matrix
+        budget, method, entries = _IMPLICIT_WINDOWS, "implicit", liou.data
     scale = float(np.abs(entries).max(initial=0.0))
+    sector_dim = liou.shape[0]
     # a square past the float range is inf and rules no window out; the
     # power operator would raise OverflowError there
     bound = change_tol * (1 + 1e-6)
@@ -946,20 +944,21 @@ def equilibrate(
     5 / slow_rate of the model, so the binding criterion is the window
     test rather than the horizon; a model without ``slow_rate`` is
     rejected.  The budget is fixed per stepper: 8 ``rk`` or 60
-    ``implicit`` windows.  As ||A||_F <= ||A||_1, a window whose change
-    has a Frobenius norm above ``change_tol`` cannot pass and skips
-    :func:`trace_norm`'s eigenvalues.
+    ``implicit`` windows (:func:`_windows`).  As ||A||_F <= ||A||_1, a
+    window whose change has a Frobenius norm above ``change_tol`` cannot
+    pass and skips :func:`trace_norm`'s eigenvalues.
 
     :func:`_stepper` picks the window stepper from the model, and the
     report's ``method`` names it.  The eliminated decays of the joint and
     V models are fast against the engineered bath, so those models step
     ``implicit`` and the effective ones ``rk``.
 
-    ``rk`` integrates each window with :func:`evolve`.  ``implicit``
-    advances with backward-Euler macro-steps: one sparse LU of I - dt B,
-    with B the block of L on the components that hold the trace or the
-    start state, then one triangular solve per window.  Entries outside
-    those components stay exactly zero, so the restriction changes
+    ``rk`` integrates each window with :func:`evolve`, which checks each
+    window start, the first too.  ``implicit`` checks the start state,
+    then advances with backward-Euler macro-steps: one sparse LU of
+    I - dt B, with B the block of L on the components that hold the trace
+    or the start state, then one triangular solve per window.  Entries
+    outside those components stay exactly zero, so the restriction changes
     neither the fixed point nor the window count; ``sector_dim`` reports
     the size of the solved system, and ``rhs_residual`` is read from B.
     :func:`_sector_block` assembles B alone, bit for bit the nonzeros of
@@ -971,37 +970,31 @@ def equilibrate(
     if not (0.0 < change_tol < math.inf):
         raise ValueError(f"change_tol must be finite and > 0, got {change_tol}")
     dt = _slowest_window(model)
-    rho = _check_state(rho0, model.dim)
-    method = _stepper(model)
-    if method == "rk":
+    if _stepper(model) == "rk":
 
         def advance(states: list[np.ndarray]) -> list[tuple[np.ndarray, int, float]]:
+            # evolve checks each window start, the first too
             report = evolve(model, states[0], dt)
             return [(report.final_state, report.steps_taken, report.max_trace_drift)]
 
-        budget = _RK_WINDOWS
-        liou, sector = model.generator, slice(None)
-        sector_dim = model.dim**2
-    else:
-        budget = _IMPLICIT_WINDOWS
-        sector, liou = _sector_block(model, rho)
-        sector_dim = int(sector.size)
-        stepper = spla.splu(
-            (sp.identity(sector_dim, format="csc", dtype=complex) - dt * liou).tocsc(),
-            permc_spec="MMD_AT_PLUS_A",
-            options={"SymmetricMode": True},
-        )
-
-        def advance(states: list[np.ndarray]) -> list[tuple[np.ndarray, int, float]]:
-            full = np.zeros(states[0].size, dtype=complex)
-            full[sector] = stepper.solve(states[0].reshape(-1)[sector])
-            mat = full.reshape(model.dim, model.dim)
-            mat = 0.5 * (mat + mat.conj().T)
-            return [(mat, 1, float(abs(np.trace(mat) - 1.0)))]
-
-    (report,) = _windows(
-        advance, [rho], budget, change_tol, method, dt, liou, sector_dim, sector
+        (report,) = _windows(advance, [rho0], change_tol, dt, model.generator)
+        return report
+    rho = _check_state(rho0, model.dim)
+    sector, block = _sector_block(model, rho)
+    stepper = spla.splu(
+        (sp.identity(sector.size, format="csc", dtype=complex) - dt * block).tocsc(),
+        permc_spec="MMD_AT_PLUS_A",
+        options={"SymmetricMode": True},
     )
+
+    def advance(states: list[np.ndarray]) -> list[tuple[np.ndarray, int, float]]:
+        full = np.zeros(states[0].size, dtype=complex)
+        full[sector] = stepper.solve(states[0].reshape(-1)[sector])
+        mat = full.reshape(model.dim, model.dim)
+        mat = 0.5 * (mat + mat.conj().T)
+        return [(mat, 1, float(abs(np.trace(mat) - 1.0)))]
+
+    (report,) = _windows(advance, [rho], change_tol, dt, block, sector)
     return report
 
 
@@ -1033,4 +1026,4 @@ def equilibrate_lanes(
         lanes = np.stack([_check_state(rho, dim).reshape(-1) for rho in states])
         return _dormand_prince(gen, lanes, dt)
 
-    return _windows(advance, rhos, _RK_WINDOWS, _CHANGE_TOL, "rk", dt, gen, dim**2)
+    return _windows(advance, rhos, _CHANGE_TOL, dt, gen)

@@ -14,6 +14,7 @@ Two-level basis order is (ground, excited), so the excited state is the
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from functools import reduce
 from typing import Iterable
@@ -113,20 +114,30 @@ def partial_trace(
     return reduced.reshape(kdim, kdim)
 
 
+def _truncation(n_max, name: str = "Fock truncation") -> int:
+    """``n_max`` as an ``int``; a value that ``operator.index`` refuses (a
+    float, even 6.0) raises ``ValueError`` naming it ``name``.  NumPy
+    integers pass."""
+    try:
+        return operator.index(n_max)
+    except TypeError:
+        raise ValueError(f"{name} must be an integer, got {n_max!r}") from None
+
+
 def destroy(n_max: int) -> np.ndarray:
     """Bosonic lowering operator on a ladder truncated at ``n_max`` states.
 
     Matrix elements are ``a[n-1, n] = sqrt(n)``.  Note the truncation
     artifact ``[a, a^dag][n_max-1, n_max-1] = -(n_max - 1)``.
     """
-    if n_max < 2:
+    if _truncation(n_max) < 2:
         raise ValueError(f"Fock truncation must be at least 2, got {n_max}")
     return np.diag(np.sqrt(np.arange(1, n_max, dtype=float)), 1).astype(complex)
 
 
 def number_op(n_max: int) -> np.ndarray:
     """Photon-number operator diag(0, 1, ..., n_max - 1)."""
-    if n_max < 2:
+    if _truncation(n_max) < 2:
         raise ValueError(f"Fock truncation must be at least 2, got {n_max}")
     return np.diag(np.arange(n_max, dtype=float)).astype(complex)
 

@@ -29,7 +29,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .lindblad import LindbladModel
-from .operators import SpaceLayout, destroy, ketbra
+from .operators import SpaceLayout, _truncation, destroy, ketbra
 from .reservoirs import (
     BathKind,
     LaserSettings,
@@ -81,10 +81,9 @@ class VSystemConfig:
                 f"need four finite nonnegative Rabi frequencies, got {self.rabi}"
             )
         object.__setattr__(self, "rabi", rabi)
-        if self.fock_dim < 2:
+        if _truncation(self.fock_dim, "fock_dim") < 2:
             raise ValueError(f"fock_dim must be at least 2, got {self.fock_dim}")
-        # one more frame than a plain call: the dataclass-generated __init__
-        warn_if_not_adiabatic(self.regime_ratio, "gamma", stacklevel=4)
+        warn_if_not_adiabatic(self.regime_ratio, "gamma")
 
     @property
     def regime_ratio(self) -> float:

@@ -53,6 +53,9 @@ __all__ = [
 # Below this ratio of kappa to the strongest sideband coupling the
 # adiabatic elimination degrades visibly.
 ADIABATIC_RATIO_FLOOR = 50.0
+# warnings.warn stacklevel of that warning: it is raised two calls below
+# the public entry point (see warn_if_not_adiabatic)
+_ADIABATIC_WARNING_LEVEL = 4
 
 # Largest squeezing r whose bath rates stay finite: they scale with
 # mu^2 + nu^2 = cosh(2 r), which overflows past r = 355.24.
@@ -245,19 +248,21 @@ def adiabatic_ratio(lamb: float, pairs: tuple[tuple[float, float, float], ...]) 
     return min(ratios, default=math.inf)
 
 
-def warn_if_not_adiabatic(ratio: float, rate: str, stacklevel: int = 3) -> None:
+def warn_if_not_adiabatic(ratio: float, rate: str) -> None:
     """Warn when ``ratio`` is below ``ADIABATIC_RATIO_FLOOR``.
 
-    ``rate`` names the eliminated decay rate in the message.  The default
-    ``stacklevel`` attributes the warning to the caller of the function
-    that calls this one.
+    ``rate`` names the eliminated decay rate in the message.  The warning
+    points three frames above the caller: at the caller of the public
+    function whose private helper calls this one (:func:`_match`), or of
+    a dataclass whose ``__post_init__`` does, as the generated
+    ``__init__`` adds a frame.
     """
     if ratio < ADIABATIC_RATIO_FLOOR:
         warnings.warn(
             f"{rate} / (lambda * max Omega) = {ratio:.1f} < "
             f"{ADIABATIC_RATIO_FLOOR:.0f}: adiabatic elimination quality degrades",
             RuntimeWarning,
-            stacklevel=stacklevel,
+            stacklevel=_ADIABATIC_WARNING_LEVEL,
         )
 
 
@@ -283,7 +288,7 @@ def _match(
     pair2 = (up_nu * root2 / lamb, up_mu * root2 / lamb)
     ratio = adiabatic_ratio(lamb, ((rate1, *pair1), (rate2, *pair2)))
     # attributed to the caller of the public function that calls this one
-    warn_if_not_adiabatic(ratio, rate_name, stacklevel=4)
+    warn_if_not_adiabatic(ratio, rate_name)
     return LaserSettings(spec, lamb, rates, pair1 + pair2, ratio)
 
 

@@ -375,6 +375,15 @@ class TestReferenceEfficiencies:
             replace(CONFIG_THERMAL, fock_dim=fock_dim)
         assert replace(CONFIG_THERMAL, fock_dim=32).fock_dim == 32
 
+    @pytest.mark.parametrize("fock_dim", [6.5, 6.0, "6"])
+    def test_non_integer_fock_dim_rejected(self, fock_dim):
+        # a float used to construct and then fail the full mode's bath solves
+        # with a TypeError, which run_sweep does not catch
+        cycle = load_config(CONFIG_DIR / "fig2a.json").cycle
+        with pytest.raises(ValueError, match="fock_dim must be an integer"):
+            replace(cycle, fock_dim=fock_dim)
+        assert replace(cycle, fock_dim=np.int64(6)).fock_dim == 6
+
 
 class TestEffectiveCycle:
     @pytest.mark.parametrize("xi", [0.0, 0.2, 0.41])

@@ -7,6 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import ionotto.cycle as cycle_module
 from ionotto.cycle import (
     CycleConfig,
     CycleMode,
@@ -17,7 +18,7 @@ from ionotto.cycle import (
     run_cycle_effective,
     run_cycle_full,
 )
-from ionotto.lindblad import equilibrate
+from ionotto.lindblad import equilibrate, expectation
 from ionotto.operators import SpaceLayout, kron, partial_trace, vacuum_state
 from ionotto.reservoirs import (
     ReservoirSpec,
@@ -139,6 +140,36 @@ class TestFullCycle:
         for label in ("cold", "hot"):
             assert equilibria.diagnostics[f"{label}_max_mode_occupation"] < 0.05
             assert equilibria.diagnostics[f"{label}_lamb_dicke"] < 0.1
+
+    @pytest.mark.parametrize(
+        "hot",
+        [ReservoirSpec.thermal(GAMMA, 1.2), ReservoirSpec.squeezed_thermal(GAMMA, 0.4, 0.5)],
+    )
+    def test_occupation_is_the_larger_mean_mode_number(self, hot, monkeypatch):
+        # against <n_x> and <n_y> of the reduced two-mode state, on the box
+        fock = 4
+        finals = []
+
+        def spy(model, rho0, **kwargs):
+            report = equilibrate(model, rho0, **kwargs)
+            finals.append(report.final_state)
+            return report
+
+        monkeypatch.setattr(cycle_module, "equilibrate", spy)
+        equilibria = prepare_bath_equilibria(panel_config(hot, fock_dim=fock))
+        window = np.flatnonzero(np.add.outer(np.arange(fock), np.arange(fock)).ravel() < fock)
+        number = np.diag(np.arange(fock)).astype(complex)
+        for label, final in zip(("cold", "hot"), finals):
+            modes = partial_trace(final, SpaceLayout((2, window.size)), keep=(1,))
+            box = np.zeros((fock * fock, fock * fock), dtype=complex)
+            box[np.ix_(window, window)] = modes
+            layout = SpaceLayout((fock, fock))
+            expected = max(
+                expectation(layout.embed(number, site), box) for site in (0, 1)
+            )
+            value = equilibria.diagnostics[f"{label}_max_mode_occupation"]
+            assert type(value) is float
+            assert value == pytest.approx(expected, rel=1e-12, abs=0)
 
     def test_efficiency_tracks_effective_mode(self):
         config = panel_config(ReservoirSpec.negative_temperature(GAMMA, 0.8))

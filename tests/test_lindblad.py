@@ -284,6 +284,18 @@ class TestEvolve:
             equilibrate_lanes(model, [rho0])
 
 
+    def test_size_rule_is_the_generators(self):
+        # one message, whatever t, before the state check
+        model, rho0 = sparse_joint_start()
+        with pytest.raises(ValueError) as generator:
+            model.generator
+        for t in (0.0, 0.3):
+            for start in (rho0, np.eye(2)):
+                with pytest.raises(ValueError) as stepped:
+                    evolve(model, start, t)
+                assert str(stepped.value) == str(generator.value)
+
+
 class TestEvolveMatchesReference:
     """``evolve`` keeps the arithmetic of the plain reference loop bit for bit."""
 
@@ -609,6 +621,24 @@ class TestEquilibrate:
         # at construction, before any solve
         with pytest.raises(ValueError, match="slow_rate"):
             LindbladModel(H2_ZERO, ((1.0, sigma_minus()),), slow_rate=slow_rate)
+
+    @pytest.mark.parametrize("method", ["rk", "implicit"])
+    def test_each_window_start_is_checked_once(self, method, monkeypatch):
+        # rk windows leave the check to evolve, the first window too;
+        # implicit windows check the start state alone
+        checked = []
+        check = lindblad_module._check_state
+
+        def spy(rho, dim):
+            checked.append(rho)
+            return check(rho, dim)
+
+        monkeypatch.setattr(lindblad_module, "_check_state", spy)
+        start = ketbra(2, 1, 1)
+        report = equilibrate(two_level_model(method), start)
+        assert report.method == method
+        assert len(checked) == (report.windows if method == "rk" else 1)
+        assert checked[0] is start
 
     def test_frobenius_pretest_skips_trace_norms(self, trace_norms):
         spec = ReservoirSpec.squeezed_thermal(2 * np.pi * 2e-4, 0.4, 0.5)

@@ -130,6 +130,17 @@ class TestBosonicOperators:
         with pytest.raises(ValueError):
             destroy(1)
 
+    @pytest.mark.parametrize("build", [destroy, number_op])
+    @pytest.mark.parametrize("n_max", [4.5, 4.0, "4"])
+    def test_non_integer_truncation_rejected(self, build, n_max):
+        # np.diag would make 4.5 a 5 x 5 matrix
+        with pytest.raises(ValueError, match="Fock truncation must be an integer"):
+            build(n_max)
+
+    @pytest.mark.parametrize("build", [destroy, number_op])
+    def test_numpy_integer_truncation_accepted(self, build):
+        assert np.array_equal(build(np.int64(4)), build(4))
+
     def test_thermal_state_mean_matches_geometric_sum(self):
         nbar, n_max = 0.6, 12
         rho = thermal_state(n_max, nbar)

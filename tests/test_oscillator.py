@@ -219,6 +219,14 @@ class TestFullVModel:
         with pytest.raises(ValueError, match=field):
             full_v_model(replace(config, **{field: value}), settings, 8)
 
+    @pytest.mark.parametrize("fock_dim", [4.5, 4.0])
+    def test_config_rejects_a_non_integer_fock_dim(self, fock_dim):
+        spec = ReservoirSpec.thermal(TARGET, 0.6)
+        config = v_config(match_rabi_for_mode(spec, 0.01, GAMMA_E, GAMMA_E), 8)
+        with pytest.raises(ValueError, match="fock_dim must be an integer"):
+            replace(config, fock_dim=fock_dim)
+        assert replace(config, fock_dim=np.int64(4)).fock_dim == 4
+
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -1.0])
     def test_config_rejects_rabi_that_is_not_finite_and_nonnegative(self, bad):
         spec = ReservoirSpec.thermal(TARGET, 0.6)

@@ -36,6 +36,7 @@ from ionotto.cycle import prepare_bath_equilibria
 from ionotto.lindblad import (
     LindbladModel,
     _sector_block,
+    _Terms,
     equilibrate,
 )
 from ionotto.operators import kron, vacuum_state
@@ -125,6 +126,28 @@ def test_sector_block_matches_the_full_space_route(case):
     if isolated and rho[0, 2] != 0:
         # the cancelled entries were (0, 2)'s only link to (1, 3)
         assert 0 * d + 2 in sector and 1 * d + 3 not in sector
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(case=cancelling_models())
+def test_sector_block_evaluates_the_generator_once(case):
+    # a relabelled sector filters the entries already evaluated; the
+    # oracle route builds its generator without _Terms
+    model, rho, rng, isolated = case
+    evaluated = []
+    entries = _Terms.entries
+
+    def spy(terms, flat):
+        evaluated.append(flat.size)
+        return entries(terms, flat)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(_Terms, "entries", spy)
+        sector = assert_block_matches_oracle(model, rho, rng)
+    assert len(evaluated) == 1
+    if isolated and rho[0, 2] != 0:
+        # the cancellation split the structural component
+        assert 1 * model.dim + 3 not in sector
 
 
 @pytest.mark.parametrize("fock_dim", [6, 8])
