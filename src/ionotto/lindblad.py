@@ -200,7 +200,8 @@ def liouvillian_matrix(model: LindbladModel) -> np.ndarray:
 class _Terms:
     """The generator's terms, H and each channel's rate, L and D = L^dag L,
     and the one assembly body of :func:`liouvillian_matrix`, of
-    :func:`equilibrate`'s sector block and of :func:`steady_state`'s blocks.
+    :func:`equilibrate`'s sector block and of :func:`steady_state`'s blocks,
+    which both take the generator's split from :meth:`blocks`.
 
     ``pattern`` holds the nonzeros of H and of every D: x (x) I and I (x)
     x^T place x[i, j] at ((i, k), (j, k)) and ((k, j), (k, i)).
@@ -237,16 +238,30 @@ class _Terms:
         flat.sort()  # below every index, -1 makes each first occurrence differ
         return flat[1:][flat[1:] != flat[:-1]]
 
-    def reached(self, seeds: np.ndarray) -> np.ndarray:
-        """Boolean mask of the vectorized entries in the components of the
-        support's graph (edges joined both ways) that hold ``seeds``.
+    def blocks(self, seeds: np.ndarray | None = None) -> tuple[np.ndarray, ...]:
+        """The one block rule of the package: the generator's exact
+        nonzeros, as sorted flat indices row n + col and their values, and
+        a component label for every vectorized entry, the components of
+        the graph of those nonzeros (edges joined both ways).  They are the
+        blocks of a weak symmetry: a thermal bath conserves the coherence
+        order, a squeezed one the parity.  With ``seeds``, flat indices of
+        vectorized entries, only the components that hold them are kept:
+        the nonzeros are those of their rows, and every other entry is
+        labelled -1.
 
         With c the components of ``pattern`` + ``pattern``^T, the terms
         x (x) I and I (x) x^T join every block c(i) x c(k) into one piece,
         and L (x) L^* joins block (c(i), c(k)) to (c(j), c(l)) for
-        L[i, j] L[k, l] != 0.  So the components are read from that block
-        graph, on q^2 vertices for q components of the pattern.
+        L[i, j] L[k, l] != 0.  So the support's components are read from
+        that block graph, on q^2 vertices for q components of the pattern,
+        and only the kept rows are placed and evaluated, once.  A
+        structural entry can cancel to an exact zero and split a component;
+        only then is the nonzero pattern labelled again, on n vertices, and
+        the entries filtered to the kept rows.  Each entry is computed on
+        its own, so the filtered arrays are those of an evaluation on the
+        relabelled rows.
         """
+        n = self.d * self.d
         comp = _components(*np.nonzero(self.pattern), self.d)
         q = int(comp.max()) + 1
         # L (x) L^* joins blocks (A, A') -> (B, B'), numbered A q + A', for
@@ -258,9 +273,23 @@ class _Terms:
             a, b = np.nonzero(links)
             tails.append(np.add.outer(a * q, a).ravel())
             heads.append(np.add.outer(b * q, b).ravel())
-        ends = np.concatenate(tails), np.concatenate(heads)
+        labels = _components(np.concatenate(tails), np.concatenate(heads), q * q)
         block = np.add.outer(comp * q, comp).ravel()  # the block of each entry
-        return _reached(*ends, q * q, block[seeds])[block]
+        if seeds is not None:
+            labels = _kept(labels, block[seeds])
+        labels = labels[block]
+        support = self.support(None if seeds is None else labels >= 0)
+        data = self.entries(support)
+        nonzero = data != 0
+        if not nonzero.all():
+            support, data = support[nonzero], data[nonzero]
+            labels = _components(*np.divmod(support, n), n)
+            if seeds is not None:
+                # a kept row's columns are kept too
+                labels = _kept(labels, seeds)
+                rows = labels[support // n] >= 0
+                support, data = support[rows], data[rows]
+        return support, data, labels
 
     def entries(self, flat: np.ndarray) -> np.ndarray:
         """The generator at sorted flat indices taken from the support; each
@@ -700,28 +729,21 @@ def evolve(model: LindbladModel, rho0: np.ndarray, t: float) -> EvolutionReport:
 def steady_state(model: LindbladModel) -> np.ndarray:
     """Stationary state as the null vector of the generator.
 
-    A weak symmetry of the generator (a thermal bath conserves the
-    coherence order, a squeezed one the parity) splits it into blocks:
-    the components of its nonzero pattern, labelled by :func:`_components`
-    as :func:`equilibrate`'s sector is.  Each block gets a dense
+    The generator splits into the blocks of :meth:`_Terms.blocks`, which
+    also gives :func:`equilibrate`'s sector.  Each block gets a dense
     singular-value decomposition; permuting L to block-diagonal form
     keeps its singular values, so the pooled values locate the null space
     of the whole L.  A null-space dimension other than one is reported,
     never silently resolved.  The null vector comes from the block holding
     the smallest singular value.  The returned state is Hermitian with
-    unit trace.  :class:`_Terms` evaluates the generator's entries on its
-    support, so no full-space matrix is built at any size, and the cost
+    unit trace.  No full-space matrix is built at any size, and the cost
     follows the largest block.
     """
     if not model.channels or all(rate == 0.0 for rate, _ in model.channels):
         raise ValueError("steady_state needs at least one dissipative channel")
     n = model.dim**2
-    terms = _Terms(model)
-    support = terms.support()
-    data = terms.entries(support)
-    rows, cols = np.divmod(support[data != 0], n)
-    data = data[data != 0]
-    labels = _components(rows, cols, n)
+    support, data, labels = _Terms(model).blocks()
+    rows, cols = np.divmod(support, n)
     svals = []
     smin = math.inf
     for label in range(labels.max() + 1):
@@ -772,15 +794,11 @@ def _components(rows: np.ndarray, cols: np.ndarray, n: int) -> np.ndarray:
     return connected_components(graph, directed=True, connection="strong")[1]
 
 
-def _reached(
-    rows: np.ndarray, cols: np.ndarray, n: int, seeds: np.ndarray
-) -> np.ndarray:
-    """Boolean mask of the vertices in the components of
-    :func:`_components`' graph that hold ``seeds``."""
-    labels = _components(rows, cols, n)
+def _kept(labels: np.ndarray, seeds: np.ndarray) -> np.ndarray:
+    """``labels`` with -1 on every component that holds none of ``seeds``."""
     hit = np.zeros(labels.max() + 1, dtype=bool)
     hit[labels[seeds]] = True
-    return hit[labels]
+    return np.where(hit[labels], labels, -1)
 
 
 def _sector_block(
@@ -789,40 +807,23 @@ def _sector_block(
     """The vectorized entries that the dynamics from ``rho`` can reach, and
     the generator's block on them (CSR, exact zeros dropped).
 
-    A component of the generator's nonzero pattern (:func:`_components`)
-    without a nonzero of ``rho`` stays exactly zero for all times;
-    components holding a diagonal entry (the trace) are always kept, and
-    so are those holding a nonzero of rho^T: windows re-symmetrize the
-    state, so a start state that is Hermitian only within tolerance keeps
-    its transposed entries in the sector, and every row of L rho outside
-    the sector stays exactly zero.
+    A block of :meth:`_Terms.blocks` without a nonzero of ``rho`` stays
+    exactly zero for all times; blocks holding a diagonal entry (the
+    trace) are always kept, and so are those holding a nonzero of rho^T:
+    windows re-symmetrize the state, so a start state that is Hermitian
+    only within tolerance keeps its transposed entries in the sector, and
+    every row of L rho outside the sector stays exactly zero.
 
-    :meth:`_Terms.reached` labels the components of the structural
-    support, and only their rows are placed and evaluated, once.  A
-    structural entry can cancel to an exact zero and split a component;
-    the nonzero pattern of those rows is then labelled again and the
-    entries filtered to what stays joined to the seeds.  Each entry is
-    computed on its own, so the filtered arrays are those of an
-    evaluation on the relabelled rows; the sector is always that of the
-    generator's nonzero pattern, and the block holds the nonzeros of
-    :func:`liouvillian_matrix` on the sector bit for bit.
+    :meth:`_Terms.blocks` keeps those blocks and evaluates only their
+    rows, so the block holds the nonzeros of :func:`liouvillian_matrix`
+    on the sector bit for bit.
     """
     d = model.dim
     n = d * d
-    terms = _Terms(model)
     held = np.flatnonzero((rho != 0) | (rho.T != 0))
     seeds = np.concatenate((np.arange(d) * (d + 1), held))
-    inside = terms.reached(seeds)
-    support = terms.support(inside)
-    data = terms.entries(support)
-    nonzero = data != 0
-    if not nonzero.all():
-        # exact zeros: drop them, and keep the rows of the components that
-        # the rest joins to the seeds; a kept row's columns are kept too
-        support, data = support[nonzero], data[nonzero]
-        inside = _reached(*np.divmod(support, n), n, seeds)
-        rows = inside[support // n]
-        support, data = support[rows], data[rows]
+    support, data, labels = _Terms(model).blocks(seeds)
+    inside = labels >= 0
     sector = np.flatnonzero(inside)
     indices = (np.cumsum(inside) - 1)[support % n]
     indptr = np.searchsorted(support, np.append(sector, n) * n)

@@ -60,13 +60,14 @@ class SpaceLayout:
     """Ordered subsystem dimensions of a composite Hilbert space.
 
     ``SpaceLayout((2, 6, 6))`` describes a two-level system together with
-    two motional modes truncated at 6 Fock states each.
+    two motional modes truncated at 6 Fock states each.  Each dimension
+    passes :func:`_truncation`: a float, even 6.0, raises ``ValueError``.
     """
 
     dims: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        dims = tuple(int(d) for d in self.dims)
+        dims = tuple(_truncation(d, "subsystem dimension") for d in self.dims)
         if not dims or any(d < 1 for d in dims):
             raise ValueError(f"invalid subsystem dimensions {self.dims}")
         object.__setattr__(self, "dims", dims)
@@ -143,7 +144,9 @@ def number_op(n_max: int) -> np.ndarray:
 
 
 def ketbra(dim: int, i: int, j: int) -> np.ndarray:
-    """The operator |i><j| on a ``dim``-dimensional space."""
+    """The operator |i><j| on a ``dim``-dimensional space; ``dim`` passes
+    :func:`_truncation`."""
+    dim = _truncation(dim, "dimension")
     if not (0 <= i < dim and 0 <= j < dim):
         raise ValueError(f"indices ({i}, {j}) outside dimension {dim}")
     op = np.zeros((dim, dim), dtype=complex)
@@ -168,7 +171,7 @@ def sigma_plus() -> np.ndarray:
 
 def vacuum_state(n_max: int) -> np.ndarray:
     """Fock vacuum |0><0| on a truncated ladder."""
-    return ketbra(n_max, 0, 0)
+    return ketbra(_truncation(n_max), 0, 0)
 
 
 def hermiticity_defect(a: np.ndarray) -> float:

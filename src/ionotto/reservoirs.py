@@ -422,9 +422,12 @@ def gibbs_state(theta: float) -> np.ndarray:
     """Two-level Gibbs state diag(e^theta, e^-theta) / (2 cosh theta).
 
     Written with one-sided exponentials so arbitrarily large theta stays
-    finite.
+    finite; theta = +-inf is the pure ground or excited state, and a NaN
+    theta raises ``ValueError``.
     """
     th = float(theta)
+    if math.isnan(th):
+        raise ValueError("theta must not be NaN")
     weight = math.exp(-2.0 * abs(th))  # decaying exponential only
     major = 1.0 / (1.0 + weight)
     minor = weight / (1.0 + weight)
@@ -438,10 +441,10 @@ def squeezed_gibbs_state(theta: float, squeezing: float) -> np.ndarray:
 
     Squeezing mixes the Gibbs populations with weights mu^2 and nu^2,
     which contracts <sigma_z> by zeta = 1 / (mu^2 + nu^2) while keeping
-    the state diagonal.
+    the state diagonal.  ``squeezing`` must be finite and >= 0.
     """
-    if squeezing < 0:
-        raise ValueError(f"squeezing must be >= 0, got {squeezing}")
+    if not 0.0 <= squeezing < math.inf:
+        raise ValueError(f"squeezing must be finite and >= 0, got {squeezing}")
     gibbs = gibbs_state(theta)
     mu2 = math.cosh(squeezing) ** 2
     nu2 = math.sinh(squeezing) ** 2

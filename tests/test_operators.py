@@ -141,6 +141,28 @@ class TestBosonicOperators:
     def test_numpy_integer_truncation_accepted(self, build):
         assert np.array_equal(build(np.int64(4)), build(4))
 
+    @pytest.mark.parametrize(
+        "build, name",
+        [
+            pytest.param(
+                lambda size: SpaceLayout((2, size)), "subsystem dimension", id="layout"
+            ),
+            pytest.param(lambda size: ketbra(size, 0, 0), "dimension", id="ketbra"),
+            pytest.param(vacuum_state, "Fock truncation", id="vacuum"),
+        ],
+    )
+    @pytest.mark.parametrize("size", [4.5, 4.0, "4"])
+    def test_non_integer_size_rejected(self, build, name, size):
+        # int() would make SpaceLayout((2, 4.5)) a (2, 4) layout, and
+        # np.zeros raise TypeError for ketbra and vacuum_state
+        with pytest.raises(ValueError, match=f"^{name} must be an integer"):
+            build(size)
+
+    def test_numpy_integer_size_accepted(self):
+        assert SpaceLayout((np.int64(2), np.int32(4))).dims == (2, 4)
+        assert np.array_equal(ketbra(np.int64(4), 1, 2), ketbra(4, 1, 2))
+        assert np.array_equal(vacuum_state(np.int64(4)), vacuum_state(4))
+
     def test_thermal_state_mean_matches_geometric_sum(self):
         nbar, n_max = 0.6, 12
         rho = thermal_state(n_max, nbar)

@@ -305,6 +305,30 @@ class TestGibbsStates:
         theta = theta_from_occupation(0.7, BathKind.THERMAL)
         assert np.abs(squeezed_gibbs_state(theta, 20.0) - np.eye(2) / 2).max() < 1e-12
 
+    @pytest.mark.parametrize("theta", [math.inf, -math.inf])
+    def test_infinite_theta_is_a_pure_state(self, theta):
+        pure = ketbra(2, 0, 0) if theta > 0 else ketbra(2, 1, 1)
+        assert np.array_equal(gibbs_state(theta), pure)
+        assert np.array_equal(squeezed_gibbs_state(theta, 0.0), pure)
+
+    @pytest.mark.parametrize(
+        "theta, squeezing",
+        [
+            pytest.param(math.nan, None, id="nan-theta"),
+            pytest.param(math.nan, 0.5, id="squeezed-nan-theta"),
+            pytest.param(0.5, math.nan, id="nan-squeezing"),
+            pytest.param(0.5, math.inf, id="inf-squeezing"),
+            pytest.param(0.5, -0.1, id="negative-squeezing"),
+        ],
+    )
+    def test_nan_and_non_finite_inputs_rejected(self, theta, squeezing):
+        # each would give an all-NaN state, except the negative squeezing
+        with pytest.raises(ValueError):
+            if squeezing is None:
+                gibbs_state(theta)
+            else:
+                squeezed_gibbs_state(theta, squeezing)
+
     def test_zeta_contraction_identity(self):
         for n, r in [(0.4, 0.5), (1.3, 1.1), (0.05, 2.0)]:
             theta = theta_from_occupation(n, BathKind.THERMAL)

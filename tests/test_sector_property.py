@@ -19,8 +19,15 @@ The six shipped joint bath models at fock 6 and 8 run the same check, and
 their implicit equilibrations report what the full-space loop reports.  A
 start state that is Hermitian only within tolerance keeps the transposes of
 its entries in the sector, so its windows stay on it.
+
+``steady_state`` takes its blocks from the same ``_Terms.blocks``: on the
+cancelling draws it returns ``oracles.reference_block_steady_state``'s bytes
+or raises its ``DegenerateSteadyStateError``, and on joint window models
+without cancellations neither route labels a graph on all d^2 vectorized
+entries.
 """
 
+import re
 from dataclasses import replace
 from pathlib import Path
 
@@ -33,20 +40,25 @@ from hypothesis import strategies as st
 
 import ionotto.cycle as cycle_module
 from ionotto.cycle import prepare_bath_equilibria
+import ionotto.lindblad as lindblad_module
 from ionotto.lindblad import (
+    DegenerateSteadyStateError,
     LindbladModel,
     _sector_block,
     _Terms,
     equilibrate,
+    steady_state,
 )
 from ionotto.operators import kron, vacuum_state
 from ionotto.reservoirs import (
     ReservoirSpec,
+    full_joint_model,
     match_rabi_frequencies,
 )
 from ionotto.sweep import load_config
 from oracles import (
     box_joint_model,
+    reference_block_steady_state,
     reference_liouvillian,
     reference_state_sector,
     reference_window_loop,
@@ -148,6 +160,53 @@ def test_sector_block_evaluates_the_generator_once(case):
     if isolated and rho[0, 2] != 0:
         # the cancellation split the structural component
         assert 1 * model.dim + 3 not in sector
+
+
+# each draw takes two dense SVDs of blocks up to 961 x 961, about 0.6 s;
+# six draws hold both gadget layouts, unique and degenerate null spaces
+@settings(max_examples=6, deadline=None, derandomize=True)
+@given(case=cancelling_models())
+def test_steady_state_through_exact_cancellations(case):
+    # steady_state relabels the nonzeros through the same branch as the
+    # sector; the oracle labels the full-space sparse generator's nonzeros
+    model = case[0]
+    try:
+        expected = reference_block_steady_state(model)
+    except DegenerateSteadyStateError as error:
+        with pytest.raises(DegenerateSteadyStateError, match=re.escape(str(error))):
+            steady_state(model)
+    else:
+        assert steady_state(model).tobytes() == expected.tobytes()
+
+
+@pytest.mark.parametrize("fock_dim", [3, 4])
+@pytest.mark.parametrize(
+    "spec",
+    [
+        ReservoirSpec.thermal(2 * np.pi * 1e-4, 0.8),
+        ReservoirSpec.squeezed_thermal(2 * np.pi * 1e-4, 0.4, 0.5),
+    ],
+    ids=["thermal", "squeezed"],
+)
+def test_no_full_graph_is_labelled(spec, fock_dim, monkeypatch):
+    # without cancellations both routes label only the small graphs of
+    # _Terms.blocks: the pattern's d vertices and the q^2 blocks
+    model = full_joint_model(match_rabi_frequencies(spec, 0.01, 2 * np.pi), fock_dim)
+    sizes = []
+    components = lindblad_module._components
+
+    def spy(rows, cols, n):
+        sizes.append(n)
+        return components(rows, cols, n)
+
+    monkeypatch.setattr(lindblad_module, "_components", spy)
+    rho = np.zeros((model.dim, model.dim), dtype=complex)
+    rho[0, 0] = 1.0
+    for solve in (steady_state, lambda model: _sector_block(model, rho)):
+        sizes.clear()
+        solve(model)
+        assert max(sizes) < model.dim**2
+        assert len(sizes) == 2 and sizes[0] == model.dim
 
 
 @pytest.mark.parametrize("fock_dim", [6, 8])
