@@ -21,7 +21,6 @@ from .cycle import CycleConfig, CycleMode
 from .lindblad import (
     DegenerateSteadyStateError,
     LindbladModel,
-    liouvillian_matrix,
     steady_state,
 )
 from .operators import sigma_minus
@@ -111,8 +110,8 @@ def _checked_matchings(
         lasers = LindbladModel(
             target.hamiltonian, channels_from_settings(settings, sigma_minus())
         )
-        expected = liouvillian_matrix(target)
-        defect = np.abs(liouvillian_matrix(lasers) - expected).max()
+        expected = target.generator
+        defect = np.abs(lasers.generator - expected).max()
         relative = defect / np.abs(expected).max()
         if not relative <= _MATCHING_TOL:
             raise ConfigError(

@@ -134,14 +134,7 @@ class LindbladModel:
 
     @cached_property
     def generator(self) -> np.ndarray:
-        """:func:`liouvillian_matrix`; a model past ``_DENSE_MAX_DIM`` raises
-        ``ValueError``."""
-        if self.dim > _DENSE_MAX_DIM:
-            raise ValueError(
-                f"no generator past model dim {_DENSE_MAX_DIM}, got {self.dim}: "
-                "equilibrate() relaxes it with implicit windows and "
-                "steady_state() solves it block by block"
-            )
+        """:func:`liouvillian_matrix`, built once."""
         return liouvillian_matrix(self)
 
     @cached_property
@@ -187,8 +180,15 @@ def liouvillian_matrix(model: LindbladModel) -> np.ndarray:
     (D x I + I x D^T), D = L^dag L, summed in this order without forming a
     Kronecker product x: index arithmetic on the nonzeros of H, L and D
     places the terms' support, and each term is evaluated there as x[i, j]
-    y[k, l], as ``np.kron`` does.
+    y[k, l], as ``np.kron`` does.  A model past ``_DENSE_MAX_DIM`` raises
+    ``ValueError`` and builds nothing.
     """
+    if model.dim > _DENSE_MAX_DIM:
+        raise ValueError(
+            f"no generator past model dim {_DENSE_MAX_DIM}, got {model.dim}: "
+            "equilibrate() relaxes it with implicit windows and "
+            "steady_state() solves it block by block"
+        )
     n = model.dim**2
     terms = _Terms(model)
     support = terms.support()
@@ -506,14 +506,14 @@ def _control(err: float, time: float, h: float, steps: int, t: float):
     return accepted, time, h if h <= rest else rest, steps
 
 
-def _lane(gen, y, k0, t, time, h, steps, drift) -> tuple[np.ndarray, int, float]:
+def _lane(gen, y, k0, t, h) -> tuple[np.ndarray, int, float]:
     """Carry one lane, the vectorized state ``y`` (1-D, integrated in
-    place) with derivative ``k0`` at ``time``, to ``t``.
+    place) with derivative ``k0`` at time 0, to ``t``.
 
-    ``h`` is its next step size, ``steps`` and ``drift`` its accepted
-    steps and largest trace drift so far.  Its time, step size, counts and
+    ``h`` is its first step size.  Its time, step size, counts and
     decisions are Python scalars, and its sums are :func:`_total`'s.
-    Returns the final (d, d) state, the accepted steps and the drift.
+    Returns the final (d, d) state, the accepted steps and the largest
+    trace drift.
     """
     n = y.size
     d = math.isqrt(n)
@@ -536,6 +536,7 @@ def _lane(gen, y, k0, t, time, h, steps, drift) -> tuple[np.ndarray, int, float]
         np.abs, np.divide, np.conjugate, np.add, np.multiply
     )
     isfinite, total, rms, control, half = math.isfinite, _total, _rms, _control, _HALF
+    time, steps, drift = 0.0, 0, 0.0
     absolute(y, abs_y)
     while True:
         h_c[()] = h
@@ -568,11 +569,13 @@ def _dormand_prince(gen, y: np.ndarray, t: float) -> list[tuple[np.ndarray, int,
     ``_RK_ATOL``.  ``gen`` is a dense generator.  The lanes share it and
     nothing else: each has its own step size, time, accept/reject decision
     and step count, and its step control (:func:`_control`) runs on Python
-    floats, so every lane gets the bits that it gets alone.  A lane that
-    reaches ``t`` leaves the batch, and the last one left, or the only
-    one, finishes in :func:`_lane` on 1-D arrays, with its time, step
-    size, step count and drift in Python scalars.  There its three sums
-    per step (the scale's finiteness check, the error norm and the trace)
+    floats, so every lane gets the bits that it gets alone.  Two or more
+    lanes run in one batch, whose buffers hold every lane to the end: a
+    lane that reaches ``t`` steps by 0 from then on and is never written
+    again, and the loop ends when no lane is short of ``t``.  An only
+    lane runs in :func:`_lane` on 1-D arrays, with its time, step size,
+    step count and drift in Python scalars.  There its three sums per
+    step (the scale's finiteness check, the error norm and the trace)
     are :func:`_total`'s: below 8 real terms, where ``np.add.reduce``
     itself adds left to right, they add the entries in Python floats and
     keep numpy's bits without a reduction call.  Every product and
@@ -605,84 +608,67 @@ def _dormand_prince(gen, y: np.ndarray, t: float) -> list[tuple[np.ndarray, int,
             size = np.abs(k) / peak / s
             hs[lane] = min(t, 0.01 * d0s[lane] / math.sqrt(_total(size * size) / n) / peak)
     if lanes == 1:
-        return [_lane(gen, y, k0, t, 0.0, hs[0], 0, 0.0)]
-    results: list[tuple[np.ndarray, int, float] | None] = [None] * lanes
-    # per lane of the batch: accepted steps, largest trace drift, time
+        return [_lane(gen, y, k0, t, hs[0])]
+    # per lane: accepted steps, largest trace drift, time
     steps = [0] * lanes
     drifts = [0.0] * lanes
     times = [0.0] * lanes
-    live = list(range(lanes))  # input index of each lane in the batch
-    while len(live) > 1:
-        # buffers of the live lanes
-        m = len(live)
-        k = np.empty((m, 7, n), dtype=complex)
-        k[:, 0] = k0
-        yi = np.empty_like(y)
-        err_vec = np.empty_like(y)
-        conj_t = np.empty((m, d, d), dtype=complex)
-        abs_y = np.empty(y.shape)
-        scale = np.empty(y.shape)
-        sq = np.empty(y.shape)
-        # flat views: a mixed-type ufunc call is cheaper on one axis
-        err_flat, scale_flat = err_vec.reshape(-1), scale.reshape(-1)
-        y_mat = y.reshape(m, d, d)
-        y5_mat = yi.reshape(m, d, d)
-        y5_t = y5_mat.transpose(0, 2, 1)
-        traces = y[:, :: d + 1]
-        h_c = np.empty((m, 1), dtype=complex)
-        attempt, (refresh, y_in, k0_out) = _step_calls(
-            gen, y, h_c, yi, k, err_vec, abs_y, scale
-        )
+    live = list(range(lanes))  # the lanes short of t
+    k = np.empty((lanes, 7, n), dtype=complex)
+    k[:, 0] = k0
+    yi = np.empty_like(y)
+    err_vec = np.empty_like(y)
+    conj_t = np.empty((lanes, d, d), dtype=complex)
+    abs_y = np.empty(y.shape)
+    scale = np.empty(y.shape)
+    # flat views: a mixed-type ufunc call is cheaper on one axis
+    err_flat, scale_flat = err_vec.reshape(-1), scale.reshape(-1)
+    y_mat = y.reshape(lanes, d, d)
+    y5_mat = yi.reshape(lanes, d, d)
+    y5_t = y5_mat.transpose(0, 2, 1)
+    traces = y[:, :: d + 1]
+    h_c = np.empty((lanes, 1), dtype=complex)
+    attempt, (refresh, y_in, k0_out) = _step_calls(
+        gen, y, h_c, yi, k, err_vec, abs_y, scale
+    )
+    np.abs(y, abs_y)
+    while live:
+        h_c[:, 0] = hs
+        attempt()
+        # a lane at t has finite, unchanged entries
+        if not math.isfinite(np.add.reduce(scale, axis=None)):
+            lane = int(np.argmin(np.isfinite(np.add.reduce(scale, axis=1))))
+            raise IntegrationError(
+                f"non-finite state entries at t = {times[lane]:.6g}"
+            )
+        np.divide(err_flat, scale_flat, err_flat)
+        errs = _rms(err_vec, sq)
+        accepted = []
+        for lane in live:
+            ok, times[lane], hs[lane], steps[lane] = _control(
+                errs[lane], times[lane], hs[lane], steps[lane], t
+            )
+            if ok:
+                accepted.append(lane)
+        if not accepted:
+            continue
+        # y = 0.5 * (y5 + y5^dag) on the accepted lanes
+        np.conjugate(y5_t, conj_t)
+        np.add(y5_mat, conj_t, conj_t)
+        np.multiply(_HALF, conj_t, conj_t)
+        y_mat[accepted] = conj_t[accepted]
+        # re-evaluate: symmetrization invalidates FSAL
+        refresh(y_in, out=k0_out)
         np.abs(y, abs_y)
-        done = []
-        while not done:
-            h_c[:, 0] = hs
-            attempt()
-            if not math.isfinite(np.add.reduce(scale, axis=None)):
-                lane = int(np.argmin(np.isfinite(np.add.reduce(scale, axis=1))))
-                raise IntegrationError(
-                    f"non-finite state entries at t = {times[lane]:.6g}"
-                )
-            np.divide(err_flat, scale_flat, err_flat)
-            accepted = []
-            for lane, err in enumerate(_rms(err_vec, sq)):
-                ok, times[lane], hs[lane], steps[lane] = _control(
-                    err, times[lane], hs[lane], steps[lane], t
-                )
-                if ok:
-                    accepted.append(lane)
-            if not accepted:
-                continue
-            # y = 0.5 * (y5 + y5^dag) on the accepted lanes
-            np.conjugate(y5_t, conj_t)
-            if len(accepted) == m:
-                np.add(y5_mat, conj_t, y_mat)
-                np.multiply(_HALF, y_mat, y_mat)
-            else:
-                np.add(y5_mat, conj_t, conj_t)
-                np.multiply(_HALF, conj_t, conj_t)
-                y_mat[accepted] = conj_t[accepted]
-            # re-evaluate: symmetrization invalidates FSAL
-            refresh(y_in, out=k0_out)
-            np.abs(y, abs_y)
-            sums = np.add.reduce(traces, axis=1)
-            for lane in accepted:
-                drift = abs(sums[lane] - 1.0)
-                if drift > drifts[lane]:
-                    drifts[lane] = float(drift)
-                if times[lane] >= t:
-                    done.append(lane)
-        for lane in done:
-            results[live[lane]] = y_mat[lane], steps[lane], drifts[lane]
-        keep = [lane for lane in range(m) if times[lane] < t]
-        live, steps, drifts, times, hs = (
-            [values[lane] for lane in keep] for values in (live, steps, drifts, times, hs)
-        )
-        y, k0 = y[keep], k[keep, 0]
-    if live:
-        (lane,) = live
-        results[lane] = _lane(gen, y[0], k0[0], t, times[0], hs[0], steps[0], drifts[0])
-    return results
+        sums = np.add.reduce(traces, axis=1)
+        for lane in accepted:
+            drift = abs(sums[lane] - 1.0)
+            if drift > drifts[lane]:
+                drifts[lane] = float(drift)
+            if times[lane] >= t:
+                hs[lane] = 0.0
+                live.remove(lane)
+    return list(zip(y_mat, steps, drifts))
 
 
 def evolve(model: LindbladModel, rho0: np.ndarray, t: float) -> EvolutionReport:
@@ -699,11 +685,11 @@ def evolve(model: LindbladModel, rho0: np.ndarray, t: float) -> EvolutionReport:
     must be finite; a non-finite error estimate raises
     :class:`IntegrationError`.  This is the
     one-lane call of the integrator that :func:`equilibrate_lanes` runs
-    on many states at once, with the same bits per state.  One lane runs
-    in :func:`_lane`: its step control reads Python floats, and its sums
-    of fewer than 8 real terms, numpy's sequential size, are added left
-    to right in Python floats (:func:`_total`), as ``np.add.reduce``
-    does there.
+    on many states at once, in one batch loop, with the same bits per
+    state.  Its one lane runs in :func:`_lane`: its step control reads
+    Python floats, and its sums of fewer than 8 real terms, numpy's
+    sequential size, are added left to right in Python floats
+    (:func:`_total`), as ``np.add.reduce`` does there.
     """
     if not (0.0 <= t < math.inf):
         raise ValueError(f"evolution time must be finite and >= 0, got {t}")

@@ -441,10 +441,14 @@ def squeezed_gibbs_state(theta: float, squeezing: float) -> np.ndarray:
 
     Squeezing mixes the Gibbs populations with weights mu^2 and nu^2,
     which contracts <sigma_z> by zeta = 1 / (mu^2 + nu^2) while keeping
-    the state diagonal.  ``squeezing`` must be finite and >= 0.
+    the state diagonal.  ``squeezing`` must lie in [0, ``MAX_SQUEEZING``],
+    where mu^2 + nu^2 stays finite.
     """
-    if not 0.0 <= squeezing < math.inf:
-        raise ValueError(f"squeezing must be finite and >= 0, got {squeezing}")
+    if not 0.0 <= squeezing <= MAX_SQUEEZING:
+        raise ValueError(
+            f"squeezing must lie in [0, {MAX_SQUEEZING:.5g}], where mu^2 + nu^2 "
+            f"= cosh(2 r) stays finite, got {squeezing}"
+        )
     gibbs = gibbs_state(theta)
     mu2 = math.cosh(squeezing) ** 2
     nu2 = math.sinh(squeezing) ** 2

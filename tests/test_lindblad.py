@@ -22,6 +22,7 @@ from ionotto.lindblad import (
     EquilibrationError,
     IntegrationError,
     LindbladModel,
+    _dormand_prince,
     equilibrate,
     equilibrate_lanes,
     evolve,
@@ -64,12 +65,14 @@ H2_ZERO = np.zeros((2, 2), dtype=complex)
 
 @pytest.fixture
 def built(monkeypatch):
-    """The model dimension of every generator that lindblad builds."""
+    """The model dimension of every generator that lindblad builds; a call
+    that raises builds none."""
     dims = []
 
     def spy(model):
+        generator = liouvillian_matrix(model)
         dims.append(model.dim)
-        return liouvillian_matrix(model)
+        return generator
 
     monkeypatch.setattr(lindblad_module, "liouvillian_matrix", spy)
     return dims
@@ -296,6 +299,32 @@ class TestEvolve:
                 assert str(stepped.value) == str(generator.value)
 
 
+class TestLanes:
+    @pytest.mark.parametrize("lanes", range(2, 10))
+    def test_a_batch_runs_every_lane_in_one_loop(self, lanes, monkeypatch):
+        # a stationary start takes one step and pure ones at angles of 10 to
+        # 80 degrees take 80 to 100, so the last lane reaches t alone
+        model = thermal_two_level_model(1.0, 0.6)
+        starts = [steady_state(model)]
+        for lane in range(1, lanes):
+            ket = np.array([np.cos(lane * np.pi / 18), np.sin(lane * np.pi / 18)])
+            starts.append(np.outer(ket, ket).astype(complex))
+        t = 5.0 / model.slow_rate
+        singles = [evolve(model, rho, t) for rho in starts]
+        assert len({single.steps_taken for single in singles}) > 1
+        handed = []
+        monkeypatch.setattr(lindblad_module, "_lane", lambda *args: handed.append(args))
+        results = _dormand_prince(
+            model.generator, np.stack([rho.reshape(-1) for rho in starts]), t
+        )
+        assert handed == []
+        assert len(results) == lanes
+        for single, (final, steps, drift) in zip(singles, results):
+            assert final.tobytes() == single.final_state.tobytes()
+            assert steps == single.steps_taken
+            assert drift == single.max_trace_drift
+
+
 class TestEvolveMatchesReference:
     """``evolve`` keeps the arithmetic of the plain reference loop bit for bit."""
 
@@ -339,6 +368,27 @@ class TestGenerator:
         assert model.generator is generator
         assert built == [dim]
         assert np.array_equal(generator, liouvillian_matrix(model))
+
+    def test_liouvillian_matrix_keeps_the_size_rule(self, monkeypatch):
+        # the public builder refuses as the cached generator does, before it
+        # assembles a term
+        dim = _DENSE_MAX_DIM + 1
+        model = LindbladModel(
+            np.diag(np.arange(dim)).astype(complex), ((0.3, destroy(dim)),)
+        )
+        with pytest.raises(ValueError) as cached:
+            model.generator
+        assembled = []
+
+        def spy(model):
+            assembled.append(model.dim)
+            raise AssertionError("terms assembled past the size rule")
+
+        monkeypatch.setattr(lindblad_module, "_Terms", spy)
+        with pytest.raises(ValueError) as built:
+            liouvillian_matrix(model)
+        assert str(built.value) == str(cached.value)
+        assert assembled == []
 
     def test_equilibrate_builds_one_generator(self, built):
         cycle = load_config(CONFIG_DIR / "fig2c.json").cycle

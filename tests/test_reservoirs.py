@@ -329,6 +329,19 @@ class TestGibbsStates:
             else:
                 squeezed_gibbs_state(theta, squeezing)
 
+    @pytest.mark.parametrize("squeezing", [355.3, 356.0])
+    def test_squeezing_past_the_ceiling_rejected(self, squeezing):
+        # mu^2 + nu^2 overflows there: a trace-0 state at 355.3, an
+        # OverflowError from 355.6 on
+        assert squeezing > MAX_SQUEEZING
+        with pytest.raises(ValueError, match="squeezing must lie in"):
+            squeezed_gibbs_state(0.5, squeezing)
+
+    def test_squeezing_at_the_ceiling_has_unit_trace(self):
+        state = squeezed_gibbs_state(0.5, MAX_SQUEEZING)
+        assert np.isfinite(state).all()
+        assert abs(np.trace(state) - 1.0) < 1e-15
+
     def test_zeta_contraction_identity(self):
         for n, r in [(0.4, 0.5), (1.3, 1.1), (0.05, 2.0)]:
             theta = theta_from_occupation(n, BathKind.THERMAL)

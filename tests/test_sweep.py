@@ -5,9 +5,10 @@ from pathlib import Path
 
 import pytest
 
+import ionotto.lindblad as lindblad_module
 from ionotto.cli import main
 from ionotto.cycle import CycleMode, Regime, run_cycle_effective
-from ionotto.lindblad import EquilibrationError, IntegrationError
+from ionotto.lindblad import EquilibrationError, IntegrationError, liouvillian_matrix
 from ionotto.sweep import (
     CSV_HEADER,
     ConfigError,
@@ -442,6 +443,23 @@ class TestCli:
         assert code == 0
         assert out.exists()
         assert "wrote 2 rows" in capsys.readouterr().out
+
+    def test_sweep_builds_each_bath_generator_once(self, tmp_path, monkeypatch):
+        # the matching check builds each bath's generator and its matched
+        # lasers'; the effective rows reuse the bath's cached one, and the
+        # full rows build none
+        built = []
+
+        def spy(model):
+            generator = liouvillian_matrix(model)
+            built.append(model.dim)
+            return generator
+
+        monkeypatch.setattr(lindblad_module, "liouvillian_matrix", spy)
+        out = tmp_path / "out.csv"
+        args = ["sweep", str(CONFIG_DIR / "fig2c.json"), "--xi-points", "3"]
+        assert main(args + ["--output", str(out)]) == 0
+        assert built == [2, 2, 2, 2]
 
     def test_sweep_mode_override(self, tmp_path):
         config = write_config(
