@@ -124,7 +124,7 @@ def _checked_matchings(
 
 def _cmd_sweep(args: argparse.Namespace) -> int:
     config = load_config(args.config)
-    modes = _parse_modes(args.modes) if args.modes else None
+    modes = _parse_modes(args.modes) if args.modes is not None else None
     config = apply_overrides(
         config,
         modes=modes,
@@ -137,10 +137,13 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         warnings.simplefilter("ignore", RuntimeWarning)
         _checked_matchings(config.cycle)
     output = config.output_path or Path("sweep.csv")
-    if output.is_dir():
-        raise ConfigError(f"cannot write {output}: it is a directory")
-    if not output.parent.is_dir():
-        raise ConfigError(f"cannot write {output}: no directory {output.parent}")
+    try:
+        if output.is_dir():
+            raise ConfigError(f"cannot write {output}: it is a directory")
+        if not output.parent.is_dir():
+            raise ConfigError(f"cannot write {output}: no directory {output.parent}")
+    except OSError as exc:  # a path the system cannot even stat
+        raise ConfigError(f"cannot write {output}: {exc.strerror or exc}") from exc
     result = run_sweep(config)
     emit_csv(result.rows, output)
     print(f"wrote {len(result.rows)} rows to {output}")

@@ -180,8 +180,8 @@ def liouvillian_matrix(model: LindbladModel) -> np.ndarray:
     (D x I + I x D^T), D = L^dag L, summed in this order without forming a
     Kronecker product x: index arithmetic on the nonzeros of H, L and D
     places the terms' support, and each term is evaluated there as x[i, j]
-    y[k, l], as ``np.kron`` does.  A model past ``_DENSE_MAX_DIM`` raises
-    ``ValueError`` and builds nothing.
+    y[k, l], as numpy's ``kron`` does.  A model past ``_DENSE_MAX_DIM``
+    raises ``ValueError`` and builds nothing.
     """
     if model.dim > _DENSE_MAX_DIM:
         raise ValueError(

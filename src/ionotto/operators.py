@@ -42,7 +42,7 @@ def kron(*ops: np.ndarray) -> np.ndarray:
 
     Each product is one broadcast multiply into (rows, rows, cols, cols)
     order and a reshape: every entry is the single product x[i, j] *
-    y[k, l], as in ``np.kron``, without its generic n-d path.
+    y[k, l], as in numpy's ``kron``, without its generic n-d path.
     """
     if not ops:
         raise ValueError("kron needs at least one operator")

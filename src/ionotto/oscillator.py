@@ -6,10 +6,11 @@ eliminated, leaving a single motional mode in contact with an engineered
 bath.  The sideband matching is the two-level engine's one of
 :mod:`ionotto.reservoirs` with the electronic decays (gamma_ge, gamma_gf)
 as the eliminated rates, and returns the same
-:class:`~ionotto.reservoirs.LaserSettings`.  The mode couplings are
-s_alpha = (lambda/2)(Omega_{alpha,1} a + Omega_{alpha,2} a^dag) for alpha
-in {ge, gf}, and the eliminated dynamics carries them as collapse
-channels with prefactor 2/gamma_alpha.
+:class:`~ionotto.reservoirs.LaserSettings`; that matching alone judges
+the adiabatic regime and warns, once, when it is poor.  The mode
+couplings are s_alpha = (lambda/2)(Omega_{alpha,1} a + Omega_{alpha,2}
+a^dag) for alpha in {ge, gf}, and the eliminated dynamics carries them
+as collapse channels with prefactor 2/gamma_alpha.
 
 Negative-temperature baths are excluded for the oscillator: matching
 them needs the upward weight to dominate, which makes the quadratic
@@ -29,16 +30,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from .lindblad import LindbladModel
-from .operators import SpaceLayout, _truncation, destroy, ketbra
+from .operators import SpaceLayout, _truncation, destroy, ketbra, kron
 from .reservoirs import (
     BathKind,
     LaserSettings,
     ReservoirSpec,
     _couplings,
     _match,
-    adiabatic_ratio,
     channels_from_settings,
-    warn_if_not_adiabatic,
 )
 
 __all__ = [
@@ -58,7 +57,12 @@ class VSystemConfig:
     The electronic transition frequencies are metadata (the interaction
     picture removes them); the decay rates gamma_ge and gamma_gf set the
     fast scale that gets eliminated.  Motional decay is taken negligible
-    against the electronic rates and is not modeled.
+    against the electronic rates and is not modeled.  The config checks
+    its fields but does not judge the adiabatic regime: the matching
+    (:func:`match_rabi_for_mode`) has already warned on a low
+    ``LaserSettings.regime_ratio``, and :func:`full_v_model` accepts a
+    config only with that matching's ``lamb``, rates and Rabi
+    frequencies.
     """
 
     omega_ge: float
@@ -83,14 +87,6 @@ class VSystemConfig:
         object.__setattr__(self, "rabi", rabi)
         if _truncation(self.fock_dim, "fock_dim") < 2:
             raise ValueError(f"fock_dim must be at least 2, got {self.fock_dim}")
-        warn_if_not_adiabatic(self.regime_ratio, "gamma")
-
-    @property
-    def regime_ratio(self) -> float:
-        ge1, ge2, gf1, gf2 = self.rabi
-        return adiabatic_ratio(
-            self.lamb, ((self.gamma_ge, ge1, ge2), (self.gamma_gf, gf1, gf2))
-        )
 
 
 def match_rabi_for_mode(
@@ -163,7 +159,7 @@ def full_v_model(
     sigma_ge = ketbra(3, 0, 1)
     sigma_gf = ketbra(3, 0, 2)
     s_ge, s_gf = _couplings(settings, destroy(fock_dim))
-    h = np.kron(sigma_ge.conj().T, s_ge) + np.kron(sigma_gf.conj().T, s_gf)
+    h = kron(sigma_ge.conj().T, s_ge) + kron(sigma_gf.conj().T, s_gf)
     h += h.conj().T
     return LindbladModel(
         hamiltonian=h,

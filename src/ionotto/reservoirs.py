@@ -36,8 +36,6 @@ __all__ = [
     "theta_from_occupation",
     "spec_theta",
     "sideband_weights",
-    "adiabatic_ratio",
-    "warn_if_not_adiabatic",
     "match_rabi_frequencies",
     "effective_collapse_channels",
     "slow_relaxation_rate",
@@ -53,9 +51,6 @@ __all__ = [
 # Below this ratio of kappa to the strongest sideband coupling the
 # adiabatic elimination degrades visibly.
 ADIABATIC_RATIO_FLOOR = 50.0
-# warnings.warn stacklevel of that warning: it is raised two calls below
-# the public entry point (see warn_if_not_adiabatic)
-_ADIABATIC_WARNING_LEVEL = 4
 
 # Largest squeezing r whose bath rates stay finite: they scale with
 # mu^2 + nu^2 = cosh(2 r), which overflows past r = 355.24.
@@ -205,7 +200,9 @@ class LaserSettings:
     lower, pair 1 upper, pair 2 lower, pair 2 upper) sideband, the beams
     (x1, x2, y1, y2) or (ge1, ge2, gf1, gf2).  ``regime_ratio`` is the
     smallest rate / (lambda * max Omega), the figure of merit of the
-    adiabatic elimination.
+    adiabatic elimination; the matching computes it, and warns when it
+    is low, once per bath, so later consumers of the settings read it
+    here instead of recomputing it.
     """
 
     target: ReservoirSpec
@@ -238,43 +235,18 @@ def sideband_weights(spec: ReservoirSpec) -> tuple[float, float, float, float]:
     return down * mu, down * nu, up * nu, up * mu
 
 
-def adiabatic_ratio(lamb: float, pairs: tuple[tuple[float, float, float], ...]) -> float:
-    """Smallest rate / (lambda * max Omega) over (rate, Omega_1, Omega_2) pairs.
-
-    Each beam pair couples to one eliminated decay ``rate``; dark pairs
-    are skipped, so all-dark settings give inf.
-    """
-    ratios = [rate / (lamb * max(o1, o2)) for rate, o1, o2 in pairs if max(o1, o2) > 0]
-    return min(ratios, default=math.inf)
-
-
-def warn_if_not_adiabatic(ratio: float, rate: str) -> None:
-    """Warn when ``ratio`` is below ``ADIABATIC_RATIO_FLOOR``.
-
-    ``rate`` names the eliminated decay rate in the message.  The warning
-    points three frames above the caller: at the caller of the public
-    function whose private helper calls this one (:func:`_match`), or of
-    a dataclass whose ``__post_init__`` does, as the generated
-    ``__init__`` adds a frame.
-    """
-    if ratio < ADIABATIC_RATIO_FLOOR:
-        warnings.warn(
-            f"{rate} / (lambda * max Omega) = {ratio:.1f} < "
-            f"{ADIABATIC_RATIO_FLOOR:.0f}: adiabatic elimination quality degrades",
-            RuntimeWarning,
-            stacklevel=_ADIABATIC_WARNING_LEVEL,
-        )
-
-
 def _match(
     spec: ReservoirSpec, lamb: float, rates: tuple[float, float], rate_name: str
 ) -> LaserSettings:
     """Rabi frequencies whose eliminated dynamics reproduce ``spec``.
 
     Each beam gets its weight from :func:`sideband_weights` times
-    sqrt(rate) / lambda of the decay its pair couples to.  Warns, naming
-    the rate ``rate_name``, when the regime ratio drops below
-    ``ADIABATIC_RATIO_FLOOR``.
+    sqrt(rate) / lambda of the decay its pair couples to.  The regime
+    ratio is the smallest rate / (lambda * max(Omega_1, Omega_2)) over the
+    two pairs, dark pairs skipped (inf when both are dark).  This is the
+    one place that judges it: below ``ADIABATIC_RATIO_FLOOR`` it warns
+    once, naming the rate ``rate_name``, attributed to the caller of the
+    public matching function that calls this one.
     """
     if not 0.0 < lamb < math.inf:
         raise ValueError(f"Lamb-Dicke parameter must be finite and > 0, got {lamb}")
@@ -286,9 +258,18 @@ def _match(
     root1, root2 = math.sqrt(rate1), math.sqrt(rate2)
     pair1 = (down_mu * root1 / lamb, down_nu * root1 / lamb)
     pair2 = (up_nu * root2 / lamb, up_mu * root2 / lamb)
-    ratio = adiabatic_ratio(lamb, ((rate1, *pair1), (rate2, *pair2)))
-    # attributed to the caller of the public function that calls this one
-    warn_if_not_adiabatic(ratio, rate_name)
+    pairs = ((rate1, pair1), (rate2, pair2))
+    ratio = min(
+        (rate / (lamb * max(pair)) for rate, pair in pairs if max(pair) > 0),
+        default=math.inf,
+    )
+    if ratio < ADIABATIC_RATIO_FLOOR:
+        warnings.warn(
+            f"{rate_name} / (lambda * max Omega) = {ratio:.1f} < "
+            f"{ADIABATIC_RATIO_FLOOR:.0f}: adiabatic elimination quality degrades",
+            RuntimeWarning,
+            stacklevel=3,  # this function, the public matching, its caller
+        )
     return LaserSettings(spec, lamb, rates, pair1 + pair2, ratio)
 
 

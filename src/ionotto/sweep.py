@@ -362,7 +362,8 @@ def emit_csv(rows: Sequence[SweepRow], path: str | Path) -> Path:
 
     Energies are in units of hbar * omega_c with 12 significant digits;
     the eta and eta_carnot cells stay empty where undefined (non-engine
-    regimes, negative-temperature hot bath).
+    regimes, negative-temperature hot bath).  A file the system refuses
+    to write raises ``ConfigError``.
     """
     if not rows:
         raise ValueError("refusing to write an empty result table")
@@ -394,7 +395,10 @@ def emit_csv(rows: Sequence[SweepRow], path: str | Path) -> Path:
                 )
             )
         )
-    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    try:
+        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    except OSError as exc:
+        raise ConfigError(f"cannot write {path}: {exc.strerror or exc}") from exc
     return path
 
 
@@ -406,7 +410,11 @@ def apply_overrides(
     output: str | Path | None = None,
     fock_dim: int | None = None,
 ) -> SweepConfig:
-    """Command-line overrides on top of a loaded configuration."""
+    """Command-line overrides on top of a loaded configuration.
+
+    ``None`` keeps the configuration's value; an empty ``modes`` selects
+    nothing and raises ``ConfigError``.
+    """
     cycle = config.cycle
     if fock_dim is not None:
         try:
@@ -419,6 +427,6 @@ def apply_overrides(
     return SweepConfig(
         cycle=cycle,
         xi_grid=xi_grid,
-        modes=tuple(modes) if modes else config.modes,
+        modes=tuple(modes) if modes is not None else config.modes,
         output_path=Path(output) if output is not None else config.output_path,
     )

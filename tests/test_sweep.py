@@ -30,6 +30,11 @@ def lanes_fail(config, xis):
     raise IntegrationError("synthetic lane failure")
 
 
+def refuse_write(path, *args, **kwargs):
+    """Stands in for ``Path.write_text`` on a file the system will not write."""
+    raise PermissionError(13, "Permission denied")
+
+
 def write_config(tmp_path: Path, mutate=None, name="config.json") -> Path:
     document = json.loads((CONFIG_DIR / "fig2a.json").read_text())
     if mutate is not None:
@@ -412,6 +417,14 @@ class TestEmitCsv:
         line = out.read_text().splitlines()[1]
         assert "error=IntegrationError" in line
 
+    def test_refused_write_raises_config_error(self, tmp_path, monkeypatch):
+        rows = run_sweep(closed_form_sweep(tmp_path)).rows
+        monkeypatch.setattr(Path, "write_text", refuse_write)
+        out = tmp_path / "out.csv"
+        with pytest.raises(ConfigError) as caught:
+            emit_csv(rows, out)
+        assert str(caught.value) == f"cannot write {out}: Permission denied"
+
 
 class TestOverrides:
     def test_xi_points_resample(self, tmp_path):
@@ -428,6 +441,12 @@ class TestOverrides:
         assert overridden.cycle.fock_dim == 8
         assert overridden.modes == (CycleMode.EFFECTIVE,)
         assert overridden.output_path == Path("x.csv")
+
+    def test_empty_modes_select_nothing(self, tmp_path):
+        config = closed_form_sweep(tmp_path)
+        assert apply_overrides(config, modes=None).modes == config.modes
+        with pytest.raises(ConfigError, match="no cycle modes selected"):
+            apply_overrides(config, modes=())
 
 
 class TestCli:
@@ -592,6 +611,31 @@ class TestCli:
         assert main(["sweep", str(config), "--output", str(out)]) == 2
         assert str(out) in capsys.readouterr().err
         assert not out_dir.exists() or not any(out_dir.iterdir())
+
+    def test_unstatable_output_exit_code(self, tmp_path, capsys):
+        # a file name past the 255-byte limit fails even to stat
+        out = tmp_path / ("a" * 300 + ".csv")
+        assert main(["sweep", str(write_config(tmp_path)), "--output", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err == f"configuration error: cannot write {out}: File name too long\n"
+
+    def test_refused_write_exit_code(self, tmp_path, monkeypatch, capsys):
+        config = write_config(
+            tmp_path,
+            lambda d: d.update(sweep={"xi_grid": [0.0], "modes": ["closed_form"]}),
+        )
+        monkeypatch.setattr(Path, "write_text", refuse_write)
+        out = tmp_path / "out.csv"
+        assert main(["sweep", str(config), "--output", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err == f"configuration error: cannot write {out}: Permission denied\n"
+
+    def test_empty_modes_exit_code(self, tmp_path, capsys):
+        out = tmp_path / "out.csv"
+        config = str(CONFIG_DIR / "fig2a.json")
+        assert main(["sweep", config, "--modes", "", "--output", str(out)]) == 2
+        assert "--modes selected nothing" in capsys.readouterr().err
+        assert not out.exists()
 
     @pytest.mark.parametrize("entry", [["x"], {"a": 1}], ids=["list", "object"])
     def test_non_string_mode_exit_code(self, tmp_path, capsys, entry):
