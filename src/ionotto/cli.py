@@ -12,27 +12,13 @@ from __future__ import annotations
 
 import argparse
 import sys
-import warnings
 from pathlib import Path
 
 import numpy as np
 
 from .cycle import CycleConfig, CycleMode
-from .lindblad import (
-    DegenerateSteadyStateError,
-    LindbladModel,
-    steady_state,
-)
-from .operators import sigma_minus
-from .reservoirs import (
-    ADIABATIC_RATIO_FLOOR,
-    LaserSettings,
-    ReservoirSpec,
-    bath_steady_state,
-    channels_from_settings,
-    match_rabi_frequencies,
-    spec_theta,
-)
+from .lindblad import DegenerateSteadyStateError, steady_state
+from .reservoirs import ADIABATIC_RATIO_FLOOR, bath_steady_state, spec_theta
 from .sweep import (
     ConfigError,
     apply_overrides,
@@ -91,37 +77,6 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-# Largest matching-identity defect, relative to the target bath's largest
-# generator entry, that a command accepts (the shipped configs, and fig2c
-# at hot squeezings up to MAX_SQUEEZING, measure at most 6.4e-16).
-_MATCHING_TOL = 1e-10
-
-
-def _checked_matchings(
-    cycle: CycleConfig,
-) -> list[tuple[str, ReservoirSpec, LaserSettings, float]]:
-    """Label, spec, matched lasers and matching-identity defect max |L_lasers -
-    L_target| of each bath; a defect past ``_MATCHING_TOL`` of the largest
-    |L_target| raises ``ConfigError`` naming the bath."""
-    matchings = []
-    for label, spec in (("cold", cycle.cold), ("hot", cycle.hot)):
-        settings = match_rabi_frequencies(spec, cycle.lamb, cycle.kappa)
-        target = spec.bath_model
-        lasers = LindbladModel(
-            target.hamiltonian, channels_from_settings(settings, sigma_minus())
-        )
-        expected = target.generator
-        defect = np.abs(lasers.generator - expected).max()
-        relative = defect / np.abs(expected).max()
-        if not relative <= _MATCHING_TOL:
-            raise ConfigError(
-                f"{label}: the matched laser channels miss the bath's generator by "
-                f"{relative:.3e} of its largest entry (tolerance {_MATCHING_TOL:.0e})"
-            )
-        matchings.append((label, spec, settings, defect))
-    return matchings
-
-
 def _cmd_sweep(args: argparse.Namespace) -> int:
     config = load_config(args.config)
     modes = _parse_modes(args.modes) if args.modes is not None else None
@@ -132,10 +87,6 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         output=args.output,
         fock_dim=args.fock_dim,
     )
-    with warnings.catch_warnings():
-        # a low adiabatic ratio is the full rows' flag, not the check's
-        warnings.simplefilter("ignore", RuntimeWarning)
-        _checked_matchings(config.cycle)
     output = config.output_path or Path("sweep.csv")
     try:
         if output.is_dir():
@@ -173,7 +124,8 @@ def _cmd_validate(args: argparse.Namespace) -> int:
         f"[{config.xi_grid[0]:.4g}, {config.xi_grid[-1]:.4g}]",
         f"modes: {', '.join(mode.value for mode in config.modes)}",
     ]
-    for label, spec, settings, defect in _checked_matchings(cycle):
+    for label, (settings, defect) in cycle.matchings.items():
+        spec = settings.target
         theta = spec_theta(spec)
         ratio_ok = "ok" if settings.regime_ratio >= ADIABATIC_RATIO_FLOOR else "LOW"
         rabi = ", ".join(f"{value:.6g}" for value in settings.rabi)

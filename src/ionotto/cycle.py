@@ -23,8 +23,10 @@ All energies are reported in units of hbar * omega_c.
 from __future__ import annotations
 
 import math
+import warnings
 from dataclasses import dataclass
 from enum import Enum
+from functools import cached_property
 from typing import Callable, Mapping, Sequence
 
 import numpy as np
@@ -35,19 +37,29 @@ from .lindblad import (
     equilibrate,
     equilibrate_lanes,
 )
-from .operators import SpaceLayout, _truncation, kron, partial_trace, vacuum_state
+from .operators import (
+    SpaceLayout,
+    _truncation,
+    kron,
+    partial_trace,
+    sigma_minus,
+    vacuum_state,
+)
 from .reservoirs import (
     ADIABATIC_RATIO_FLOOR,
     BathKind,
+    LaserSettings,
     ReservoirSpec,
     _excitation_window,
     bath_steady_state,
+    channels_from_settings,
     full_joint_model,
     match_rabi_frequencies,
     spec_theta,
 )
 
 __all__ = [
+    "ConfigError",
     "CycleMode",
     "Regime",
     "CycleConfig",
@@ -74,6 +86,14 @@ _REGIME_TOL = 1e-12
 # Largest motional truncation: the full-mode joint model has fock_dim
 # (fock_dim + 1) states, and building it at 32 peaks at about 98 MB.
 _MAX_FOCK_DIM = 32
+# Largest matching-identity defect, relative to the target bath's largest
+# generator entry, that a config accepts (the shipped configs, and fig2c
+# at hot squeezings up to MAX_SQUEEZING, measure at most 6.4e-16).
+_MATCHING_TOL = 1e-10
+
+
+class ConfigError(Exception):
+    """A sweep configuration could not be parsed or violates an invariant."""
 
 
 class CycleMode(str, Enum):
@@ -99,6 +119,8 @@ class CycleConfig:
     numbers; the simulated dynamics run in frames where they drop out.
     ``fock_dim`` truncates the two motional modes of the full mode: its
     joint bath solves keep the basis states with n_x + n_y < fock_dim.
+    Each bath's laser matching runs once per config, on first use of
+    :attr:`matchings`, which every reader of the matched lasers shares.
     """
 
     omega_e_cold: float
@@ -129,6 +151,37 @@ class CycleConfig:
             raise ValueError(
                 f"fock_dim must lie in [2, {_MAX_FOCK_DIM}], got {self.fock_dim}"
             )
+
+    @cached_property
+    def matchings(self) -> dict[str, tuple[LaserSettings, float]]:
+        """Matched lasers and matching-identity defect max |L_lasers -
+        L_target| of each bath, by label ("cold", "hot").
+
+        A defect past ``_MATCHING_TOL`` of the largest |L_target| raises
+        ``ConfigError`` naming the bath.  The matching's own warning on a
+        low adiabatic ratio is not raised: every reader reports
+        ``LaserSettings.regime_ratio`` instead.
+        """
+        matchings = {}
+        with warnings.catch_warnings():
+            warnings.filterwarnings(
+                "ignore", ".*adiabatic elimination quality degrades", RuntimeWarning
+            )
+            for label, spec in (("cold", self.cold), ("hot", self.hot)):
+                settings = match_rabi_frequencies(spec, self.lamb, self.kappa)
+                channels = channels_from_settings(settings, sigma_minus())
+                lasers = LindbladModel(spec.bath_model.hamiltonian, channels)
+                expected = spec.bath_model.generator
+                defect = np.abs(lasers.generator - expected).max()
+                relative = defect / np.abs(expected).max()
+                if not relative <= _MATCHING_TOL:
+                    raise ConfigError(
+                        f"{label}: the matched laser channels miss the bath's generator "
+                        f"by {relative:.3e} of its largest entry "
+                        f"(tolerance {_MATCHING_TOL:.0e})"
+                    )
+                matchings[label] = settings, defect
+        return matchings
 
     @property
     def frequency_ratio(self) -> float:
@@ -423,18 +476,19 @@ class BathEquilibria:
 
 
 def _joint_bath_stroke(
-    config: CycleConfig, spec: ReservoirSpec, label: str
+    config: CycleConfig, label: str
 ) -> tuple[np.ndarray, tuple[str, ...], dict[str, float]]:
-    """Equilibrate bath steady state x two-mode vacuum against one bath.
+    """Equilibrate bath steady state x two-mode vacuum against the bath
+    ``label``, driven by its lasers from :attr:`CycleConfig.matchings`.
 
     The joint model keeps the two-mode states with n_x + n_y < fock_dim
     (an excitation-number-restricted truncation; the modes stay near
     vacuum), the vacuum first.
     """
-    settings = match_rabi_frequencies(spec, config.lamb, config.kappa)
+    settings, _ = config.matchings[label]
     window = _excitation_window(config.fock_dim)
     layout = SpaceLayout((2, window.size))
-    joint0 = kron(bath_steady_state(spec), vacuum_state(window.size))
+    joint0 = kron(bath_steady_state(settings.target), vacuum_state(window.size))
     report = equilibrate(full_joint_model(settings, config.fock_dim), joint0)
     reduced = partial_trace(report.final_state, layout, keep=(0,))
     # each window state's population, summed over the electron
@@ -467,9 +521,13 @@ def _joint_bath_stroke(
 
 
 def prepare_bath_equilibria(config: CycleConfig) -> BathEquilibria:
-    """Equilibrate both bath contacts once under the full joint dynamics."""
-    cold_state, cold_flags, cold_diag = _joint_bath_stroke(config, config.cold, "cold")
-    hot_state, hot_flags, hot_diag = _joint_bath_stroke(config, config.hot, "hot")
+    """Equilibrate both bath contacts once under the full joint dynamics.
+
+    Raises ``ConfigError`` when a bath's matched lasers miss it (see
+    :attr:`CycleConfig.matchings`).
+    """
+    cold_state, cold_flags, cold_diag = _joint_bath_stroke(config, "cold")
+    hot_state, hot_flags, hot_diag = _joint_bath_stroke(config, "hot")
     return BathEquilibria(
         cold_state=cold_state,
         hot_state=hot_state,

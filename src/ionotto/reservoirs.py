@@ -202,7 +202,10 @@ class LaserSettings:
     smallest rate / (lambda * max Omega), the figure of merit of the
     adiabatic elimination; the matching computes it, and warns when it
     is low, once per bath, so later consumers of the settings read it
-    here instead of recomputing it.
+    here instead of recomputing it.  A config's own matching
+    (:attr:`~ionotto.cycle.CycleConfig.matchings`) does not warn: the
+    full rows' flag, their ``<bath>_regime_ratio`` diagnostic and
+    ``validate`` report this figure instead.
     """
 
     target: ReservoirSpec

@@ -20,6 +20,7 @@ import numpy as np
 
 from .cycle import (
     BathEquilibria,
+    ConfigError,
     CycleConfig,
     CycleMode,
     CycleResult,
@@ -62,10 +63,6 @@ _MODE_BY_NAME = {mode.value: mode for mode in CycleMode}
 # LU factors (RuntimeError), LinAlgError (a ValueError) and arithmetic
 # faults.  Anything else is a programming error and propagates.
 _NUMERICAL_ERRORS = (ArithmeticError, ValueError, RuntimeError)
-
-
-class ConfigError(Exception):
-    """A sweep configuration could not be parsed or violates an invariant."""
 
 
 def parse_modes(names: Sequence[str]) -> tuple[CycleMode, ...]:
@@ -307,7 +304,13 @@ def run_sweep(config: SweepConfig) -> SweepResult:
     to :func:`~ionotto.cycle.run_cycle_effective` row by row; if any row
     fails, the config's effective rows are run again one by one, so each
     error row carries its own message.
+
+    Before any row, each bath's matching is checked once
+    (:attr:`~ionotto.cycle.CycleConfig.matchings`): a bath whose matched
+    lasers miss it raises ``ConfigError``, whatever the modes.  A low
+    adiabatic ratio is not warned about; the full rows flag it.
     """
+    config.cycle.matchings  # raises before any row for a bath the lasers miss
     equilibria: BathEquilibria | None = None
     equilibria_error: str | None = None
     if CycleMode.FULL in config.modes:

@@ -117,10 +117,6 @@ IN_RANGE_EDITS = st.lists(
 )
 
 
-@pytest.mark.filterwarnings(
-    # validate reports a low adiabatic ratio as a warning by design
-    "ignore:.*adiabatic elimination quality degrades:RuntimeWarning"
-)
 @settings(
     max_examples=150,
     deadline=None,

@@ -136,8 +136,9 @@ def test_effective_first_law_bounded_by_closure(config, xi):
     assert abs(result.energies.first_law_defect) <= closure + 1e-14
 
 
-# above 2 pi 5e-5 a draw's regime ratio falls under the adiabatic floor,
-# whose RuntimeWarning pytest turns into an error
+# up to 2 pi 5e-5 every draw's regime ratio stays above the adiabatic
+# floor, where the joint endpoints may be held to the effective baths'
+# steady states
 FULL_GAMMAS = st.floats(min_value=1e-5, max_value=5e-5).map(lambda g: TWO_PI * g)
 
 

@@ -199,8 +199,7 @@ class TestFullCycle:
             panel_config(ReservoirSpec.thermal(GAMMA, 1.2), fock_dim=4),
             kappa=0.3 * TWO_PI,
         )
-        with pytest.warns(RuntimeWarning, match="kappa /"):
-            equilibria = prepare_bath_equilibria(config)
+        equilibria = prepare_bath_equilibria(config)
         result = run_cycle_full(config, 0.2, equilibria)
         labels = ("cold", "hot")
         assert result.flags == tuple(f"adiabatic_ratio_low:{label}" for label in labels)
@@ -222,7 +221,6 @@ class TestFullCycle:
         assert set(result.diagnostics) == expected
         assert run_cycle_effective(config, 0.2).diagnostics["cycle_closure"] < 1e-8
 
-    @pytest.mark.filterwarnings("ignore:kappa /:RuntimeWarning")
     def test_solve_that_does_not_move_is_flagged(self):
         # at hot squeezing r = 50 the window 5 / slow_rate shrinks with
         # cosh 2r while the joint model's rates do not: the hot solve passes

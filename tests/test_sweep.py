@@ -1,13 +1,17 @@
 import csv
 import json
 import math
+import sys
+import warnings
 from pathlib import Path
 
 import pytest
 
+import ionotto.cycle as cycle_module
 import ionotto.lindblad as lindblad_module
+import ionotto.reservoirs as reservoirs_module
 from ionotto.cli import main
-from ionotto.cycle import CycleMode, Regime, run_cycle_effective
+from ionotto.cycle import CycleMode, Regime, prepare_bath_equilibria, run_cycle_effective
 from ionotto.lindblad import EquilibrationError, IntegrationError, liouvillian_matrix
 from ionotto.sweep import (
     CSV_HEADER,
@@ -33,6 +37,21 @@ def lanes_fail(config, xis):
 def refuse_write(path, *args, **kwargs):
     """Stands in for ``Path.write_text`` on a file the system will not write."""
     raise PermissionError(13, "Permission denied")
+
+
+def skew_lasers(monkeypatch, spec) -> None:
+    """Makes the first matched channel of ``spec``'s lasers one part in a
+    million too strong: they then miss the bath by about 1e-6 of its
+    largest generator entry."""
+    real = cycle_module.channels_from_settings
+
+    def skewed(settings, lower):
+        (rate, op), second = real(settings, lower)
+        if settings.target == spec:
+            rate *= 1 + 1e-6
+        return (rate, op), second
+
+    monkeypatch.setattr(cycle_module, "channels_from_settings", skewed)
 
 
 def write_config(tmp_path: Path, mutate=None, name="config.json") -> Path:
@@ -230,6 +249,18 @@ class TestRunSweep:
         assert failed.mode is CycleMode.EFFECTIVE
         assert failed.error == "EquilibrationError: synthetic stall"
         assert len(result.rows) == 2
+
+    @pytest.mark.parametrize("bath", ["cold", "hot"])
+    def test_library_runs_gate_the_matching(self, monkeypatch, bath):
+        config = load_config(CONFIG_DIR / "fig2a.json")
+        assert "matchings" not in vars(config.cycle)  # loading matches nothing
+        config = apply_overrides(config, modes=[CycleMode.CLOSED_FORM], xi_points=2)
+        skew_lasers(monkeypatch, getattr(config.cycle, bath))
+        message = f"{bath}: the matched laser channels miss the bath's generator"
+        with pytest.raises(ConfigError, match=message):
+            run_sweep(config)
+        with pytest.raises(ConfigError, match=message):
+            prepare_bath_equilibria(config.cycle)
 
 
 class TestEffectiveLanes:
@@ -497,28 +528,63 @@ class TestCli:
 
     @pytest.mark.parametrize("bath", ["cold", "hot"])
     def test_matching_defect_exit_code(self, tmp_path, monkeypatch, capsys, bath):
-        # lasers whose first channel is off by one part in a million miss
-        # the target bath by about 1e-6 of its largest generator entry
-        import ionotto.cli as cli_module
-
-        real = cli_module.channels_from_settings
-
-        def skewed(settings, lower):
-            (rate, op), second = real(settings, lower)
-            if settings.target == getattr(cycle, bath):
-                rate *= 1 + 1e-6
-            return (rate, op), second
-
-        cycle = load_config(CONFIG_DIR / "fig2a.json").cycle
-        monkeypatch.setattr(cli_module, "channels_from_settings", skewed)
-        out = tmp_path / "out.csv"
         config = str(CONFIG_DIR / "fig2a.json")
+        skew_lasers(monkeypatch, getattr(load_config(config).cycle, bath))
+        out = tmp_path / "out.csv"
         assert main(["validate", config]) == 2
         sweep = ["sweep", config, "--modes", "closed_form", "--xi-points", "2"]
         assert main(sweep + ["--output", str(out)]) == 2
         err = capsys.readouterr().err
         assert err.count(f"configuration error: {bath}: the matched laser channels") == 2
         assert not out.exists()
+
+    @pytest.mark.parametrize("extra", [[], ["--fock-dim", "4"]])
+    def test_sweep_matches_each_bath_once(self, tmp_path, monkeypatch, extra):
+        # the matching check and the full rows read one matching per bath
+        real = reservoirs_module.match_rabi_frequencies
+        matched = []
+
+        def spy(spec, lamb, kappa):
+            matched.append(spec)
+            return real(spec, lamb, kappa)
+
+        bindings = [  # every module that binds the function
+            module
+            for name, module in sys.modules.items()
+            if name.split(".")[0] == "ionotto"
+            and vars(module).get("match_rabi_frequencies") is real
+        ]
+        for module in bindings:
+            monkeypatch.setattr(module, "match_rabi_frequencies", spy)
+        config = CONFIG_DIR / "fig2a.json"
+        out = tmp_path / "out.csv"
+        args = ["sweep", str(config), "--xi-points", "3", "--output", str(out)]
+        assert main(args + extra) == 0
+        cycle = load_config(config).cycle
+        assert matched == [cycle.cold, cycle.hot]
+
+    def test_low_adiabatic_ratio_is_reported_not_warned(self, tmp_path, capsys):
+        # hot gamma x 4 puts the hot bath's regime ratio at 33.7, under the
+        # floor of 50: the rows flag it and validate marks it, with no warning
+        def hotter(document):
+            document["hot"]["gamma"]["value"] *= 4
+
+        config = str(write_config(tmp_path, hotter))
+        out = tmp_path / "out.csv"
+        sweep = ["sweep", config, "--modes", "full", "--fock-dim", "4", "--xi-points", "3"]
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert main(sweep + ["--output", str(out)]) == 0
+            swept = capsys.readouterr()
+            assert main(["validate", config]) == 0
+            validated = capsys.readouterr()
+        assert caught == []
+        assert swept.err == "" and validated.err == ""
+        assert "validity flags: adiabatic_ratio_low:hot" in swept.out
+        with out.open() as handle:
+            flags = [row["flags"] for row in csv.DictReader(handle)]
+        assert flags == ["adiabatic_ratio_low:hot"] * 3
+        assert "[hot] kappa/(lambda*maxOmega) = 33.7 [LOW]" in validated.out
 
     def test_config_error_exit_code(self, tmp_path, capsys):
         bad = tmp_path / "bad.json"
