@@ -395,18 +395,27 @@ def _fixed_endpoint_row(
     return _result_from_energies(config, xi, mode, energies, flags, diagnostics)
 
 
-def _effective_rows(
-    config: CycleConfig,
-    xis: Sequence[float],
-    relax: Callable[[LindbladModel, list[np.ndarray]], list[EquilibrationReport]],
+def run_cycle_effective_grid(
+    config: CycleConfig, xis: Sequence[float]
 ) -> list[CycleResult]:
-    """Effective-mode rows at ``xis``; ``relax`` equilibrates a bath model
-    from a list of states."""
+    """Simulate the cycle under the eliminated two-level dynamics at every
+    transition probability of ``xis``.
+
+    Bath strokes integrate the engineered collapse channels to
+    equilibration; unitary strokes relabel the gap and apply the carrier
+    population mixing.  Energies are booked at the stroke boundaries and
+    match :func:`run_cycle_closed_form` to the equilibration tolerance.
+    Each bath stroke of all rows is integrated by one
+    :func:`~ionotto.lindblad.equilibrate_lanes` call, so every row equals
+    :func:`run_cycle_effective` at its xi bit for bit.  The first failure
+    of any row raises; :func:`run_cycle_effective` tells which rows fail
+    and why.
+    """
     reports: list[list[EquilibrationReport]] = []
 
     def contact(spec: ReservoirSpec) -> Callable[[list[np.ndarray]], list[np.ndarray]]:
         def stroke(states: list[np.ndarray]) -> list[np.ndarray]:
-            reports.append(relax(spec.bath_model, states))
+            reports.append(equilibrate_lanes(spec.bath_model, states))
             return [report.final_state for report in reports[-1]]
 
         return stroke
@@ -434,30 +443,10 @@ def _effective_rows(
 
 
 def run_cycle_effective(config: CycleConfig, xi: float) -> CycleResult:
-    """Simulate the cycle under the eliminated two-level dynamics.
-
-    Bath strokes integrate the engineered collapse channels to
-    equilibration; unitary strokes relabel the gap and apply the carrier
-    population mixing.  Energies are booked at the stroke boundaries and
-    match :func:`run_cycle_closed_form` to the equilibration tolerance.
-    """
-    (row,) = _effective_rows(
-        config, [xi], lambda model, states: [equilibrate(model, rho) for rho in states]
-    )
-    return row
-
-
-def run_cycle_effective_grid(
-    config: CycleConfig, xis: Sequence[float]
-) -> list[CycleResult]:
-    """:func:`run_cycle_effective` at every transition probability of
-    ``xis``, bit for bit, with each bath stroke of all rows integrated
-    together by :func:`~ionotto.lindblad.equilibrate_lanes`.
-
-    The first failure of any row raises; :func:`run_cycle_effective`
-    tells which rows fail and why.
-    """
-    return _effective_rows(config, xis, equilibrate_lanes)
+    """The row of :func:`run_cycle_effective_grid` at the one transition
+    probability ``xi``; its bath strokes each make one
+    :func:`~ionotto.lindblad.equilibrate` call."""
+    return run_cycle_effective_grid(config, [xi])[0]
 
 
 @dataclass(frozen=True)

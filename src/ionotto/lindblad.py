@@ -988,23 +988,21 @@ def equilibrate(
 def equilibrate_lanes(
     model: LindbladModel, rhos: Sequence[np.ndarray]
 ) -> list[EquilibrationReport]:
-    """:func:`equilibrate` from many start states at once, on a model that
-    it steps with ``rk``; any other model raises ``ValueError``.
+    """:func:`equilibrate` from each start state of ``rhos``; each report
+    equals ``equilibrate(model, rho)`` bit for bit.
 
-    The states run as lanes of one Dormand-Prince loop: each lane keeps
-    its own step size, time, step decisions, window count and window
-    test, so its report equals ``equilibrate(model, rho)`` bit for bit,
-    while the numpy calls of a step serve all the lanes.  The first
-    failure of any lane raises; which lane's error that is may differ
-    from a one-by-one run.
+    Two or more states on a model that :func:`equilibrate` steps with
+    ``rk`` run as lanes of one Dormand-Prince loop: each lane keeps its
+    own step size, time, step decisions, window count and window test,
+    while the numpy calls of a step serve all the lanes.  A lone state,
+    and every state of a model stepped ``implicit``, goes through
+    :func:`equilibrate` itself, one call per state.  The first failure of
+    any lane raises; which lane's error that is may differ from a
+    one-by-one run.
     """
-    dt = _slowest_window(model)
-    if _stepper(model) != "rk":
-        raise ValueError(
-            "equilibrate_lanes steps with rk only, and this model is past dim "
-            f"{_DENSE_MAX_DIM} or stiff: relax it with equilibrate(), which "
-            "steps it with implicit windows"
-        )
+    dt = _slowest_window(model)  # rejects a model without slow_rate, states or not
+    if len(rhos) < 2 or _stepper(model) != "rk":
+        return [equilibrate(model, rho) for rho in rhos]
     dim = model.dim
     gen = model.generator
 

@@ -298,12 +298,12 @@ def run_sweep(config: SweepConfig) -> SweepResult:
     Rows are independent and merged by key, so any evaluation order
     (including a parallel one) produces the same table.  Full-dynamics
     rows share the two bath equilibrations, whose endpoints do not depend
-    on xi.  Effective rows run together, each bath stroke of every xi as
-    one lane of a shared integrator
+    on xi.  Effective rows run as one grid
     (:func:`~ionotto.cycle.run_cycle_effective_grid`), bit for bit equal
-    to :func:`~ionotto.cycle.run_cycle_effective` row by row; if any row
-    fails, the config's effective rows are run again one by one, so each
-    error row carries its own message.
+    to :func:`~ionotto.cycle.run_cycle_effective` row by row, whatever
+    stepper the bath models take; only if a row fails numerically are the
+    config's effective rows run again one by one, so each error row
+    carries its own message.
 
     Before any row, each bath's matching is checked once
     (:attr:`~ionotto.cycle.CycleConfig.matchings`): a bath whose matched

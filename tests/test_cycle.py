@@ -1,4 +1,5 @@
 import math
+import sys
 from dataclasses import replace
 from pathlib import Path
 
@@ -7,6 +8,7 @@ import pytest
 
 import ionotto
 import ionotto.cycle as cycle_module
+import ionotto.lindblad as lindblad_module
 from ionotto.cycle import (
     BathEquilibria,
     CycleConfig,
@@ -435,6 +437,39 @@ class TestEffectiveCycle:
 
     def test_mode_label(self):
         assert run_cycle_effective(CONFIG_THERMAL, 0.1).mode is CycleMode.EFFECTIVE
+
+    def test_a_row_makes_the_calls_the_benchmark_counts(self, monkeypatch):
+        # the benchmark's traced passes rebind every ionotto module binding
+        # of these two and count equilibrate windows and evolve steps: a
+        # one-xi row relaxes each bath stroke by one equilibrate call, whose
+        # rk windows are one evolve call each; a grid of lanes makes neither
+        calls = {"equilibrate": [], "evolve": []}
+        modules = [
+            module
+            for name, module in list(sys.modules.items())
+            if module is not None and (name == "ionotto" or name.startswith("ionotto."))
+        ]
+        for name, seen in calls.items():
+            original = getattr(lindblad_module, name)
+
+            def spy(*args, _original=original, _seen=seen, **kwargs):
+                report = _original(*args, **kwargs)
+                _seen.append(report)
+                return report
+
+            for module in modules:
+                for attr, value in list(vars(module).items()):
+                    if value is original:
+                        monkeypatch.setattr(module, attr, spy)
+        cycle = load_config(CONFIG_DIR / "fig2a.json").cycle
+        run_cycle_effective(cycle, 0.1)
+        assert len(calls["equilibrate"]) == 2
+        windows = sum(report.windows for report in calls["equilibrate"])
+        assert len(calls["evolve"]) == windows > 2
+        for seen in calls.values():
+            seen.clear()
+        run_cycle_effective_grid(cycle, [0.1, 0.2])
+        assert calls == {"equilibrate": [], "evolve": []}
 
 
 MOVED_TO_ORACLES = (

@@ -8,8 +8,8 @@ step is rejected, or a random pure, mixed or diagonal state, which takes
 several windows.  ``_dormand_prince`` on the stacked starts must return,
 per lane, the state bytes, step count and trace drift of ``evolve``;
 ``equilibrate_lanes`` must return ``equilibrate``'s report field for
-field, or raise when a single run raises, and refuse a model whose window
-is stiff, which ``equilibrate`` steps implicitly.  On models of dim 1-5,
+field, or raise when a single run raises, whatever stepper ``equilibrate``
+picks.  On models of dim 1-5,
 ``evolve`` and a one-lane ``equilibrate_lanes`` run must match
 ``reference_evolve`` and its windows: dim 1 and 2 add their norms and
 trace in Python floats, dim 3 only its trace, and dim 4 and 5 neither.
@@ -104,10 +104,6 @@ def test_lanes_match_single_evolve(case, fraction):
 @given(case=lane_cases())
 def test_lanes_match_single_equilibrate(case):
     model, starts = case
-    if _stepper(model) != "rk":
-        with pytest.raises(ValueError, match="stiff"):
-            equilibrate_lanes(model, starts)
-        return
     singles = []
     for rho in starts:
         try:

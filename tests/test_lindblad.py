@@ -1,5 +1,5 @@
 import math
-from dataclasses import replace
+from dataclasses import fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -140,6 +140,20 @@ def two_level_model(method):
     return model if method == "rk" else replace(model, slow_rate=1.1e-4)
 
 
+def assert_lanes_are_equilibrates(model, starts):
+    """``equilibrate_lanes`` returns ``equilibrate``'s implicit report for
+    each start, field for field."""
+    lanes = equilibrate_lanes(model, starts)
+    assert len(lanes) == len(starts)
+    for lane, rho in zip(lanes, starts):
+        single = equilibrate(model, rho)
+        assert lane.method == single.method == "implicit"
+        assert lane.final_state.tobytes() == single.final_state.tobytes()
+        for field in fields(lane):
+            if field.name != "final_state":
+                assert getattr(lane, field.name) == getattr(single, field.name)
+
+
 def short_window_model():
     """:func:`thermal_two_level_model` with a slow rate that sets windows
     of 0.01, far too short to relax within the window budget."""
@@ -277,14 +291,14 @@ class TestEvolve:
 
     def test_sparse_generator_rejected(self):
         # rk stepping runs on dense generators only; the models past the
-        # dense size limit relax with implicit windows
+        # dense size limit relax with implicit windows, lanes included
         model, rho0 = sparse_joint_start()
         with pytest.raises(ValueError, match="implicit"):
             evolve(model, rho0, 0.3)
         with pytest.raises(ValueError, match="implicit"):
             evolve(model, rho0, 0.0)
-        with pytest.raises(ValueError, match="implicit"):
-            equilibrate_lanes(model, [rho0])
+        ground = kron(ketbra(2, 0, 0), vacuum_state(4), vacuum_state(4))
+        assert_lanes_are_equilibrates(model, [rho0, ground])
 
 
     def test_size_rule_is_the_generators(self):
@@ -485,6 +499,30 @@ class TestSteadyState:
         with pytest.raises(DegenerateSteadyStateError):
             steady_state(model)
 
+    def test_degenerate_traceless_block_reported(self):
+        # qubit (x) label, H = 0: every diagonal entry lies in one block, yet
+        # the label-coherence block {1, 4, 11, 14} holds the stationary
+        # rho_q (x) sigma_x / 2, with a null singular value near 7e-17 rather
+        # than an exact zero; a solve of the trace block alone would return
+        # diag(0.35, 0.35, 0.15, 0.15)
+        eye, sigma_x = np.eye(2, dtype=complex), sigma_minus() + sigma_plus()
+        model = LindbladModel(
+            np.zeros((4, 4), dtype=complex),
+            (
+                (0.7, kron(sigma_minus(), eye)),
+                (0.3, kron(sigma_plus(), eye)),
+                (0.45, kron(eye, sigma_x)),
+            ),
+        )
+        _, _, labels = lindblad_module._Terms(model).blocks()
+        assert np.unique(labels[[0, 5, 10, 15]]).size == 1
+        assert np.array_equal(np.flatnonzero(labels == labels[1]), [1, 4, 11, 14])
+        coherence = kron(np.diag([0.7, 0.3]), sigma_x / 2)
+        drift = liouvillian_matrix(model) @ coherence.reshape(-1)
+        assert np.abs(drift).max() < 1e-15
+        with pytest.raises(DegenerateSteadyStateError, match="dimension 2,"):
+            steady_state(model)
+
     def test_thermal_mode_decomposes_by_coherence_order(self, svd_shapes):
         # a thermal bath conserves m - n: 39 blocks of 20 - |m - n| entries
         model = mode_model(ReservoirSpec.thermal(2 * np.pi * 2.5e-4, 0.6), 20)
@@ -660,11 +698,10 @@ class TestEquilibrate:
         assert str(lanes.value) == str(single.value)
 
     def test_lanes_reject_a_stiff_dense_model(self):
-        # equilibrate steps it implicitly, so rk lanes could not match it
+        # equilibrate steps it implicitly, so each lane is its own equilibrate
         model = two_level_model("implicit")
-        assert equilibrate(model, ketbra(2, 1, 1)).method == "implicit"
-        with pytest.raises(ValueError, match="stiff"):
-            equilibrate_lanes(model, [ketbra(2, 1, 1)])
+        starts = [ketbra(2, 1, 1), ketbra(2, 0, 0), np.eye(2, dtype=complex) / 2]
+        assert_lanes_are_equilibrates(model, starts)
 
     @pytest.mark.parametrize("slow_rate", [np.nan, np.inf, 0.0, -1.0])
     def test_non_finite_slow_rate_rejected(self, slow_rate):
