@@ -408,8 +408,8 @@ def run_cycle_effective_grid(
     Each bath stroke of all rows is integrated by one
     :func:`~ionotto.lindblad.equilibrate_lanes` call, so every row equals
     :func:`run_cycle_effective` at its xi bit for bit.  The first failure
-    of any row raises; :func:`run_cycle_effective` tells which rows fail
-    and why.
+    of any row raises, and :func:`~ionotto.sweep.run_sweep` books that one
+    error on every effective row.
     """
     reports: list[list[EquilibrationReport]] = []
 

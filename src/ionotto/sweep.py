@@ -19,14 +19,12 @@ from typing import Any, Mapping, Sequence
 import numpy as np
 
 from .cycle import (
-    BathEquilibria,
     ConfigError,
     CycleConfig,
     CycleMode,
     CycleResult,
     prepare_bath_equilibria,
     run_cycle_closed_form,
-    run_cycle_effective,
     run_cycle_effective_grid,
     run_cycle_full,
 )
@@ -66,7 +64,8 @@ _NUMERICAL_ERRORS = (ArithmeticError, ValueError, RuntimeError)
 
 
 def parse_modes(names: Sequence[str]) -> tuple[CycleMode, ...]:
-    """Cycle modes by name, in first-seen order without repeats."""
+    """Cycle modes by name, in the given order (:class:`SweepConfig` drops
+    repeats)."""
     modes = []
     for name in names:
         if not isinstance(name, str) or name not in _MODE_BY_NAME:
@@ -74,7 +73,7 @@ def parse_modes(names: Sequence[str]) -> tuple[CycleMode, ...]:
                 f"unknown mode {name!r} (expected one of {sorted(_MODE_BY_NAME)})"
             )
         modes.append(_MODE_BY_NAME[name])
-    return tuple(dict.fromkeys(modes))
+    return tuple(modes)
 
 
 @dataclass(frozen=True)
@@ -96,6 +95,8 @@ class SweepConfig:
         object.__setattr__(self, "xi_grid", grid)
         if not self.modes:
             raise ConfigError("no cycle modes selected")
+        # first-seen order; a repeated mode would run its rows twice
+        object.__setattr__(self, "modes", tuple(dict.fromkeys(self.modes)))
 
 
 @dataclass(frozen=True)
@@ -279,31 +280,29 @@ def load_config(path: str | Path) -> SweepConfig:
     return SweepConfig(cycle=cycle, xi_grid=xi_grid, modes=modes, output_path=output)
 
 
-def _run_one(
-    cycle: CycleConfig,
-    mode: CycleMode,
-    xi: float,
-    equilibria: BathEquilibria | None,
-) -> CycleResult:
-    if mode is CycleMode.CLOSED_FORM:
-        return run_cycle_closed_form(cycle, xi)
+def _mode_results(
+    cycle: CycleConfig, mode: CycleMode, xi_grid: Sequence[float]
+) -> list[CycleResult]:
     if mode is CycleMode.EFFECTIVE:
-        return run_cycle_effective(cycle, xi)
-    return run_cycle_full(cycle, xi, equilibria=equilibria)
+        return run_cycle_effective_grid(cycle, xi_grid)
+    if mode is CycleMode.CLOSED_FORM:
+        return [run_cycle_closed_form(cycle, xi) for xi in xi_grid]
+    equilibria = prepare_bath_equilibria(cycle)
+    return [run_cycle_full(cycle, xi, equilibria) for xi in xi_grid]
 
 
 def run_sweep(config: SweepConfig) -> SweepResult:
-    """Evaluate every (mode, xi) pair; per-row failures never abort the sweep.
+    """Evaluate every (mode, xi) pair; a numerical failure never aborts the
+    sweep.
 
-    Rows are independent and merged by key, so any evaluation order
-    (including a parallel one) produces the same table.  Full-dynamics
-    rows share the two bath equilibrations, whose endpoints do not depend
-    on xi.  Effective rows run as one grid
-    (:func:`~ionotto.cycle.run_cycle_effective_grid`), bit for bit equal
-    to :func:`~ionotto.cycle.run_cycle_effective` row by row, whatever
-    stepper the bath models take; only if a row fails numerically are the
-    config's effective rows run again one by one, so each error row
-    carries its own message.
+    Each mode's rows come from one call: the effective lane grid
+    (:func:`~ionotto.cycle.run_cycle_effective_grid`), the closed form at
+    each xi, or one full-dynamics bath solve
+    (:func:`~ionotto.cycle.prepare_bath_equilibria`, whose endpoints do
+    not depend on xi) and the full rows that read it.  A numerical error
+    of that call becomes the error of every row of that mode; the other
+    modes' rows keep their values.  Rows are merged by key, so the table
+    does not depend on the order of the modes.
 
     Before any row, each bath's matching is checked once
     (:attr:`~ionotto.cycle.CycleConfig.matchings`): a bath whose matched
@@ -311,47 +310,24 @@ def run_sweep(config: SweepConfig) -> SweepResult:
     adiabatic ratio is not warned about; the full rows flag it.
     """
     config.cycle.matchings  # raises before any row for a bath the lasers miss
-    equilibria: BathEquilibria | None = None
-    equilibria_error: str | None = None
-    if CycleMode.FULL in config.modes:
-        try:
-            equilibria = prepare_bath_equilibria(config.cycle)
-        except _NUMERICAL_ERRORS as exc:  # recorded per row below
-            equilibria_error = f"{type(exc).__name__}: {exc}"
-
     rows: dict[tuple[str, float], SweepRow] = {}
     for mode in config.modes:
-        if mode is CycleMode.EFFECTIVE:
-            try:
-                results = run_cycle_effective_grid(config.cycle, config.xi_grid)
-            except _NUMERICAL_ERRORS:  # the rows below tell which fail and why
-                pass
-            else:
-                for xi, result in zip(config.xi_grid, results):
-                    rows[(mode.value, xi)] = SweepRow(mode, xi, result)
-                continue
-        for xi in config.xi_grid:
-            key = (mode.value, xi)
-            if mode is CycleMode.FULL and equilibria_error is not None:
-                rows[key] = SweepRow(mode, xi, None, equilibria_error)
-                continue
-            try:
-                result = _run_one(config.cycle, mode, xi, equilibria)
-                rows[key] = SweepRow(mode, xi, result)
-            except _NUMERICAL_ERRORS as exc:
-                rows[key] = SweepRow(mode, xi, None, f"{type(exc).__name__}: {exc}")
+        try:
+            results = _mode_results(config.cycle, mode, config.xi_grid)
+        except _NUMERICAL_ERRORS as exc:
+            error = f"{type(exc).__name__}: {exc}"
+            for xi in config.xi_grid:
+                rows[(mode.value, xi)] = SweepRow(mode, xi, None, error)
+        else:
+            for xi, result in zip(config.xi_grid, results):
+                rows[(mode.value, xi)] = SweepRow(mode, xi, result)
 
     merged = tuple(rows[key] for key in sorted(rows))
-    flag_set: list[str] = []
-    for row in merged:
-        if row.result is not None:
-            for flag in row.result.flags:
-                if flag not in flag_set:
-                    flag_set.append(flag)
-    diagnostics: dict[str, float] = {}
-    if equilibria is not None:
-        diagnostics.update(equilibria.diagnostics)
-    return SweepResult(rows=merged, flags=tuple(flag_set), diagnostics=diagnostics)
+    succeeded = [row.result for row in merged if row.result is not None]
+    flags = tuple(dict.fromkeys(flag for result in succeeded for flag in result.flags))
+    full = [result for result in succeeded if result.mode is CycleMode.FULL]
+    diagnostics = dict(full[0].diagnostics) if full else {}
+    return SweepResult(rows=merged, flags=flags, diagnostics=diagnostics)
 
 
 def _format_number(value: float | None) -> str:

@@ -289,7 +289,7 @@ class TestEvolve:
         assert np.array_equal(report.final_state, rho)
         assert report.steps_taken == 0
 
-    def test_sparse_generator_rejected(self):
+    def test_evolve_rejects_a_sparse_model_and_lanes_relax_it(self):
         # rk stepping runs on dense generators only; the models past the
         # dense size limit relax with implicit windows, lanes included
         model, rho0 = sparse_joint_start()
@@ -697,7 +697,7 @@ class TestEquilibrate:
             equilibrate_lanes(model, [ketbra(2, 1, 1), bad])
         assert str(lanes.value) == str(single.value)
 
-    def test_lanes_reject_a_stiff_dense_model(self):
+    def test_lanes_of_a_stiff_dense_model_are_equilibrates(self):
         # equilibrate steps it implicitly, so each lane is its own equilibrate
         model = two_level_model("implicit")
         starts = [ketbra(2, 1, 1), ketbra(2, 0, 0), np.eye(2, dtype=complex) / 2]

@@ -11,8 +11,14 @@ import ionotto.cycle as cycle_module
 import ionotto.lindblad as lindblad_module
 import ionotto.reservoirs as reservoirs_module
 from ionotto.cli import main
-from ionotto.cycle import CycleMode, Regime, prepare_bath_equilibria, run_cycle_effective
-from ionotto.lindblad import EquilibrationError, IntegrationError, liouvillian_matrix
+from ionotto.cycle import (
+    CycleMode,
+    Regime,
+    prepare_bath_equilibria,
+    run_cycle_effective,
+    run_cycle_effective_grid,
+)
+from ionotto.lindblad import EquilibrationError, liouvillian_matrix
 from ionotto.sweep import (
     CSV_HEADER,
     ConfigError,
@@ -27,11 +33,12 @@ from ionotto.sweep import (
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
 GOLDEN_DIR = Path(__file__).resolve().parent / "golden"
 TWO_PI = 2 * math.pi
-
-
-def lanes_fail(config, xis):
-    """Stands in for a lane batch of effective rows in which a lane fails."""
-    raise IntegrationError("synthetic lane failure")
+# the one call that yields each mode's rows, as ionotto.sweep binds it
+MODE_ENTRIES = {
+    CycleMode.CLOSED_FORM: "run_cycle_closed_form",
+    CycleMode.EFFECTIVE: "run_cycle_effective_grid",
+    CycleMode.FULL: "prepare_bath_equilibria",
+}
 
 
 def refuse_write(path, *args, **kwargs):
@@ -182,6 +189,14 @@ def closed_form_sweep(tmp_path, xi_grid=(0.0, 0.1, 0.25)):
     return load_config(write_config(tmp_path, mutate))
 
 
+def all_modes_sweep(tmp_path):
+    def mutate(d):
+        d["engine"]["fock_dim"] = 4
+        d["sweep"] = {"xi_points": 3, "modes": [mode.value for mode in CycleMode]}
+
+    return load_config(write_config(tmp_path, mutate))
+
+
 class TestRunSweep:
     def test_zero_mixing_row_is_otto(self, tmp_path):
         result = run_sweep(closed_form_sweep(tmp_path))
@@ -209,46 +224,55 @@ class TestRunSweep:
             closed.result.energies.net_work - effective.result.energies.net_work
         ) < 1e-6
 
-    def test_programming_error_propagates(self, tmp_path, monkeypatch):
+    @pytest.mark.parametrize("mode", list(CycleMode), ids=lambda mode: mode.value)
+    def test_numerical_error_is_every_row_of_its_mode(self, tmp_path, monkeypatch, mode):
         import ionotto.sweep as sweep_module
 
-        def broken(config, xi):
-            raise TypeError("synthetic programming error")
-
-        # a failed lane batch hands the rows to run_cycle_effective
-        monkeypatch.setattr(sweep_module, "run_cycle_effective_grid", lanes_fail)
-        monkeypatch.setattr(sweep_module, "run_cycle_effective", broken)
-        config = load_config(
-            write_config(
-                tmp_path,
-                lambda d: d.update(sweep={"xi_grid": [0.0], "modes": ["effective"]}),
-            )
-        )
-        with pytest.raises(TypeError, match="synthetic programming error"):
-            run_sweep(config)
-
-    def test_numerical_error_becomes_error_row(self, tmp_path, monkeypatch):
-        import ionotto.sweep as sweep_module
-
-        def stalls(config, xi):
+        def stalls(*args):
             raise EquilibrationError("synthetic stall")
 
-        # a failed lane batch hands the rows to run_cycle_effective
-        monkeypatch.setattr(sweep_module, "run_cycle_effective_grid", lanes_fail)
-        monkeypatch.setattr(sweep_module, "run_cycle_effective", stalls)
-        config = load_config(
-            write_config(
-                tmp_path,
-                lambda d: d.update(
-                    sweep={"xi_grid": [0.0], "modes": ["closed_form", "effective"]}
-                ),
-            )
-        )
+        config = all_modes_sweep(tmp_path)
+        expected = run_sweep(config)
+        monkeypatch.setattr(sweep_module, MODE_ENTRIES[mode], stalls)
         result = run_sweep(config)
-        (failed,) = result.failed_rows
-        assert failed.mode is CycleMode.EFFECTIVE
-        assert failed.error == "EquilibrationError: synthetic stall"
-        assert len(result.rows) == 2
+        assert len(result.rows) == len(expected.rows) == 9
+        for got, want in zip(result.rows, expected.rows):
+            assert (got.mode, got.xi) == (want.mode, want.xi)
+            if got.mode is mode:
+                assert got.result is None
+                assert got.error == "EquilibrationError: synthetic stall"
+            else:
+                assert repr(got) == repr(want)
+        # the sweep's diagnostics are the full rows'
+        assert result.diagnostics == ({} if mode is CycleMode.FULL else expected.diagnostics)
+
+    @pytest.mark.parametrize("mode", list(CycleMode), ids=lambda mode: mode.value)
+    def test_programming_error_of_a_mode_propagates(self, tmp_path, monkeypatch, mode):
+        import ionotto.sweep as sweep_module
+
+        def broken(*args):
+            raise TypeError("synthetic programming error")
+
+        monkeypatch.setattr(sweep_module, MODE_ENTRIES[mode], broken)
+        with pytest.raises(TypeError, match="synthetic programming error"):
+            run_sweep(all_modes_sweep(tmp_path))
+
+    def test_repeated_mode_runs_once(self, monkeypatch):
+        import ionotto.sweep as sweep_module
+
+        grids = []
+
+        def spy(cycle, xis):
+            grids.append(xis)
+            return run_cycle_effective_grid(cycle, xis)
+
+        monkeypatch.setattr(sweep_module, "run_cycle_effective_grid", spy)
+        cycle = load_config(CONFIG_DIR / "fig2a.json").cycle
+        effective = CycleMode.EFFECTIVE
+        config = SweepConfig(cycle, (0.0, 0.1), (effective, effective), None)
+        assert config.modes == (effective,)
+        assert len(run_sweep(config).rows) == 2
+        assert grids == [(0.0, 0.1)]
 
     @pytest.mark.parametrize("bath", ["cold", "hot"])
     def test_library_runs_gate_the_matching(self, monkeypatch, bath):
@@ -261,6 +285,33 @@ class TestRunSweep:
             run_sweep(config)
         with pytest.raises(ConfigError, match=message):
             prepare_bath_equilibria(config.cycle)
+
+
+def hot_squeezing(r):
+    def mutate(document):
+        document["hot"]["squeezing"]["value"] = r
+
+    return pytest.param(mutate, id=f"hot_squeezing={r}")
+
+
+def hot_occupation(kind, n, cold_n=0.6):
+    def mutate(document):
+        document["hot"] = {
+            "kind": kind,
+            "gamma": document["hot"]["gamma"],
+            "n_occupation": {"value": n, "unit": "dimensionless"},
+        }
+        document["cold"]["n_occupation"]["value"] = cold_n
+
+    return pytest.param(mutate, id=f"hot_{kind}_n={n}")
+
+
+def both_rates(gamma):
+    def mutate(document):
+        for bath in ("cold", "hot"):
+            document[bath]["gamma"] = {"value": gamma, "unit": "rad_per_ms"}
+
+    return pytest.param(mutate, id=f"gamma={gamma}_rad_per_ms")
 
 
 class TestEffectiveLanes:
@@ -292,37 +343,35 @@ class TestEffectiveLanes:
         with pytest.raises(TypeError, match="synthetic programming error"):
             run_sweep(config)
 
-    def test_failed_lanes_rerun_the_rows_one_by_one(self, tmp_path, monkeypatch):
-        import ionotto.sweep as sweep_module
-
-        config = load_config(
-            write_config(
-                tmp_path,
-                lambda d: d.update(
-                    sweep={"xi_points": 9, "modes": ["closed_form", "effective"]}
-                ),
-            )
-        )
-        expected = run_sweep(config).rows
-        doomed = config.xi_grid[3]
-
-        def per_row(cycle, xi):
-            if xi == doomed:
-                raise EquilibrationError(f"synthetic stall at {xi}")
-            return run_cycle_effective(cycle, xi)
-
-        monkeypatch.setattr(sweep_module, "run_cycle_effective_grid", lanes_fail)
-        monkeypatch.setattr(sweep_module, "run_cycle_effective", per_row)
-        rows = run_sweep(config).rows
-        assert len(rows) == len(expected) == 18
-        for got, want in zip(rows, expected):
-            assert (got.mode, got.xi) == (want.mode, want.xi)
-            if got.mode is CycleMode.EFFECTIVE and got.xi == doomed:
-                assert got.result is None
-                assert got.error == f"EquilibrationError: synthetic stall at {doomed}"
-            else:
-                assert got.error is None
-                assert repr(got.result) == repr(want.result)
+    @pytest.mark.parametrize(
+        "mutate",
+        [
+            *(hot_squeezing(r) for r in (1e-3, 3, 6, 10, 50, 300, 355)),
+            *(
+                hot_occupation("thermal", n, cold_n=min(n, 0.6) / 2)
+                for n in (1e-6, 1e-3, 10, 1e3, 1e6)
+            ),
+            *(
+                hot_occupation("negative_temperature", n)
+                for n in (0.5000001, 0.51, 0.9, 0.999999)
+            ),
+            *(both_rates(gamma) for gamma in (1e-6, 1e3, 1e6)),
+        ],
+    )
+    def test_grid_relaxes_every_row_of_extreme_baths(self, tmp_path, mutate):
+        # fig2c copies from far below to far above its baths: no input is
+        # known on which the lane grid raises; a copy that ever does is
+        # the test case for errors per lane
+        document = json.loads((CONFIG_DIR / "fig2c.json").read_text())
+        mutate(document)
+        document["sweep"] = {"xi_points": 21, "modes": ["effective"]}
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(document))
+        config = load_config(path)
+        assert len(run_cycle_effective_grid(config.cycle, config.xi_grid)) == 21
+        result = run_sweep(config)
+        assert len(result.rows) == 21
+        assert result.failed_rows == ()
 
 
 class TestGoldenCsv:
@@ -380,6 +429,33 @@ class TestGoldenSteadystate:
         assert main(["steadystate", str(CONFIG_DIR / f"{name}.json")]) == 0
         report = capsys.readouterr().out.encode("utf-8")
         assert report == (GOLDEN_DIR / f"steadystate_{name}.txt").read_bytes()
+
+
+class TestGoldenErrorSweep:
+    """``ionotto sweep`` on fig2c with hot squeezing 10 writes the committed
+    CSV byte for byte.  Its full rows are error rows: the joint hot bath
+    solve does not equilibrate in its 60 implicit windows, and that one
+    error is every full row's.  The closed-form and effective rows keep
+    their values.  ROADMAP §15's direct solve will turn these error rows
+    into values; the change that lands it must update this golden.
+    """
+
+    def test_matches_golden(self, tmp_path, capsys):
+        config = str(GOLDEN_DIR / "fig2c_hot_r10.json")
+        golden = (GOLDEN_DIR / "sweep_fig2c_hot_r10.csv").read_bytes()
+        out = tmp_path / "r10.csv"
+        assert main(["sweep", config, "--output", str(out)]) == 0
+        assert out.read_bytes() == golden
+        failed = [line for line in golden.decode().splitlines() if ",error=" in line]
+        assert len(failed) == 3 and all(",full," in line for line in failed)
+        stderr = capsys.readouterr().err.splitlines()
+        assert len(stderr) == len(failed)
+        for line in stderr:
+            assert line.startswith("row (mode=full, xi=")
+            assert "failed: EquilibrationError: no equilibration after 60" in line
+        assert main(["sweep", config, "--strict", "--output", str(out)]) == 3
+        assert out.read_bytes() == golden
+        assert len(capsys.readouterr().err.splitlines()) == len(failed)
 
 
 class TestEmitCsv:
