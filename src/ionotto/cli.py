@@ -4,8 +4,9 @@ Exit codes: 0 on success, 2 on configuration errors, 3 on a numerical
 failure: a sweep row failed and --strict is set, or ``steadystate``'s
 null-space solver failed on a bath (its error goes to stderr, after that
 bath's analytic line).  A squeezed bath's slower coherence rate is about
-e^(-4 r) of its largest, so from about r = 6 it falls below the solver's
-null tolerance of 1e-9 while ``validate`` accepts the config.
+e^(-4 r) of its largest, so from about r = 8.75 it reaches rounding level,
+below the solver's null tolerance of dim^2 eps of the largest singular
+value, while ``validate`` accepts the config.
 """
 
 from __future__ import annotations

@@ -719,11 +719,12 @@ def steady_state(model: LindbladModel) -> np.ndarray:
     also gives :func:`equilibrate`'s sector.  Each block gets a dense
     singular-value decomposition; permuting L to block-diagonal form
     keeps its singular values, so the pooled values locate the null space
-    of the whole L.  A null-space dimension other than one is reported,
-    never silently resolved.  The null vector comes from the block holding
-    the smallest singular value.  The returned state is Hermitian with
-    unit trace.  No full-space matrix is built at any size, and the cost
-    follows the largest block.
+    of the whole L.  Singular values at most n eps of the largest, n = dim^2
+    (numpy's ``matrix_rank`` default), are null.  A null-space dimension
+    other than one is reported, never silently resolved.  The null vector
+    comes from the block holding the smallest singular value.  The
+    returned state is Hermitian with unit trace.  No full-space matrix is
+    built at any size, and the cost follows the largest block.
     """
     if not model.channels or all(rate == 0.0 for rate, _ in model.channels):
         raise ValueError("steady_state needs at least one dissipative channel")
@@ -744,7 +745,7 @@ def steady_state(model: LindbladModel) -> np.ndarray:
             null_block, null_vec = block, vh[-1]
     svals = np.concatenate(svals)
     smax = float(svals.max())
-    null_tol = max(smax, 1e-300) * 1e-9
+    null_tol = max(smax, 1e-300) * n * np.finfo(float).eps
     null_count = int(np.count_nonzero(svals <= null_tol))
     if null_count != 1:
         raise DegenerateSteadyStateError(

@@ -394,8 +394,9 @@ def reference_block_steady_state(model: LindbladModel) -> np.ndarray:
 def _null_state(dim: int, svals: np.ndarray, null_vec: np.ndarray) -> np.ndarray:
     """The unit-trace Hermitian state of the null vector ``null_vec``; a
     null space of dimension other than one under the singular values
-    ``svals`` raises."""
-    null_tol = max(float(svals.max()), 1e-300) * 1e-9
+    ``svals`` raises.  Values at most n eps of the largest, n the number of
+    values, are null: the rule of :func:`ionotto.lindblad.steady_state`."""
+    null_tol = max(float(svals.max()), 1e-300) * svals.size * np.finfo(float).eps
     null_count = int(np.count_nonzero(svals <= null_tol))
     if null_count != 1:
         raise DegenerateSteadyStateError(

@@ -85,7 +85,7 @@ def mode_models(draw):
 
 
 # Entries from a small grid, zero more often than not: the null spaces
-# are then exact, away from the 1e-9 null threshold, and the condition
+# are then exact, away from the n eps null threshold, and the condition
 # numbers stay moderate.
 GRID = st.sampled_from([0.0, 0.0, 0.0, 0.0, 0.5, 1.0, -1.0, 2.0])
 

@@ -32,6 +32,8 @@ from ionotto.sweep import (
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
 GOLDEN_DIR = Path(__file__).resolve().parent / "golden"
+# the one committed copy of the shipped sweeps' CSVs
+REFERENCE_DIR = Path(__file__).resolve().parent.parent / "bench" / "reference"
 TWO_PI = 2 * math.pi
 # the one call that yields each mode's rows, as ionotto.sweep binds it
 MODE_ENTRIES = {
@@ -375,26 +377,34 @@ class TestEffectiveLanes:
 
 
 class TestGoldenCsv:
-    """The sweeps of the shipped configs reproduce the committed CSVs.
+    """``ionotto sweep`` on the shipped configs exits 0 with an empty
+    stderr, writes the reference CSV of ``bench/reference/`` byte for byte
+    and prints the committed report: each bath solve's diagnostics.
 
-    The written file must equal the committed one byte for byte.  The
-    cell-by-cell comparison before that check names the first cell that
-    moved: text cells must match exactly and numeric cells within 1e-12.
+    The cell-by-cell comparison before the byte check names the first
+    cell that moved: text cells must match exactly and numeric cells
+    within 1e-12.
     """
 
     TEXT_COLUMNS = ("xi", "mode", "regime", "flags")
 
     @pytest.mark.parametrize("name", ["fig2a", "fig2b", "fig2c"])
-    def test_matches_golden(self, tmp_path, name):
+    def test_matches_golden(self, tmp_path, capsys, monkeypatch, name):
+        # the report names the output path as given on the command line
+        monkeypatch.chdir(tmp_path)
+        config = str(CONFIG_DIR / f"{name}.json")
+        assert main(["sweep", config, "--output", f"{name}.csv"]) == 0
+        captured = capsys.readouterr()
+        assert captured.err == ""
         out = tmp_path / f"{name}.csv"
-        emit_csv(run_sweep(load_config(CONFIG_DIR / f"{name}.json")).rows, out)
+        reference = REFERENCE_DIR / f"{name}.csv"
         with out.open() as handle:
             produced = list(csv.DictReader(handle))
-        with (GOLDEN_DIR / f"{name}.csv").open() as handle:
-            golden = list(csv.DictReader(handle))
+        with reference.open() as handle:
+            expected_rows = list(csv.DictReader(handle))
         assert out.read_text().splitlines()[0] == CSV_HEADER
-        assert len(produced) == len(golden)
-        for got, want in zip(produced, golden):
+        assert len(produced) == len(expected_rows)
+        for got, want in zip(produced, expected_rows):
             for column, expected in want.items():
                 if column in self.TEXT_COLUMNS or expected == "":
                     assert got[column] == expected, (column, want["xi"], want["mode"])
@@ -402,7 +412,9 @@ class TestGoldenCsv:
                     assert abs(float(got[column]) - float(expected)) <= 1e-12, (
                         column, want["xi"], want["mode"]
                     )
-        assert out.read_bytes() == (GOLDEN_DIR / f"{name}.csv").read_bytes()
+        assert out.read_bytes() == reference.read_bytes()
+        report = captured.out.encode("utf-8")
+        assert report == (GOLDEN_DIR / f"sweep_{name}.txt").read_bytes()
 
 
 class TestGoldenValidate:
@@ -415,7 +427,9 @@ class TestGoldenValidate:
         # the report names the config path as given on the command line
         monkeypatch.chdir(CONFIG_DIR.parent)
         assert main(["validate", f"configs/{name}.json"]) == 0
-        report = capsys.readouterr().out.encode("utf-8")
+        captured = capsys.readouterr()
+        assert captured.err == ""
+        report = captured.out.encode("utf-8")
         assert report == (GOLDEN_DIR / f"validate_{name}.txt").read_bytes()
 
 
@@ -427,7 +441,9 @@ class TestGoldenSteadystate:
     @pytest.mark.parametrize("name", ["fig2a", "fig2b", "fig2c"])
     def test_matches_golden(self, capsys, name):
         assert main(["steadystate", str(CONFIG_DIR / f"{name}.json")]) == 0
-        report = capsys.readouterr().out.encode("utf-8")
+        captured = capsys.readouterr()
+        assert captured.err == ""
+        report = captured.out.encode("utf-8")
         assert report == (GOLDEN_DIR / f"steadystate_{name}.txt").read_bytes()
 
 
@@ -874,13 +890,15 @@ class TestCli:
         # inverted bath: excited population 0.8 appears for the hot side
         assert "0.800000000" in report
 
-    @pytest.mark.parametrize("squeezing, code", [(5, 0), (6, 3)])
+    @pytest.mark.parametrize("squeezing, code", [(5, 0), (6, 0), (8, 0), (10, 3)])
     def test_steadystate_degenerate_bath_exit_code(
         self, tmp_path, capsys, squeezing, code
     ):
-        # the squeezed bath's slower coherence rate is about e^(-4 r) of
-        # its largest: 2.1e-9 at r = 5, 3.8e-11 at r = 6, below the 1e-9
-        # null tolerance, where validate still accepts the config
+        # the smallest singular value of the squeezed bath's coherence
+        # block is about e^(-4 r) of the largest: 3.8e-11 at r = 6, 1.3e-14
+        # at r = 8, above the null tolerance dim^2 eps = 8.9e-16 of a 2 x 2
+        # bath.  At r = 10 it is rounding (7.5e-17): a second null vector,
+        # reported although validate accepts the config
         document = json.loads((CONFIG_DIR / "fig2c.json").read_text())
         document["hot"]["squeezing"]["value"] = squeezing
         config = tmp_path / "config.json"
@@ -899,3 +917,4 @@ class TestCli:
             )
         else:
             assert captured.err == ""
+            assert float(lines[5].split(" = ")[1]) <= 1e-12
