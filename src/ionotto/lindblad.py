@@ -932,9 +932,11 @@ def equilibrate(
     5 / slow_rate of the model, so the binding criterion is the window
     test rather than the horizon; a model without ``slow_rate`` is
     rejected.  The budget is fixed per stepper: 8 ``rk`` or 60
-    ``implicit`` windows (:func:`_windows`).  As ||A||_F <= ||A||_1, a
-    window whose change has a Frobenius norm above ``change_tol`` cannot
-    pass and skips :func:`trace_norm`'s eigenvalues.
+    ``implicit`` windows (:func:`_windows`).  Windows are sized by the
+    population rate, so a coherent start on a squeezed bath, whose
+    slowest coherence rate lies below it, can exhaust the budget.  As
+    ||A||_F <= ||A||_1, a window whose change has a Frobenius norm above
+    ``change_tol`` cannot pass and skips :func:`trace_norm`'s eigenvalues.
 
     :func:`_stepper` picks the window stepper from the model, and the
     report's ``method`` names it.  The eliminated decays of the joint and

@@ -2,10 +2,10 @@
 
 Configs are JSON documents with top-level keys {engine, cold, hot,
 sweep}.  Every physical quantity is written as {"value": ..., "unit":
-...} with the unit drawn from a fixed whitelist; unknown keys anywhere
-are rejected so typos cannot silently change a run.  Results go to a
-CSV whose rows are keyed by (mode, xi), making the output deterministic
-regardless of evaluation order.
+...} with the unit drawn from a fixed whitelist; unknown or repeated
+keys anywhere are rejected so typos cannot silently change a run.
+Results go to a CSV whose rows are keyed by (mode, xi), making the
+output deterministic regardless of evaluation order.
 """
 
 from __future__ import annotations
@@ -118,6 +118,16 @@ class SweepResult:
         return tuple(row for row in self.rows if row.error is not None)
 
 
+def _unique_keys(pairs: list[tuple[str, Any]]) -> dict[str, Any]:
+    """One JSON object; a repeated key raises instead of keeping the last value."""
+    document = {}
+    for key, value in pairs:
+        if key in document:
+            raise ValueError(f"duplicate key {key!r}")
+        document[key] = value
+    return document
+
+
 def _require_mapping(node: Any, where: str) -> Mapping[str, Any]:
     if not isinstance(node, dict):
         raise ConfigError(f"{where}: expected an object, got {type(node).__name__}")
@@ -213,12 +223,12 @@ def load_config(path: str | Path) -> SweepConfig:
     except OSError as exc:
         raise ConfigError(f"cannot read {path}: {exc}") from exc
     try:
-        document = json.loads(text)
+        document = json.loads(text, object_pairs_hook=_unique_keys)
     except json.JSONDecodeError as exc:
         raise ConfigError(
             f"{path}: JSON parse error at line {exc.lineno}, column {exc.colno}: {exc.msg}"
         ) from exc
-    except ValueError as exc:  # an integer literal past the digit limit
+    except ValueError as exc:  # a repeated key, or an integer past the digit limit
         raise ConfigError(f"{path}: {exc}") from exc
     document = _require_mapping(document, str(path))
     _reject_unknown(document, ("engine", "cold", "hot", "sweep"), str(path))

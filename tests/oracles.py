@@ -16,7 +16,7 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 from scipy.sparse.csgraph import connected_components
 
-from ionotto.cycle import CycleConfig, StrokeEnergy, prepare_bath_equilibria
+from ionotto.cycle import CycleConfig, CycleResult, StrokeEnergy, prepare_bath_equilibria
 from ionotto.lindblad import (
     _IMPLICIT_WINDOWS,
     _MAX_STEPS,
@@ -192,6 +192,25 @@ def engine_efficiency_formula(config: CycleConfig, xi: float) -> float:
     u = 1.0 - 2.0 * xi
     bracket = (t_c - u * t_h) / (u * t_c - t_h)
     return 1.0 - bracket / config.frequency_ratio
+
+
+def entropy_production(
+    config: CycleConfig, result: CycleResult, cold_state: np.ndarray, hot_state: np.ndarray
+) -> tuple[float, float]:
+    """Entropy production of a row and the generalized efficiency bound.
+
+    Each bath acts on the two-level system as a bath with detailed
+    balance at the temperature its endpoint state shows: beta * gap =
+    ln(p_g / p_e), with gap 1 (cold) and R (hot) in units of hbar omega_c,
+    the unit of the row's heats; beta is negative for an inverted bath.
+    Spohn's inequality then gives Sigma = -beta_h Q_hot - beta_c Q_cold
+    >= 0, so an engine row keeps eta <= 1 - beta_h / beta_c.  Returns
+    (Sigma, 1 - beta_h / beta_c).
+    """
+    beta_c = math.log(cold_state[0, 0].real / cold_state[1, 1].real)
+    beta_h = math.log(hot_state[0, 0].real / hot_state[1, 1].real) / config.frequency_ratio
+    energies = result.energies
+    return -beta_h * energies.q_hot - beta_c * energies.q_cold, 1.0 - beta_h / beta_c
 
 
 def truncation_shift(config: CycleConfig, extra: int = 2) -> float:

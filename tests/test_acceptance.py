@@ -33,23 +33,14 @@ from ionotto.operators import (
     sigma_minus,
     vacuum_state,
 )
-from ionotto.oscillator import (
-    VSystemConfig,
-    effective_mode_model,
-    full_v_model,
-    match_rabi_for_mode,
-    mode_collapse_channels,
-    quadratic_mode_moments,
-)
+from ionotto.oscillator import mode_collapse_channels, quadratic_mode_moments
 from ionotto.reservoirs import (
     BathKind,
     ReservoirSpec,
+    bath_steady_state,
     channels_from_settings,
     effective_collapse_channels,
-    gibbs_state,
     match_rabi_frequencies,
-    spec_theta,
-    squeezed_gibbs_state,
 )
 from oracles import (
     box_joint_model,
@@ -57,10 +48,10 @@ from oracles import (
     rabi_mixing_unitary,
     transition_probability,
 )
+from panels import PANELS, mode_model, mode_settings, panel, v_model
 from ionotto.lindblad import liouvillian_matrix, expectation
 
 TWO_PI = 2 * math.pi
-GAMMA = TWO_PI * 1e-4
 
 # hygiene metrics pooled across every acceptance run; criterion 9 checks them
 HYGIENE: list[tuple[str, float, float]] = []
@@ -84,41 +75,16 @@ def criterion(number: int, name: str, budget_seconds: float):
     assert elapsed <= budget_seconds, f"runtime {elapsed:.1f}s over {budget_seconds}s"
 
 
-def panel_config(hot: ReservoirSpec, fock_dim: int = 6) -> CycleConfig:
-    return CycleConfig(
-        omega_e_cold=TWO_PI * 1e6,
-        omega_e_hot=1.5 * TWO_PI * 1e6,
-        lamb=0.01,
-        kappa=TWO_PI,
-        cold=ReservoirSpec.thermal(GAMMA, 0.6),
-        hot=hot,
-        fock_dim=fock_dim,
-    )
-
-
-PANELS = {
-    "a": panel_config(ReservoirSpec.thermal(GAMMA, 1.2)),
-    "b": panel_config(ReservoirSpec.negative_temperature(GAMMA, 0.8)),
-    "c": panel_config(ReservoirSpec.squeezed_thermal(GAMMA, 0.4, 0.5)),
-}
-
-
-def bath_reference_state(spec: ReservoirSpec) -> np.ndarray:
-    if spec.squeezing > 0:
-        return squeezed_gibbs_state(spec_theta(spec), spec.squeezing)
-    return gibbs_state(spec_theta(spec))
-
-
 def test_criterion_1_bath_steady_states():
     with criterion(1, "bath steady states vs null-space oracle", 1.0):
         cases = [
-            (ReservoirSpec.thermal(GAMMA, 0.6), 0.6 / 2.2),
-            (ReservoirSpec.negative_temperature(GAMMA, 0.8), 0.8),
-            (ReservoirSpec.squeezed_thermal(GAMMA, 0.4, 0.5), None),
+            (panel("fig2a").cold, 0.6 / 2.2),
+            (panel("fig2b").hot, 0.8),
+            (panel("fig2c").hot, None),
         ]
         for spec, expected_pe in cases:
             solved = steady_state(spec.bath_model)
-            analytic = bath_reference_state(spec)
+            analytic = bath_steady_state(spec)
             assert np.abs(solved - analytic).max() <= 1e-8
             if expected_pe is not None:
                 assert abs(solved[1, 1].real - expected_pe) <= 1e-8
@@ -168,7 +134,7 @@ def test_criterion_3_adiabatic_elimination_validity():
             model = box_joint_model(match_rabi_frequencies(spec, lamb, kappa), n_max)
             layout = SpaceLayout((2, n_max, n_max))
             start = kron(
-                bath_reference_state(spec), vacuum_state(n_max), vacuum_state(n_max)
+                bath_steady_state(spec), vacuum_state(n_max), vacuum_state(n_max)
             )
             report = equilibrate(model, start)
             record_hygiene(
@@ -178,20 +144,16 @@ def test_criterion_3_adiabatic_elimination_validity():
             )
             return partial_trace(report.final_state, layout, keep=(0,))
 
-        for spec in (
-            ReservoirSpec.thermal(GAMMA, 1.2),
-            ReservoirSpec.negative_temperature(GAMMA, 0.8),
-            ReservoirSpec.squeezed_thermal(GAMMA, 0.4, 0.5),
-        ):
-            target = bath_reference_state(spec)
+        for spec in (panel(name).hot for name in PANELS):
+            target = bath_steady_state(spec)
             error = np.abs(
                 np.diag(reduced_full_state(spec, TWO_PI) - target).real
             ).max()
             assert error <= 1e-2
         # the squeezed settings carry a measurable elimination correction;
         # doubling kappa must shrink it
-        spec = ReservoirSpec.squeezed_thermal(GAMMA, 0.4, 0.5)
-        target = bath_reference_state(spec)
+        spec = panel("fig2c").hot
+        target = bath_steady_state(spec)
         error_base = np.abs(np.diag(reduced_full_state(spec, TWO_PI) - target).real).max()
         error_doubled = np.abs(
             np.diag(reduced_full_state(spec, 2 * TWO_PI) - target).real
@@ -230,19 +192,19 @@ def test_criterion_4_closed_form_identities():
                     engines += 1
                     assert result.efficiency <= result.eta_otto + 1e-12
         assert engines > 100
-        for config in PANELS.values():
-            result = run_cycle_closed_form(config, 0.0)
+        for name in PANELS:
+            result = run_cycle_closed_form(panel(name), 0.0)
             assert abs(result.efficiency - 1.0 / 3.0) <= 1e-12
 
 
 def test_criterion_5_figure_endpoints_and_threshold():
     with criterion(5, "panel endpoints, engine boundary, Carnot reference", 5.0):
-        for config in PANELS.values():
-            assert abs(run_cycle_closed_form(config, 0.0).efficiency - 1 / 3) <= 1e-12
-        eta_half = run_cycle_closed_form(PANELS["b"], 0.5).efficiency
+        for name in PANELS:
+            assert abs(run_cycle_closed_form(panel(name), 0.0).efficiency - 1 / 3) <= 1e-12
+        eta_half = run_cycle_closed_form(panel("fig2b"), 0.5).efficiency
         assert abs(eta_half - 0.4953) <= 1e-3
         # engine boundary of the hot-thermal panel by sign scan plus bisection
-        config = PANELS["a"]
+        config = panel("fig2a")
         grid = np.linspace(0.0, 0.2, 4001)
         works = [run_cycle_closed_form(config, x).energies.net_work for x in grid]
         k = next(i for i in range(len(works) - 1) if works[i] < 0 <= works[i + 1])
@@ -261,7 +223,8 @@ def test_criterion_5_figure_endpoints_and_threshold():
 
 def test_criterion_6_mode_agreement():
     with criterion(6, "closed-form, effective and full modes agree", 900.0):
-        for label, config in PANELS.items():
+        for label in PANELS:
+            config = panel(label)
             equilibria = prepare_bath_equilibria(config)
             for key, value in equilibria.diagnostics.items():
                 if key.endswith("trace_drift"):
@@ -307,13 +270,10 @@ def test_criterion_7_unitary_stroke_validation():
 
 def test_criterion_8_oscillator_variant():
     with criterion(8, "mode working substance: effective and full", 120.0):
-        gamma_e = TWO_PI
-        target = TWO_PI * 2.5e-4  # regime ratio 50 for the thermal bath
-        thermal = ReservoirSpec.thermal(target, 0.6)
-        settings = match_rabi_for_mode(thermal, 0.01, gamma_e, gamma_e)
+        settings = mode_settings("thermal")
         assert settings.regime_ratio >= 50
 
-        rho = steady_state(effective_mode_model(thermal, settings, 20))
+        rho = steady_state(mode_model("thermal", 20))
         assert abs(expectation(number_op(20), rho) - 0.6) <= 1e-6
         record_hygiene(
             "c8:thermal_mode",
@@ -322,13 +282,10 @@ def test_criterion_8_oscillator_variant():
         )
 
         # squeezed bath: anomalous moment against the linear-solve oracle
-        squeezed = ReservoirSpec.squeezed_thermal(TWO_PI * 2e-4, 0.4, 0.5)
-        sq_settings = match_rabi_for_mode(squeezed, 0.01, gamma_e, gamma_e)
+        sq_settings = mode_settings("squeezed")
         fock = 48
         report = equilibrate(
-            effective_mode_model(squeezed, sq_settings, fock),
-            vacuum_state(fock),
-            change_tol=1e-10,
+            mode_model("squeezed", fock), vacuum_state(fock), change_tol=1e-10
         )
         record_hygiene("c8:squeezed_mode", report.max_trace_drift, report.min_eigenvalue)
         n_oracle, a2_oracle = quadratic_mode_moments(
@@ -342,26 +299,14 @@ def test_criterion_8_oscillator_variant():
 
         # full three-level dynamics from the electronic ground state
         fock_v = 12
-        config = VSystemConfig(
-            omega_ge=TWO_PI * 1e6,
-            omega_gf=1.2 * TWO_PI * 1e6,
-            omega_m=10 * TWO_PI,
-            lamb=0.01,
-            gamma_ge=gamma_e,
-            gamma_gf=gamma_e,
-            rabi=settings.rabi,
-            fock_dim=fock_v,
-        )
-        model = full_v_model(config, settings, fock_v)
+        model = v_model(settings, fock_v)
         layout = SpaceLayout((3, fock_v))
         rho0 = kron(ketbra(3, 0, 0), vacuum_state(fock_v))
         report = equilibrate(model, rho0, change_tol=1e-10)
         record_hygiene("c8:full_v", report.max_trace_drift, report.min_eigenvalue)
         reduced = partial_trace(report.final_state, layout, keep=(1,))
         effective = equilibrate(
-            effective_mode_model(thermal, settings, fock_v),
-            vacuum_state(fock_v),
-            change_tol=1e-10,
+            mode_model("thermal", fock_v), vacuum_state(fock_v), change_tol=1e-10
         ).final_state
         n_full = expectation(number_op(fock_v), reduced)
         n_eff = expectation(number_op(fock_v), effective)
@@ -377,16 +322,11 @@ def test_criterion_9_solver_hygiene():
             assert min_eig >= -1e-9, f"{label}: min eigenvalue {min_eig:.2e}"
         # direct null-space solve against long-time integration, for every
         # bath used above
-        for spec in (
-            ReservoirSpec.thermal(GAMMA, 0.6),
-            ReservoirSpec.thermal(GAMMA, 1.2),
-            ReservoirSpec.negative_temperature(GAMMA, 0.8),
-            ReservoirSpec.squeezed_thermal(GAMMA, 0.4, 0.5),
-        ):
+        for spec in (panel("fig2a").cold, *(panel(name).hot for name in PANELS)):
             model = spec.bath_model
             direct = steady_state(model)
             evolved = evolve(
-                model, np.diag([0.7, 0.3]).astype(complex), 40.0 / GAMMA
+                model, np.diag([0.7, 0.3]).astype(complex), 40.0 / spec.gamma
             )
             assert np.abs(direct - evolved.final_state).max() <= 1e-6
             record_hygiene(

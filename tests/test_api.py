@@ -7,16 +7,14 @@ import inspect
 import pkgutil
 import sys
 from dataclasses import replace
-from pathlib import Path
 
 import pytest
 
 import ionotto
 from ionotto.cycle import CycleMode
+from panels import CONFIG_DIR, ROOT
 
-ROOT = Path(__file__).resolve().parent.parent
 TRACING = ROOT / "bench" / "tracing.py"
-CONFIG_DIR = ROOT / "configs"
 SUBMODULES = sorted(
     f"ionotto.{info.name}" for info in pkgutil.iter_modules(ionotto.__path__)
 )

@@ -17,7 +17,6 @@ write both rows without an error.
 
 import json
 import math
-from pathlib import Path
 
 import pytest
 
@@ -28,10 +27,9 @@ from hypothesis import strategies as st
 from ionotto.cli import main
 from ionotto.cycle import CycleMode
 from ionotto.reservoirs import BathKind
+from panels import CONFIG_DIR
 
-BASE = json.loads(
-    (Path(__file__).resolve().parent.parent / "configs" / "fig2a.json").read_text()
-)
+BASE = json.loads((CONFIG_DIR / "fig2a.json").read_text())
 
 
 def _leaf_paths(node, path=()):

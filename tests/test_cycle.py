@@ -1,7 +1,5 @@
 import math
-import sys
 from dataclasses import replace
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -33,27 +31,11 @@ from oracles import (
     transition_probability,
     unitarity_defect,
 )
+from panels import CONFIG_DIR, PANELS, panel, rebind
 
-CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
 TWO_PI = 2 * math.pi
 STROKES = ("w_expansion", "w_compression", "q_hot", "q_cold")
-
-
-def panel_config(hot: ReservoirSpec) -> CycleConfig:
-    return CycleConfig(
-        omega_e_cold=TWO_PI * 1e6,
-        omega_e_hot=1.5 * TWO_PI * 1e6,
-        lamb=0.01,
-        kappa=TWO_PI,
-        cold=ReservoirSpec.thermal(TWO_PI * 1e-4, 0.6),
-        hot=hot,
-    )
-
-
-CONFIG_THERMAL = panel_config(ReservoirSpec.thermal(TWO_PI * 1e-4, 1.2))
-CONFIG_INVERTED = panel_config(ReservoirSpec.negative_temperature(TWO_PI * 1e-4, 0.8))
-CONFIG_SQUEEZED = panel_config(ReservoirSpec.squeezed_thermal(TWO_PI * 1e-4, 0.4, 0.5))
-ALL_CONFIGS = (CONFIG_THERMAL, CONFIG_INVERTED, CONFIG_SQUEEZED)
+ALL_CONFIGS = tuple(map(panel, PANELS))
 
 
 class TestTransitionProbability:
@@ -134,7 +116,7 @@ class TestTransitionMixing:
 
 class TestClosedFormThermo:
     def test_equal_reservoirs_idle(self):
-        config = panel_config(ReservoirSpec.thermal(TWO_PI * 1e-4, 0.6))
+        config = panel("fig2a", hot=panel("fig2a").cold)
         # equal thetas, xi = 0: every energy term cancels except the gap
         # relabeling, which transfers tanh(theta) (R - 1) / 2 through each
         # unitary stroke with opposite signs
@@ -146,7 +128,7 @@ class TestClosedFormThermo:
     def test_thermal_panel_reference_value(self):
         # tanh(theta) = 1/(1+2n) for a Bose-Einstein bath, so at xi = 0
         # W_net / (hbar omega_c) = -(R-1)/2 (1/2.2 - 1/3.4) = -7.5/187
-        energies = run_cycle_closed_form(CONFIG_THERMAL, 0.0).energies
+        energies = run_cycle_closed_form(panel("fig2a"), 0.0).energies
         assert abs(energies.net_work - (-7.5 / 187.0)) < 1e-15
         assert energies.net_work < 0
 
@@ -181,9 +163,9 @@ class TestOneBookkeeping:
     """The closed form books its analytic bath endpoints through the stroke
     engine that books the simulated modes."""
 
-    @pytest.mark.parametrize("panel", ["fig2a", "fig2b", "fig2c"])
-    def test_closed_form_matches_the_analytic_energies(self, panel):
-        sweep = load_config(CONFIG_DIR / f"{panel}.json")
+    @pytest.mark.parametrize("name", PANELS)
+    def test_closed_form_matches_the_analytic_energies(self, name):
+        sweep = load_config(CONFIG_DIR / f"{name}.json")
         for xi in sweep.xi_grid:
             result = run_cycle_closed_form(sweep.cycle, xi)
             expected = closed_form_thermo(sweep.cycle, xi)
@@ -229,12 +211,13 @@ class TestOneBookkeeping:
 
         monkeypatch.setattr(cycle_module, "equilibrate", solve)
         monkeypatch.setattr(cycle_module, "equilibrate_lanes", solve)
-        equilibria = analytic_equilibria(CONFIG_SQUEEZED)
+        config = panel("fig2c")
+        equilibria = analytic_equilibria(config)
         runs = (
-            lambda: run_cycle_closed_form(CONFIG_SQUEEZED, xi),
-            lambda: run_cycle_effective(CONFIG_SQUEEZED, xi),
-            lambda: run_cycle_effective_grid(CONFIG_SQUEEZED, [0.1, xi]),
-            lambda: run_cycle_full(CONFIG_SQUEEZED, xi, equilibria),
+            lambda: run_cycle_closed_form(config, xi),
+            lambda: run_cycle_effective(config, xi),
+            lambda: run_cycle_effective_grid(config, [0.1, xi]),
+            lambda: run_cycle_full(config, xi, equilibria),
         )
         for run in runs:
             with pytest.raises(
@@ -272,7 +255,7 @@ class TestClosedFormCycle:
 
     def test_inverted_bath_half_mixing_value(self):
         # eta = 1 - (2/3) (5/11) / (3/5) = 49/99 at xi = 1/2
-        result = run_cycle_closed_form(CONFIG_INVERTED, 0.5)
+        result = run_cycle_closed_form(panel("fig2b"), 0.5)
         assert result.regime is Regime.HEAT_ENGINE
         assert abs(result.efficiency - 49.0 / 99.0) < 1e-12
         assert result.efficiency > result.eta_otto
@@ -280,28 +263,27 @@ class TestClosedFormCycle:
     def test_engine_boundary_thermal_panel(self):
         # sign scan of the net work: the engine window closes at
         # xi* = (R-1)(Tc - Th) / (2 (R Tc + Th)) = 3/73
+        config = panel("fig2a")
         xi_grid = np.linspace(0.0, 0.2, 2001)
-        works = [
-            run_cycle_closed_form(CONFIG_THERMAL, x).energies.net_work for x in xi_grid
-        ]
+        works = [run_cycle_closed_form(config, x).energies.net_work for x in xi_grid]
         crossing = next(i for i in range(len(works) - 1) if works[i] < 0 <= works[i + 1])
         lo, hi = xi_grid[crossing], xi_grid[crossing + 1]
         for _ in range(60):
             mid = 0.5 * (lo + hi)
-            if run_cycle_closed_form(CONFIG_THERMAL, mid).energies.net_work < 0:
+            if run_cycle_closed_form(config, mid).energies.net_work < 0:
                 lo = mid
             else:
                 hi = mid
         assert abs(0.5 * (lo + hi) - 3.0 / 73.0) < 1e-9
 
     def test_beyond_engine_boundary_is_accelerator(self):
-        result = run_cycle_closed_form(CONFIG_THERMAL, 0.05)
+        result = run_cycle_closed_form(panel("fig2a"), 0.05)
         assert result.regime is Regime.ACCELERATOR
         assert result.efficiency is None
 
     def test_efficiency_agrees_with_formula_in_engine_window(self):
-        for config, xi in ((CONFIG_THERMAL, 0.02), (CONFIG_SQUEEZED, 0.01),
-                           (CONFIG_INVERTED, 0.3)):
+        for config, xi in ((panel("fig2a"), 0.02), (panel("fig2c"), 0.01),
+                           (panel("fig2b"), 0.3)):
             result = run_cycle_closed_form(config, xi)
             assert result.regime is Regime.HEAT_ENGINE
             assert abs(result.efficiency - engine_efficiency_formula(config, xi)) < 1e-12
@@ -309,8 +291,9 @@ class TestClosedFormCycle:
     def test_double_absorption_unit_efficiency(self):
         # with the inverted hot bath past xi = 1/2 the cold heat turns
         # positive while work is still extracted
+        config = panel("fig2b")
         for xi in np.linspace(0.0, 1.0, 101):
-            result = run_cycle_closed_form(CONFIG_INVERTED, xi)
+            result = run_cycle_closed_form(config, xi)
             if result.regime is Regime.DOUBLE_ABSORPTION:
                 assert abs(result.efficiency - 1.0) < 1e-12
                 break
@@ -345,24 +328,24 @@ class TestReferenceEfficiencies:
             assert abs(eta_otto - 1.0 / 3.0) < 1e-15
 
     def test_carnot_thermal_panel(self):
-        _, eta_carnot = reference_efficiencies(CONFIG_THERMAL)
+        _, eta_carnot = reference_efficiencies(panel("fig2a"))
         theta_c = 0.5 * math.log(1 + 1 / 0.6)
         theta_h = 0.5 * math.log(1 + 1 / 1.2)
         assert abs(eta_carnot - (1 - (theta_h / theta_c) * (2.0 / 3.0))) < 1e-12
         assert abs(eta_carnot - 0.5880) < 1e-3
 
     def test_carnot_undefined_for_inverted_bath(self):
-        assert reference_efficiencies(CONFIG_INVERTED)[1] is None
+        assert reference_efficiencies(panel("fig2b"))[1] is None
 
     def test_carnot_squeezed_uses_pre_squeezing_temperature(self):
-        _, eta_carnot = reference_efficiencies(CONFIG_SQUEEZED)
+        _, eta_carnot = reference_efficiencies(panel("fig2c"))
         theta_c = 0.5 * math.log(1 + 1 / 0.6)
         theta_h = 0.5 * math.log(1 + 1 / 0.4)
         assert abs(eta_carnot - (1 - (theta_h / theta_c) * (2.0 / 3.0))) < 1e-12
 
     def test_degenerate_frequencies_rejected(self):
         with pytest.raises(ValueError):
-            panel_config(ReservoirSpec.thermal(1e-4, 1.2)).__class__(
+            CycleConfig(
                 omega_e_cold=1.0,
                 omega_e_hot=1.0,
                 lamb=0.01,
@@ -374,14 +357,14 @@ class TestReferenceEfficiencies:
     @pytest.mark.parametrize("fock_dim", [1, 33])
     def test_fock_dim_out_of_range_rejected(self, fock_dim):
         with pytest.raises(ValueError, match=r"fock_dim must lie in \[2, 32\]"):
-            replace(CONFIG_THERMAL, fock_dim=fock_dim)
-        assert replace(CONFIG_THERMAL, fock_dim=32).fock_dim == 32
+            panel("fig2a", fock_dim=fock_dim)
+        assert panel("fig2a", fock_dim=32).fock_dim == 32
 
     @pytest.mark.parametrize("fock_dim", [6.5, 6.0, "6"])
     def test_non_integer_fock_dim_rejected(self, fock_dim):
         # a float used to construct and then fail the full mode's bath solves
         # with a TypeError, which run_sweep does not catch
-        cycle = load_config(CONFIG_DIR / "fig2a.json").cycle
+        cycle = panel("fig2a")
         with pytest.raises(ValueError, match="fock_dim must be an integer"):
             replace(cycle, fock_dim=fock_dim)
         assert replace(cycle, fock_dim=np.int64(6)).fock_dim == 6
@@ -405,7 +388,8 @@ class TestEffectiveCycle:
         # past r = 171.4 the hot bath's generator exceeds 2e145, where the
         # squares in the starting step's derivative norm overflow; one row
         # and a grid of lanes must both run to MAX_SQUEEZING
-        config = panel_config(ReservoirSpec.squeezed_thermal(TWO_PI * 1e-4, 0.4, squeezing))
+        config = panel("fig2c")
+        config = replace(config, hot=replace(config.hot, squeezing=squeezing))
         xis = [0.0, 0.25, 0.5]
         rows = run_cycle_effective_grid(config, xis)
         assert rows[1].energies == run_cycle_effective(config, 0.25).energies
@@ -420,14 +404,14 @@ class TestEffectiveCycle:
     def test_identical_reservoirs_do_nothing(self):
         # the two gap relabelings shift energy by opposite amounts; the
         # cycle-level net work and both heats vanish
-        config = panel_config(ReservoirSpec.thermal(TWO_PI * 1e-4, 0.6))
+        config = panel("fig2a", hot=panel("fig2a").cold)
         result = run_cycle_effective(config, 0.0)
         assert abs(result.energies.net_work) < 1e-9
         assert abs(result.energies.q_hot) < 1e-9
         assert abs(result.energies.q_cold) < 1e-9
 
     def test_cycle_closes(self):
-        result = run_cycle_effective(CONFIG_THERMAL, 0.3)
+        result = run_cycle_effective(panel("fig2a"), 0.3)
         assert result.diagnostics["cycle_closure"] < 1e-8
 
     def test_first_law_closure(self):
@@ -436,7 +420,7 @@ class TestEffectiveCycle:
             assert abs(result.energies.first_law_defect) < 1e-9
 
     def test_mode_label(self):
-        assert run_cycle_effective(CONFIG_THERMAL, 0.1).mode is CycleMode.EFFECTIVE
+        assert run_cycle_effective(panel("fig2a"), 0.1).mode is CycleMode.EFFECTIVE
 
     def test_a_row_makes_the_calls_the_benchmark_counts(self, monkeypatch):
         # the benchmark's traced passes rebind every ionotto module binding
@@ -444,11 +428,6 @@ class TestEffectiveCycle:
         # one-xi row relaxes each bath stroke by one equilibrate call, whose
         # rk windows are one evolve call each; a grid of lanes makes neither
         calls = {"equilibrate": [], "evolve": []}
-        modules = [
-            module
-            for name, module in list(sys.modules.items())
-            if module is not None and (name == "ionotto" or name.startswith("ionotto."))
-        ]
         for name, seen in calls.items():
             original = getattr(lindblad_module, name)
 
@@ -457,11 +436,8 @@ class TestEffectiveCycle:
                 _seen.append(report)
                 return report
 
-            for module in modules:
-                for attr, value in list(vars(module).items()):
-                    if value is original:
-                        monkeypatch.setattr(module, attr, spy)
-        cycle = load_config(CONFIG_DIR / "fig2a.json").cycle
+            rebind(monkeypatch, original, spy)
+        cycle = panel("fig2a")
         run_cycle_effective(cycle, 0.1)
         assert len(calls["equilibrate"]) == 2
         windows = sum(report.windows for report in calls["equilibrate"])

@@ -11,6 +11,12 @@ bath endpoints are the effective baths' steady states.  The stroke engine
 books the closed form's analytic endpoints to the per-stroke formulas of
 ``oracles.closed_form_thermo`` within rounding, and its gap energy reads
 the populations with the bits of the sigma_z expectation.
+
+The second law holds on every row: with each bath's beta read from its
+endpoint state, the entropy production of ``oracles.entropy_production``
+is nonnegative, the effective rows' equals the closed form's, and no
+engine row beats the generalized bound 1 - beta_h / beta_c, which the
+squeezed panel's efficiencies past the ``eta_carnot`` column obey.
 """
 
 import math
@@ -24,16 +30,20 @@ from hypothesis import strategies as st
 
 from ionotto.cycle import (
     CycleConfig,
+    Regime,
     _gap_energy,
     prepare_bath_equilibria,
     run_cycle_closed_form,
     run_cycle_effective,
+    run_cycle_effective_grid,
     run_cycle_full,
 )
 from ionotto.lindblad import expectation
 from ionotto.operators import sigma_z
 from ionotto.reservoirs import BathKind, ReservoirSpec, bath_steady_state
-from oracles import closed_form_thermo
+from ionotto.sweep import load_config
+from oracles import closed_form_thermo, entropy_production
+from panels import CONFIG_DIR, PANELS
 
 TWO_PI = 2 * math.pi
 GAMMAS = st.floats(min_value=1e-5, max_value=1e-2).map(lambda g: TWO_PI * g)
@@ -84,12 +94,18 @@ XIS = st.floats(min_value=0.0, max_value=1.0)
 @given(config=cycle_configs(), xi=XIS)
 def test_closed_form_first_law_and_otto_bound(config, xi):
     # the grid reaches the engine rows of a config whose drawn xi misses them
+    states = bath_steady_state(config.cold), bath_steady_state(config.hot)
     for x in [xi, *(k / 20 for k in range(21))]:
         result = run_cycle_closed_form(config, x)
         assert abs(result.energies.first_law_defect) <= 1e-12
         if config.hot.kind is not BathKind.NEGATIVE_TEMPERATURE:
             if result.efficiency is not None:
                 assert result.efficiency <= result.eta_otto + 1e-12
+        sigma, bound = entropy_production(config, result, *states)
+        assert sigma >= -1e-12
+        # with beta_h < 0 the bound exceeds 1 and holds by itself
+        if result.regime is Regime.HEAT_ENGINE:
+            assert result.efficiency <= bound + 1e-12
 
 
 @settings(max_examples=60, deadline=None, derandomize=True)
@@ -134,6 +150,10 @@ def test_effective_first_law_bounded_by_closure(config, xi):
     closure = result.diagnostics["cycle_closure"]
     assert closure < 1e-8
     assert abs(result.energies.first_law_defect) <= closure + 1e-14
+    states = bath_steady_state(config.cold), bath_steady_state(config.hot)
+    sigma, _ = entropy_production(config, result, *states)
+    closed, _ = entropy_production(config, run_cycle_closed_form(config, xi), *states)
+    assert abs(sigma - closed) <= 1e-8
 
 
 # up to 2 pi 5e-5 every draw's regime ratio stays above the adiabatic
@@ -154,12 +174,14 @@ FULL_GAMMAS = st.floats(min_value=1e-5, max_value=5e-5).map(lambda g: TWO_PI * g
 )
 def test_full_first_law_otto_bound_and_endpoints(config, xi):
     equilibria = prepare_bath_equilibria(config)
+    states = equilibria.cold_state, equilibria.hot_state
     for x in [xi, *(k / 20 for k in range(21))]:
         result = run_cycle_full(config, x, equilibria)
         assert abs(result.energies.first_law_defect) <= 1e-12
         if config.hot.kind is not BathKind.NEGATIVE_TEMPERATURE:
             if result.efficiency is not None:
                 assert result.efficiency <= result.eta_otto + 1e-12
+        assert entropy_production(config, result, *states)[0] >= -1e-12
     # the truncation error of the joint solve shrinks with fock_dim; a
     # squeezed bath's joint endpoint differs at criterion 3's 1e-2
     diagonal_tol = 1e-11 if config.fock_dim == 4 else 1e-13
@@ -169,3 +191,19 @@ def test_full_first_law_otto_bound_and_endpoints(config, xi):
     ):
         tol = 1e-2 if spec.kind is BathKind.SQUEEZED_THERMAL else diagonal_tol
         assert np.abs(state - bath_steady_state(spec)).max() <= tol
+
+
+@pytest.mark.parametrize("name", PANELS)
+def test_shipped_rows_produce_entropy(name):
+    # measured minima: 3.006e-2 (fig2a), 6.388e-1 (fig2b), 1.073e-2 (fig2c;
+    # 1.071e-2 on its full rows, whose betas come from the joint endpoints)
+    sweep = load_config(CONFIG_DIR / f"{name}.json")
+    config, grid = sweep.cycle, sweep.xi_grid
+    analytic = bath_steady_state(config.cold), bath_steady_state(config.hot)
+    equilibria = prepare_bath_equilibria(config)
+    joint = equilibria.cold_state, equilibria.hot_state
+    rows = [(run_cycle_closed_form(config, xi), analytic) for xi in grid]
+    rows += [(row, analytic) for row in run_cycle_effective_grid(config, grid)]
+    rows += [(run_cycle_full(config, xi, equilibria), joint) for xi in grid]
+    for result, states in rows:
+        assert entropy_production(config, result, *states)[0] >= 0, result

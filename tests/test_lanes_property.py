@@ -36,6 +36,9 @@ from ionotto.lindblad import (
 )
 from oracles import reference_evolve
 
+# pins one-lane bits: CI reruns the bits tests with two BLAS threads
+pytestmark = pytest.mark.bits
+
 START_KINDS = ("stationary", "pure", "mixed", "diagonal")
 
 

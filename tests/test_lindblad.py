@@ -1,6 +1,5 @@
 import math
 from dataclasses import fields, replace
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -42,13 +41,11 @@ from ionotto.operators import (
     sigma_z,
     vacuum_state,
 )
-from ionotto.oscillator import effective_mode_model, match_rabi_for_mode
 from ionotto.reservoirs import (
     ReservoirSpec,
     bath_steady_state,
     match_rabi_frequencies,
 )
-from ionotto.sweep import load_config
 from oracles import (
     box_joint_model,
     hermitian_propagator,
@@ -57,8 +54,7 @@ from oracles import (
     reference_window_loop,
     thermal_state,
 )
-
-CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
+from panels import PANELS, mode_model, panel
 
 H2_ZERO = np.zeros((2, 2), dtype=complex)
 
@@ -351,9 +347,9 @@ class TestEvolveMatchesReference:
         assert report.max_trace_drift == reference.max_trace_drift
         assert report.min_eigenvalue == reference.min_eigenvalue
 
-    @pytest.mark.parametrize("panel", ["fig2a", "fig2b", "fig2c"])
-    def test_shipped_bath_windows(self, panel):
-        cycle = load_config(CONFIG_DIR / f"{panel}.json").cycle
+    @pytest.mark.parametrize("name", PANELS)
+    def test_shipped_bath_windows(self, name):
+        cycle = panel(name)
         model = cycle.hot.bath_model
         window = 5.0 / model.slow_rate
         plus = 0.5 * np.ones((2, 2), dtype=complex)
@@ -405,7 +401,7 @@ class TestGenerator:
         assert assembled == []
 
     def test_equilibrate_builds_one_generator(self, built):
-        cycle = load_config(CONFIG_DIR / "fig2c.json").cycle
+        cycle = panel("fig2c")
         start = apply_transition_mixing(bath_steady_state(cycle.cold), 0.3)
         report = equilibrate(cycle.hot.bath_model, start)
         assert report.method == "rk"
@@ -426,7 +422,7 @@ class TestGenerator:
 
     def test_effective_row_builds_two_generators(self, built):
         # a freshly loaded config: its specs have not built a bath model yet
-        cycle = load_config(CONFIG_DIR / "fig2a.json").cycle
+        cycle = panel("fig2a")
         for xi in (0.0, 0.1, 0.3, 0.5):
             run_cycle_effective(cycle, xi)
         # one generator per bath spec, over all rows
@@ -456,12 +452,6 @@ class TestExpectation:
     def test_non_hermitian_returns_complex(self):
         value = expectation(sigma_plus(), 0.5 * np.ones((2, 2), dtype=complex))
         assert isinstance(value, complex)
-
-
-def mode_model(spec, fock):
-    """Effective mode model of ``spec``, matched in the adiabatic regime."""
-    settings = match_rabi_for_mode(spec, 0.01, 2 * np.pi, 2 * np.pi)
-    return effective_mode_model(spec, settings, fock)
 
 
 class TestSteadyState:
@@ -525,15 +515,14 @@ class TestSteadyState:
 
     def test_thermal_mode_decomposes_by_coherence_order(self, svd_shapes):
         # a thermal bath conserves m - n: 39 blocks of 20 - |m - n| entries
-        model = mode_model(ReservoirSpec.thermal(2 * np.pi * 2.5e-4, 0.6), 20)
+        model = mode_model("thermal", 20)
         steady_state(model)
         sizes = sorted(rows for rows, _ in svd_shapes)
         assert all(rows == cols for rows, cols in svd_shapes)
         assert sizes == sorted(20 - abs(k) for k in range(-19, 20))
 
     def test_squeezed_mode_decomposes_by_parity(self, svd_shapes):
-        spec = ReservoirSpec.squeezed_thermal(2 * np.pi * 2e-4, 0.4, 0.5)
-        steady_state(mode_model(spec, 20))
+        steady_state(mode_model("squeezed", 20))
         assert svd_shapes == [(200, 200), (200, 200)]
 
     def test_blocks_split_at_exact_cancellations(self, svd_shapes):
@@ -555,10 +544,9 @@ class TestSteadyState:
         assert sorted(svd_shapes) == sorted((m, m) for m in np.bincount(labels))
 
     def test_builds_no_generator(self, built):
-        spec = ReservoirSpec.squeezed_thermal(2 * np.pi * 2e-4, 0.4, 0.5)
         for model in (
             thermal_two_level_model(0.7, 0.4),
-            mode_model(spec, 20),
+            mode_model("squeezed", 20),
             sparse_joint_start()[0],
         ):
             steady_state(model)
@@ -608,6 +596,18 @@ def small_joint_model(kappa=2 * np.pi, gamma=2 * np.pi * 5e-3, n=0.8, n_max=3):
 
 
 class TestEquilibrate:
+    @pytest.mark.xfail(
+        strict=True,
+        raises=EquilibrationError,
+        reason="known defect (ROADMAP section 10): the windows are 5 / slow_rate "
+        "with the population rate 8.73e-4, but squeezing puts the slowest "
+        "coherence rate of the fig2c hot bath at 2.08e-4",
+    )
+    def test_coherent_start_on_the_squeezed_panel_bath(self):
+        plus = 0.5 * np.ones((2, 2), dtype=complex)
+        report = equilibrate(panel("fig2c").hot.bath_model, plus)
+        assert report.last_change < 1e-8
+
     def test_two_level_window_convergence(self):
         model = thermal_two_level_model(1.0, 0.6)
         report = equilibrate(model, ketbra(2, 1, 1))
@@ -728,8 +728,9 @@ class TestEquilibrate:
         assert checked[0] is start
 
     def test_frobenius_pretest_skips_trace_norms(self, trace_norms):
-        spec = ReservoirSpec.squeezed_thermal(2 * np.pi * 2e-4, 0.4, 0.5)
-        report = equilibrate(mode_model(spec, 48), vacuum_state(48), change_tol=1e-10)
+        report = equilibrate(
+            mode_model("squeezed", 48), vacuum_state(48), change_tol=1e-10
+        )
         assert report.method == "implicit"
         assert report.windows > 5
         assert 1 <= len(trace_norms) <= 2
@@ -764,9 +765,9 @@ def assert_same_report(report, reference):
 class TestEquilibrateMatchesWindowLoop:
     """The Frobenius pre-test changes no window count and no bit."""
 
-    @pytest.mark.parametrize("panel", ["fig2a", "fig2b", "fig2c"])
-    def test_bath_models_rk(self, panel):
-        cycle = load_config(CONFIG_DIR / f"{panel}.json").cycle
+    @pytest.mark.parametrize("name", PANELS)
+    def test_bath_models_rk(self, name):
+        cycle = panel(name)
         model = cycle.hot.bath_model
         start = apply_transition_mixing(bath_steady_state(cycle.cold), 0.3)
         # a start that is Hermitian only to 1e-11, as the input check allows
@@ -781,7 +782,7 @@ class TestEquilibrateMatchesWindowLoop:
         # check allows; trace_norm's eigvalsh reads the lower triangle, so
         # the first change measures 1.0e-12 although its Frobenius norm is
         # 9.9e-11, and the window must still pass at change_tol 1e-11
-        cycle = load_config(CONFIG_DIR / "fig2a.json").cycle
+        cycle = panel("fig2a")
         model = cycle.hot.bath_model
         rho0 = bath_steady_state(cycle.hot) + 1e-10 * ketbra(2, 0, 1)
         report = equilibrate(model, rho0, change_tol=1e-11)
@@ -792,8 +793,7 @@ class TestEquilibrateMatchesWindowLoop:
     def test_change_just_below_the_tolerance_passes(self, fock, method):
         # change_tol a hair above the exact change of the converging window:
         # the pre-test must not skip that window
-        spec = ReservoirSpec.squeezed_thermal(2 * np.pi * 2e-4, 0.4, 0.5)
-        model = mode_model(spec, fock)
+        model = mode_model("squeezed", fock)
         rho0 = vacuum_state(fock)
         first = reference_window_loop(model, rho0)
         tol = first.last_change * (1 + 1e-9)
@@ -804,16 +804,9 @@ class TestEquilibrateMatchesWindowLoop:
 
     # rk at fock 12, implicit on the sparse generator at fock 48
     @pytest.mark.parametrize("fock, method, windows", [(12, "rk", 4), (48, "implicit", 6)])
-    @pytest.mark.parametrize(
-        "spec",
-        [
-            ReservoirSpec.thermal(2 * np.pi * 2.5e-4, 0.6),
-            ReservoirSpec.squeezed_thermal(2 * np.pi * 2e-4, 0.4, 0.5),
-        ],
-        ids=["thermal", "squeezed"],
-    )
-    def test_mode_models(self, spec, fock, method, windows):
-        model = mode_model(spec, fock)
+    @pytest.mark.parametrize("kind", ["thermal", "squeezed"])
+    def test_mode_models(self, kind, fock, method, windows):
+        model = mode_model(kind, fock)
         report = equilibrate(model, vacuum_state(fock), change_tol=1e-10)
         assert report.method == method
         assert report.windows >= windows
@@ -821,8 +814,8 @@ class TestEquilibrateMatchesWindowLoop:
         assert_same_report(report, reference)
 
     @pytest.mark.parametrize("fock_dim", [4, 6])
-    @pytest.mark.parametrize("panel", ["fig2a", "fig2c"])
-    def test_joint_window_models_implicit(self, panel, fock_dim, monkeypatch):
+    @pytest.mark.parametrize("name", ["fig2a", "fig2c"])
+    def test_joint_window_models_implicit(self, name, fock_dim, monkeypatch):
         solves = []
 
         def spy(model, rho0, **kwargs):
@@ -830,8 +823,7 @@ class TestEquilibrateMatchesWindowLoop:
             return solves[-1][-1]
 
         monkeypatch.setattr(cycle_module, "equilibrate", spy)
-        cycle = load_config(CONFIG_DIR / f"{panel}.json").cycle
-        prepare_bath_equilibria(replace(cycle, fock_dim=fock_dim))
+        prepare_bath_equilibria(panel(name, fock_dim=fock_dim))
         assert len(solves) == 2
         for model, rho0, kwargs, report in solves:
             assert report.method == "implicit"
@@ -843,7 +835,7 @@ class TestLiouvillianMatrix:
         models = [
             thermal_two_level_model(0.7, 0.4),
             small_joint_model()[0],
-            mode_model(ReservoirSpec.squeezed_thermal(2 * np.pi * 2e-4, 0.4, 0.5), 6),
+            mode_model("squeezed", 6),
         ]
         calls = []
 
@@ -885,8 +877,8 @@ def full_space_backward_euler(model, rho0, change_tol=1e-8, budget=60):
 
 
 def squeezed_joint_model(n_max):
-    spec = ReservoirSpec.squeezed_thermal(2 * np.pi * 1e-4, 0.4, 0.5)
-    return box_joint_model(match_rabi_frequencies(spec, 0.01, 2 * np.pi), n_max)
+    cycle = panel("fig2c")
+    return box_joint_model(match_rabi_frequencies(cycle.hot, cycle.lamb, cycle.kappa), n_max)
 
 
 class TestSectorRestriction:
@@ -924,9 +916,9 @@ class TestSectorRestriction:
         assert coherent.sector_dim > ground.sector_dim
         assert np.abs(coherent.final_state - ground.final_state).max() < 1e-7
 
-    @pytest.mark.parametrize("panel, sector_dim", [("fig2a", 572), ("fig2c", 2592)])
-    def test_sector_dim_of_shipped_panels(self, panel, sector_dim):
-        cycle = load_config(CONFIG_DIR / f"{panel}.json").cycle
+    @pytest.mark.parametrize("name, sector_dim", [("fig2a", 572), ("fig2c", 2592)])
+    def test_sector_dim_of_shipped_panels(self, name, sector_dim):
+        cycle = panel(name)
         n_max = cycle.fock_dim
         settings = match_rabi_frequencies(cycle.hot, cycle.lamb, cycle.kappa)
         model = box_joint_model(settings, n_max)

@@ -21,10 +21,6 @@ pin it, and the stiffness figure it reads, on each model family at the
 sizes that the sweep, the benchmark and the tests build.
 """
 
-import math
-from dataclasses import replace
-from pathlib import Path
-
 import numpy as np
 import pytest
 import scipy.sparse as sp
@@ -44,19 +40,8 @@ from ionotto.lindblad import (
     _Terms,
     liouvillian_matrix,
 )
-from ionotto.oscillator import (
-    VSystemConfig,
-    effective_mode_model,
-    full_v_model,
-    match_rabi_for_mode,
-)
-from ionotto.reservoirs import ReservoirSpec
-from ionotto.sweep import load_config
 from oracles import reference_liouvillian
-
-CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
-PANELS = ("fig2a", "fig2b", "fig2c")
-TWO_PI = 2 * math.pi
+from panels import MODE_SPECS, PANELS, mode_model, mode_settings, panel, v_model
 
 GRID = np.array([0.0, -0.0, 0.5, 1.0, -1.0, 2.0, -1.0 / 3.0])
 
@@ -123,35 +108,7 @@ def test_assembly_matches_kronecker_sum(model):
     assert np.array_equal(sparse.data, stored.data)
 
 
-# The oscillator models of the benchmark's mode workload: bath rates at
-# regime ratio 50 (thermal) and 53 (squeezed), electronic decays 2 pi.
-MODE_SPECS = {
-    "thermal": ReservoirSpec.thermal(TWO_PI * 2.5e-4, 0.6),
-    "squeezed": ReservoirSpec.squeezed_thermal(TWO_PI * 2e-4, 0.4, 0.5),
-}
-
-
-def mode_model(kind, fock):
-    settings = match_rabi_for_mode(MODE_SPECS[kind], 0.01, TWO_PI, TWO_PI)
-    return effective_mode_model(MODE_SPECS[kind], settings, fock)
-
-
-def v_model(kind, fock):
-    settings = match_rabi_for_mode(MODE_SPECS[kind], 0.01, TWO_PI, TWO_PI)
-    config = VSystemConfig(
-        omega_ge=TWO_PI * 1e6,
-        omega_gf=1.2 * TWO_PI * 1e6,
-        omega_m=10 * TWO_PI,
-        lamb=0.01,
-        gamma_ge=TWO_PI,
-        gamma_gf=TWO_PI,
-        rabi=settings.rabi,
-        fock_dim=fock,
-    )
-    return full_v_model(config, settings, fock)
-
-
-def window_models(panel, fock_dim, monkeypatch):
+def window_models(name, fock_dim, monkeypatch):
     """The cold and hot excitation-window models of the full-mode bath
     strokes, taken from ``prepare_bath_equilibria`` without solving them."""
     models = []
@@ -161,8 +118,7 @@ def window_models(panel, fock_dim, monkeypatch):
         return EquilibrationReport(rho0, "implicit", 1, 1.0, 0.0, 0.0, 0.0, 0.0)
 
     monkeypatch.setattr(cycle_module, "equilibrate", capture)
-    config = load_config(CONFIG_DIR / f"{panel}.json").cycle
-    prepare_bath_equilibria(replace(config, fock_dim=fock_dim))
+    prepare_bath_equilibria(panel(name, fock_dim=fock_dim))
     return models
 
 
@@ -182,20 +138,20 @@ def test_shipped_mode_models(kind, fock):
 
 @pytest.mark.parametrize("kind, fock", [("thermal", 20), ("squeezed", 16)])
 def test_shipped_full_v_models(kind, fock):
-    assert_matches_reference(v_model(kind, fock))
+    assert_matches_reference(v_model(mode_settings(kind), fock))
 
 
-@pytest.mark.parametrize("panel", PANELS)
-def test_shipped_bath_models(panel):
-    cycle = load_config(CONFIG_DIR / f"{panel}.json").cycle
+@pytest.mark.parametrize("name", PANELS)
+def test_shipped_bath_models(name):
+    cycle = panel(name)
     for spec in (cycle.cold, cycle.hot):
         assert_matches_reference(spec.bath_model)
 
 
 @pytest.mark.parametrize("fock_dim", [6, 7, 8])
-@pytest.mark.parametrize("panel", PANELS)
-def test_shipped_window_models(panel, fock_dim, monkeypatch):
-    models = window_models(panel, fock_dim, monkeypatch)
+@pytest.mark.parametrize("name", PANELS)
+def test_shipped_window_models(name, fock_dim, monkeypatch):
+    models = window_models(name, fock_dim, monkeypatch)
     assert [model.dim for model in models] == [fock_dim * (fock_dim + 1)] * 2
     for model in models:
         assert_matches_reference(model)
@@ -207,17 +163,17 @@ def family_models(family, sizes, monkeypatch):
     """The models of ``family`` at each of ``sizes``: the Fock dimension of
     the mode, or the ``fock_dim`` of the full-mode bath strokes."""
     if family == "bath":
-        cycles = [load_config(CONFIG_DIR / f"{panel}.json").cycle for panel in PANELS]
+        cycles = [panel(name) for name in PANELS]
         return [spec.bath_model for cycle in cycles for spec in (cycle.cold, cycle.hot)]
     if family == "mode":
         return [mode_model(kind, fock) for kind in MODE_SPECS for fock in sizes]
     if family == "full_v":
-        return [v_model(kind, fock) for kind in MODE_SPECS for fock in sizes]
+        return [v_model(mode_settings(kind), fock) for kind in MODE_SPECS for fock in sizes]
     return [
         model
-        for panel in PANELS
+        for name in PANELS
         for fock_dim in sizes
-        for model in window_models(panel, fock_dim, monkeypatch)
+        for model in window_models(name, fock_dim, monkeypatch)
     ]
 
 

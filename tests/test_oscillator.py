@@ -23,7 +23,6 @@ from ionotto.operators import (
     vacuum_state,
 )
 from ionotto.oscillator import (
-    VSystemConfig,
     effective_mode_model,
     full_v_model,
     match_rabi_for_mode,
@@ -31,6 +30,7 @@ from ionotto.oscillator import (
     quadratic_mode_moments,
 )
 from ionotto.reservoirs import LaserSettings, ReservoirSpec, match_rabi_frequencies
+from panels import v_config, v_model
 
 TWO_PI = 2 * math.pi
 GAMMA_E = TWO_PI  # fast electronic decays
@@ -38,19 +38,6 @@ TARGET = TWO_PI * 2.5e-4  # effective mode decay rate, gamma / 4000
 # squeezing multiplies the strongest coupling by mu = cosh(r); a slower
 # target keeps the regime ratio at or above 50
 TARGET_SQUEEZED = TWO_PI * 2e-4
-
-
-def v_config(settings: LaserSettings, fock_dim: int = 20) -> VSystemConfig:
-    return VSystemConfig(
-        omega_ge=TWO_PI * 1e6,
-        omega_gf=1.2 * TWO_PI * 1e6,
-        omega_m=10 * TWO_PI,
-        lamb=0.01,
-        gamma_ge=settings.rates[0],
-        gamma_gf=settings.rates[1],
-        rabi=settings.rabi,
-        fock_dim=fock_dim,
-    )
 
 
 class TestModeMatching:
@@ -113,7 +100,7 @@ class TestAdiabaticWarning:
         spec = ReservoirSpec.thermal(GAMMA_E / 100, 0.6)
         with pytest.warns(RuntimeWarning, match="gamma /") as caught:
             settings = match_rabi_for_mode(spec, 0.01, GAMMA_E, GAMMA_E)
-            full_v_model(v_config(settings, fock_dim=5), settings, 5)
+            v_model(settings, 5)
         assert settings.regime_ratio < 50
         assert [w.filename for w in caught] == [__file__]
 
@@ -234,14 +221,14 @@ class TestFullVModel:
         spec = ReservoirSpec.thermal(TARGET, 0.6)
         settings = match_rabi_for_mode(spec, 0.01, GAMMA_E, GAMMA_E)
         fock = 6
-        model = full_v_model(v_config(settings, fock), settings, fock)
+        model = v_model(settings, fock)
         report = equilibrate(model, kron(ketbra(3, 0, 0), vacuum_state(fock)))
         assert report.method == "implicit"
 
     def test_hamiltonian_hermitian(self):
         spec = ReservoirSpec.squeezed_thermal(TARGET_SQUEEZED, 0.4, 0.5)
         settings = match_rabi_for_mode(spec, 0.01, GAMMA_E, GAMMA_E)
-        model = full_v_model(v_config(settings, 8), settings, 8)
+        model = v_model(settings, 8)
         h = model.hamiltonian
         assert np.abs(h - h.conj().T).max() <= 1e-14
 
@@ -251,7 +238,7 @@ class TestFullVModel:
             rabi=(0.0, 0.0, 0.0, 0.0), regime_ratio=math.inf,
         )
         fock = 4
-        model = full_v_model(v_config(settings, fock), settings, fock)
+        model = v_model(settings, fock)
         layout = SpaceLayout((3, fock))
         mode0 = np.diag([0.4, 0.3, 0.2, 0.1]).astype(complex)
         rho0 = kron(ketbra(3, 1, 1), mode0)
@@ -267,7 +254,7 @@ class TestFullVModel:
         settings = match_rabi_for_mode(spec, 0.01, GAMMA_E, GAMMA_E)
         assert settings.regime_ratio >= 50
         fock = 12  # mean 0.6: the geometric tail is negligible here
-        model = full_v_model(v_config(settings, fock), settings, fock)
+        model = v_model(settings, fock)
         layout = SpaceLayout((3, fock))
         rho0 = kron(ketbra(3, 0, 0), vacuum_state(fock))
         report = equilibrate(model, rho0, change_tol=1e-9)
@@ -293,20 +280,7 @@ class TestFullVModel:
                 vacuum_state(fock),
                 change_tol=1e-10,
             ).final_state
-            model = full_v_model(
-                VSystemConfig(
-                    omega_ge=TWO_PI * 1e6,
-                    omega_gf=1.2 * TWO_PI * 1e6,
-                    omega_m=10 * TWO_PI,
-                    lamb=0.01,
-                    gamma_ge=gamma_e,
-                    gamma_gf=gamma_e,
-                    rabi=settings.rabi,
-                    fock_dim=fock,
-                ),
-                settings,
-                fock,
-            )
+            model = v_model(settings, fock)
             layout = SpaceLayout((3, fock))
             rho0 = kron(ketbra(3, 0, 0), vacuum_state(fock))
             report = equilibrate(model, rho0, change_tol=1e-10)

@@ -1,6 +1,5 @@
 import math
 from dataclasses import replace
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -22,10 +21,9 @@ from ionotto.reservoirs import (
     theta_from_occupation,
 )
 from ionotto.lindblad import liouvillian_matrix
-from ionotto.sweep import load_config
+from panels import PANELS, panel
 
 H2 = np.zeros((2, 2), dtype=complex)
-CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
 
 
 class TestSpecInvariants:
@@ -212,9 +210,9 @@ class TestEffectiveChannels:
         assert abs(slow_relaxation_rate(spec) - 2.0 * 2.2 / 2) < 1e-12
 
     @pytest.mark.parametrize("side", ["cold", "hot"])
-    @pytest.mark.parametrize("panel", ["fig2a", "fig2b", "fig2c"])
-    def test_slow_rate_is_half_the_population_rate(self, panel, side):
-        spec = getattr(load_config(CONFIG_DIR / f"{panel}.json").cycle, side)
+    @pytest.mark.parametrize("name", PANELS)
+    def test_slow_rate_is_half_the_population_rate(self, name, side):
+        spec = getattr(panel(name), side)
         model = spec.bath_model
         gen = model.generator
         # row-major vectorization: entries 0 and 3 are the populations,

@@ -28,8 +28,6 @@ entries.
 """
 
 import re
-from dataclasses import replace
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -55,7 +53,6 @@ from ionotto.reservoirs import (
     full_joint_model,
     match_rabi_frequencies,
 )
-from ionotto.sweep import load_config
 from oracles import (
     box_joint_model,
     reference_block_steady_state,
@@ -63,8 +60,7 @@ from oracles import (
     reference_state_sector,
     reference_window_loop,
 )
-
-CONFIG_DIR = Path(__file__).resolve().parents[1] / "configs"
+from panels import PANELS, panel
 
 
 def assert_block_matches_oracle(model, rho, rng):
@@ -184,7 +180,7 @@ def test_steady_state_through_exact_cancellations(case):
     "spec",
     [
         ReservoirSpec.thermal(2 * np.pi * 1e-4, 0.8),
-        ReservoirSpec.squeezed_thermal(2 * np.pi * 1e-4, 0.4, 0.5),
+        panel("fig2c").hot,
     ],
     ids=["thermal", "squeezed"],
 )
@@ -210,8 +206,8 @@ def test_no_full_graph_is_labelled(spec, fock_dim, monkeypatch):
 
 
 @pytest.mark.parametrize("fock_dim", [6, 8])
-@pytest.mark.parametrize("panel", ["fig2a", "fig2b", "fig2c"])
-def test_shipped_joint_bath_models(panel, fock_dim, monkeypatch):
+@pytest.mark.parametrize("name", PANELS)
+def test_shipped_joint_bath_models(name, fock_dim, monkeypatch):
     solves = []
 
     def spy(model, rho0, **kwargs):
@@ -219,8 +215,7 @@ def test_shipped_joint_bath_models(panel, fock_dim, monkeypatch):
         return solves[-1][-1]
 
     monkeypatch.setattr(cycle_module, "equilibrate", spy)
-    cycle = load_config(CONFIG_DIR / f"{panel}.json").cycle
-    prepare_bath_equilibria(replace(cycle, fock_dim=fock_dim))
+    prepare_bath_equilibria(panel(name, fock_dim=fock_dim))
     assert len(solves) == 2
     rng = np.random.default_rng(fock_dim)
     for model, rho0, kwargs, report in solves:

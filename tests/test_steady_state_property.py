@@ -17,7 +17,6 @@ joint model, the two return the same bytes or the same degeneracy.
 
 import math
 import re
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -34,14 +33,12 @@ from ionotto.lindblad import (
 )
 from ionotto.oscillator import effective_mode_model, match_rabi_for_mode
 from ionotto.reservoirs import ReservoirSpec, match_rabi_frequencies
-from ionotto.sweep import load_config
 from oracles import (
     box_joint_model,
     reference_block_steady_state,
     reference_steady_state,
 )
-
-CONFIG_DIR = Path(__file__).resolve().parents[1] / "configs"
+from panels import PANELS, mode_model, panel
 
 TWO_PI = 2 * math.pi
 GAMMAS = st.floats(min_value=1e-5, max_value=1e2)
@@ -213,16 +210,12 @@ def shipped_models():
     """The six shipped bath models, the fock-20 thermal and squeezed mode
     models and a fock-4 box joint model (dim 32)."""
     models = {}
-    for panel in ("fig2a", "fig2b", "fig2c"):
-        cycle = load_config(CONFIG_DIR / f"{panel}.json").cycle
-        models[f"{panel}-cold"] = cycle.cold.bath_model
-        models[f"{panel}-hot"] = cycle.hot.bath_model
-    for kind, spec in (
-        ("thermal", ReservoirSpec.thermal(TWO_PI * 2.5e-4, 0.6)),
-        ("squeezed", ReservoirSpec.squeezed_thermal(TWO_PI * 2e-4, 0.4, 0.5)),
-    ):
-        matched = match_rabi_for_mode(spec, 0.01, TWO_PI, TWO_PI)
-        models[f"mode-{kind}-20"] = effective_mode_model(spec, matched, 20)
+    for name in PANELS:
+        cycle = panel(name)
+        models[f"{name}-cold"] = cycle.cold.bath_model
+        models[f"{name}-hot"] = cycle.hot.bath_model
+    for kind in ("thermal", "squeezed"):
+        models[f"mode-{kind}-20"] = mode_model(kind, 20)
     spec = ReservoirSpec.thermal(TWO_PI * 1e-4, 0.8)
     models["joint-32"] = box_joint_model(match_rabi_frequencies(spec, 0.01, TWO_PI), 4)
     return models

@@ -1,7 +1,6 @@
 import csv
 import json
 import math
-import sys
 import warnings
 from pathlib import Path
 
@@ -29,11 +28,11 @@ from ionotto.sweep import (
     load_config,
     run_sweep,
 )
+from panels import CONFIG_DIR, ROOT, panel, rebind
 
-CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
 GOLDEN_DIR = Path(__file__).resolve().parent / "golden"
 # the one committed copy of the shipped sweeps' CSVs
-REFERENCE_DIR = Path(__file__).resolve().parent.parent / "bench" / "reference"
+REFERENCE_DIR = ROOT / "bench" / "reference"
 TWO_PI = 2 * math.pi
 # the one call that yields each mode's rows, as ionotto.sweep binds it
 MODE_ENTRIES = {
@@ -269,7 +268,7 @@ class TestRunSweep:
             return run_cycle_effective_grid(cycle, xis)
 
         monkeypatch.setattr(sweep_module, "run_cycle_effective_grid", spy)
-        cycle = load_config(CONFIG_DIR / "fig2a.json").cycle
+        cycle = panel("fig2a")
         effective = CycleMode.EFFECTIVE
         config = SweepConfig(cycle, (0.0, 0.1), (effective, effective), None)
         assert config.modes == (effective,)
@@ -316,6 +315,7 @@ def both_rates(gamma):
     return pytest.param(mutate, id=f"gamma={gamma}_rad_per_ms")
 
 
+@pytest.mark.bits
 class TestEffectiveLanes:
     """run_sweep integrates a config's effective rows as lanes of one loop."""
 
@@ -376,6 +376,7 @@ class TestEffectiveLanes:
         assert result.failed_rows == ()
 
 
+@pytest.mark.bits
 class TestGoldenCsv:
     """``ionotto sweep`` on the shipped configs exits 0 with an empty
     stderr, writes the reference CSV of ``bench/reference/`` byte for byte
@@ -417,6 +418,7 @@ class TestGoldenCsv:
         assert report == (GOLDEN_DIR / f"sweep_{name}.txt").read_bytes()
 
 
+@pytest.mark.bits
 class TestGoldenValidate:
     """``ionotto validate`` on the shipped configs prints the committed
     report byte for byte, Rabi frequencies and matching-identity defects
@@ -433,6 +435,7 @@ class TestGoldenValidate:
         assert report == (GOLDEN_DIR / f"validate_{name}.txt").read_bytes()
 
 
+@pytest.mark.bits
 class TestGoldenSteadystate:
     """``ionotto steadystate`` on the shipped configs prints the committed
     report byte for byte: both baths' analytic and null-space populations
@@ -447,6 +450,7 @@ class TestGoldenSteadystate:
         assert report == (GOLDEN_DIR / f"steadystate_{name}.txt").read_bytes()
 
 
+@pytest.mark.bits
 class TestGoldenErrorSweep:
     """``ionotto sweep`` on fig2c with hot squeezing 10 writes the committed
     CSV byte for byte.  Its full rows are error rows: the joint hot bath
@@ -640,14 +644,7 @@ class TestCli:
             matched.append(spec)
             return real(spec, lamb, kappa)
 
-        bindings = [  # every module that binds the function
-            module
-            for name, module in sys.modules.items()
-            if name.split(".")[0] == "ionotto"
-            and vars(module).get("match_rabi_frequencies") is real
-        ]
-        for module in bindings:
-            monkeypatch.setattr(module, "match_rabi_frequencies", spy)
+        rebind(monkeypatch, real, spy)
         config = CONFIG_DIR / "fig2a.json"
         out = tmp_path / "out.csv"
         args = ["sweep", str(config), "--xi-points", "3", "--output", str(out)]
@@ -677,6 +674,37 @@ class TestCli:
             flags = [row["flags"] for row in csv.DictReader(handle)]
         assert flags == ["adiabatic_ratio_low:hot"] * 3
         assert "[hot] kappa/(lambda*maxOmega) = 33.7 [LOW]" in validated.out
+
+    @pytest.mark.parametrize(
+        "path, first",
+        [
+            (("sweep",), {"xi_points": 3}),
+            (("engine", "kappa"), {"value": 1.0, "unit": "rad_per_us"}),
+            (("hot", "gamma"), {"value": 1.0, "unit": "rad_per_ms"}),
+            (("engine", "kappa", "value"), 1.0),
+        ],
+        ids=["sweep", "engine.kappa", "hot.gamma", "engine.kappa.value"],
+    )
+    def test_repeated_key_exit_code(self, tmp_path, capsys, path, first):
+        # the shipped fig2a with the last key of path written twice in its
+        # object: first as ``first``, then as shipped
+        document = json.loads((CONFIG_DIR / "fig2a.json").read_text())
+        *parents, key = path
+        node = document
+        for parent in parents:
+            node = node[parent]
+        shipped = dict(node)
+        node.clear()
+        node.update({"@repeated": first, **shipped})
+        text = json.dumps(document).replace('"@repeated"', json.dumps(key), 1)
+        config = tmp_path / "repeated.json"
+        config.write_text(text)
+        out = tmp_path / "out.csv"
+        assert main(["validate", str(config)]) == 2
+        assert main(["sweep", str(config), "--output", str(out)]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert err == [f"configuration error: {config}: duplicate key {key!r}"] * 2
+        assert not out.exists()
 
     def test_config_error_exit_code(self, tmp_path, capsys):
         bad = tmp_path / "bad.json"
@@ -890,6 +918,7 @@ class TestCli:
         # inverted bath: excited population 0.8 appears for the hot side
         assert "0.800000000" in report
 
+    @pytest.mark.bits
     @pytest.mark.parametrize("squeezing, code", [(5, 0), (6, 0), (8, 0), (10, 3)])
     def test_steadystate_degenerate_bath_exit_code(
         self, tmp_path, capsys, squeezing, code
