@@ -204,8 +204,12 @@ class _Terms:
     which both take the generator's split from :meth:`blocks`.
 
     ``pattern`` holds the nonzeros of H and of every D: x (x) I and I (x)
-    x^T place x[i, j] at ((i, k), (j, k)) and ((k, j), (k, i)).
+    x^T place x[i, j] at ((i, k), (j, k)) and ((k, j), (k, i)).  The
+    nonzeros of ``pattern`` and of each L are read once, here.
     """
+
+    # (key, support, labels) of the last layout :meth:`blocks` derived
+    _layout: tuple | None = None
 
     def __init__(self, model: LindbladModel) -> None:
         self.d = model.dim
@@ -216,6 +220,8 @@ class _Terms:
         self.pattern = np.logical_or.reduce(
             [self.h != 0] + [x != 0 for *_, x in self.channels]
         )
+        self.nonzeros = np.nonzero(self.pattern)
+        self.links = [np.nonzero(op) for _, op, _ in self.channels]
 
     def support(self, inside: np.ndarray | None = None) -> np.ndarray:
         """Sorted flat indices row n + col of the union of the terms'
@@ -224,14 +230,14 @@ class _Terms:
         d = self.d
         n = d * d
         rows = np.ones((d, d), dtype=bool) if inside is None else inside.reshape(d, d)
-        i, j = np.nonzero(self.pattern)
+        i, j = self.nonzeros
         # rows (i d + k) of x (x) I, (k d + j) of I (x) x^T, (a d + a') of
         # L (x) L^* for nonzeros (a, b) and (a', b') of L
         p, k = np.nonzero(rows[i])
         t, r = np.nonzero(rows[:, j].T)
         flat = [[-1], (i[p] * n + j[p]) * d + k * (n + 1)]
         flat.append(r * (d * n + d) + j[t] * n + i[t])
-        for a, b in (np.nonzero(op) for _, op, _ in self.channels):
+        for a, b in self.links:
             p, r = np.nonzero(rows[np.ix_(a, a)])
             flat.append((a[p] * n + b[p]) * d + a[r] * n + b[r])
         flat = np.concatenate(flat)
@@ -260,25 +266,27 @@ class _Terms:
         the entries filtered to the kept rows.  Each entry is computed on
         its own, so the filtered arrays are those of an evaluation on the
         relabelled rows.
+
+        The support and the labels before the entries are evaluated, the
+        layout, follow from d, ``pattern``, the nonzeros of each L and
+        ``seeds`` alone.  The last layout is kept (one, read-only), so
+        baths that share a sparsity pattern derive it once and evaluate
+        only their own entries; the relabelling stays per model.
         """
         n = self.d * self.d
-        comp = _components(*np.nonzero(self.pattern), self.d)
-        q = int(comp.max()) + 1
-        # L (x) L^* joins blocks (A, A') -> (B, B'), numbered A q + A', for
-        # links A -> B and A' -> B' of L between components
-        tails, heads = [np.empty(0, dtype=np.intp)], [np.empty(0, dtype=np.intp)]
-        for i, j in (np.nonzero(op) for _, op, _ in self.channels):
-            links = np.zeros((q, q), dtype=bool)
-            links[comp[i], comp[j]] = True
-            a, b = np.nonzero(links)
-            tails.append(np.add.outer(a * q, a).ravel())
-            heads.append(np.add.outer(b * q, b).ravel())
-        labels = _components(np.concatenate(tails), np.concatenate(heads), q * q)
-        block = np.add.outer(comp * q, comp).ravel()  # the block of each entry
-        if seeds is not None:
-            labels = _kept(labels, block[seeds])
-        labels = labels[block]
-        support = self.support(None if seeds is None else labels >= 0)
+        key = (
+            self.d,
+            self.pattern.tobytes(),
+            tuple((a.tobytes(), b.tobytes()) for a, b in self.links),
+            None if seeds is None else seeds.tobytes(),
+        )
+        stored = _Terms._layout  # read once: one tuple is one consistent layout
+        if stored is not None and stored[0] == key:
+            _, support, labels = stored
+        else:
+            support, labels = self._layout_of(seeds)
+            support.flags.writeable = labels.flags.writeable = False
+            _Terms._layout = (key, support, labels)
         data = self.entries(support)
         nonzero = data != 0
         if not nonzero.all():
@@ -290,6 +298,27 @@ class _Terms:
                 rows = labels[support // n] >= 0
                 support, data = support[rows], data[rows]
         return support, data, labels
+
+    def _layout_of(self, seeds: np.ndarray | None) -> tuple[np.ndarray, np.ndarray]:
+        """The support and the component labels of :meth:`blocks`, read
+        from the block graph, before any entry is evaluated."""
+        comp = _components(*self.nonzeros, self.d)
+        q = int(comp.max()) + 1
+        # L (x) L^* joins blocks (A, A') -> (B, B'), numbered A q + A', for
+        # links A -> B and A' -> B' of L between components
+        tails, heads = [np.empty(0, dtype=np.intp)], [np.empty(0, dtype=np.intp)]
+        for i, j in self.links:
+            joined = np.zeros((q, q), dtype=bool)
+            joined[comp[i], comp[j]] = True
+            a, b = np.nonzero(joined)
+            tails.append(np.add.outer(a * q, a).ravel())
+            heads.append(np.add.outer(b * q, b).ravel())
+        labels = _components(np.concatenate(tails), np.concatenate(heads), q * q)
+        block = np.add.outer(comp * q, comp).ravel()  # the block of each entry
+        if seeds is not None:
+            labels = _kept(labels, block[seeds])
+        labels = labels[block]
+        return self.support(None if seeds is None else labels >= 0), labels
 
     def entries(self, flat: np.ndarray) -> np.ndarray:
         """The generator at sorted flat indices taken from the support; each
@@ -354,7 +383,12 @@ def _check_state(rho: np.ndarray, dim: int) -> np.ndarray:
     tr = np.trace(rho)
     if abs(tr - 1.0) > 1e-10:
         raise ValueError(f"initial state trace is {tr}, expected 1")
-    min_eig = float(np.linalg.eigvalsh(rho).min())
+    diagonal = rho.diagonal()
+    if np.count_nonzero(rho) == np.count_nonzero(diagonal):
+        # eigvalsh returns the real diagonal of a diagonal state, sorted
+        min_eig = float(diagonal.real.min())
+    else:
+        min_eig = float(np.linalg.eigvalsh(rho).min())
     if min_eig < -1e-10:
         raise ValueError(f"initial state has negative eigenvalue {min_eig:.3e}")
     return rho

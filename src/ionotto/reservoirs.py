@@ -173,12 +173,6 @@ def theta_from_occupation(n_occupation: float, kind: BathKind) -> float:
         return 0.5 * math.log1p(1.0 / n)
     if not (0.0 < n < 1.0):
         raise ValueError(f"Fermi-Dirac occupation must lie in (0, 1), got {n}")
-    if abs(n - 0.5) < 1e-12:
-        warnings.warn(
-            "Fermi-Dirac occupation 1/2 gives theta = 0 (infinite temperature)",
-            RuntimeWarning,
-            stacklevel=2,
-        )
     return 0.5 * math.log(1.0 / n - 1.0)
 
 

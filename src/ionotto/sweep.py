@@ -89,7 +89,8 @@ class SweepConfig:
         # compared before float(), which overflows on very large integers
         if any(not 0.0 <= x <= 1.0 for x in self.xi_grid):
             raise ConfigError("xi grid values must lie in [0, 1]")
-        grid = tuple(float(x) for x in self.xi_grid)
+        # + 0.0 turns -0.0 into 0.0, which the CSV writes as 0
+        grid = tuple(float(x) + 0.0 for x in self.xi_grid)
         if any(b <= a for a, b in zip(grid, grid[1:])):
             raise ConfigError(f"xi grid must be sorted strictly ascending: {grid}")
         object.__setattr__(self, "xi_grid", grid)

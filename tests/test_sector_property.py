@@ -25,6 +25,15 @@ cancelling draws it returns ``oracles.reference_block_steady_state``'s bytes
 or raises its ``DegenerateSteadyStateError``, and on joint window models
 without cancellations neither route labels a graph on all d^2 vectorized
 entries.
+
+``_Terms.blocks`` keeps the layout of its last call (support and labels
+before any entry is evaluated) under a key of the model dim, the pattern
+of H and every L^dag L, the nonzeros of each L and the seeds.  A model
+solved on a kept layout returns the bits of a run from an empty store:
+fig2a's two joint baths, and each cancelling draw with its sign twin,
+whose entries do not cancel.  A layout that differs in one part of the
+key alone is not reused.  Tests that count labellings start from an
+empty store.
 """
 
 import re
@@ -200,6 +209,8 @@ def test_no_full_graph_is_labelled(spec, fock_dim, monkeypatch):
     rho[0, 0] = 1.0
     for solve in (steady_state, lambda model: _sector_block(model, rho)):
         sizes.clear()
+        # from an empty layout store: a kept layout labels nothing
+        monkeypatch.setattr(_Terms, "_layout", None)
         solve(model)
         assert max(sizes) < model.dim**2
         assert len(sizes) == 2 and sizes[0] == model.dim
@@ -225,6 +236,131 @@ def test_shipped_joint_bath_models(name, fock_dim, monkeypatch):
         assert report.final_state.tobytes() == reference.final_state.tobytes()
         assert report.rhs_residual == reference.rhs_residual
         assert report.windows == reference.windows
+
+
+def solved(solve, model):
+    """The bytes of the arrays that ``solve(model)`` returns, or the text
+    of its ``DegenerateSteadyStateError``."""
+    try:
+        result = solve(model)
+    except DegenerateSteadyStateError as error:
+        return str(error)
+    if isinstance(result, np.ndarray):
+        return result.tobytes()
+    sector, block = result
+    return [sector.tobytes()] + [
+        getattr(block, name).tobytes() for name in ("data", "indices", "indptr")
+    ]
+
+
+def assert_reuse_keeps_bits(solve, models):
+    """Each of ``models``, which share one layout, solved on the layout
+    that the last of them left returns the bits of its run from an empty
+    store, and derives no layout."""
+    derived = []
+    layout_of = _Terms._layout_of
+
+    def spy(terms, seeds):
+        derived.append(seeds)
+        return layout_of(terms, seeds)
+
+    with pytest.MonkeyPatch.context() as patch:
+        expected = []
+        for model in models:
+            patch.setattr(_Terms, "_layout", None)
+            expected.append(solved(solve, model))
+        patch.setattr(_Terms, "_layout_of", spy)
+        assert [solved(solve, model) for model in models] == expected
+    assert derived == []
+
+
+def joint_starts(name, fock_dim, monkeypatch):
+    """(model, start state) of each joint bath solve of the panel ``name``."""
+    solves = []
+
+    def spy(model, rho0, **kwargs):
+        solves.append((model, rho0))
+        return equilibrate(model, rho0, **kwargs)
+
+    monkeypatch.setattr(cycle_module, "equilibrate", spy)
+    prepare_bath_equilibria(panel(name, fock_dim=fock_dim))
+    return solves
+
+
+def test_baths_of_one_pattern_share_a_layout(monkeypatch):
+    # fig2a's thermal baths: one sparsity pattern, different entries, and
+    # start states with the same nonzeros
+    (cold, cold_start), (hot, hot_start) = joint_starts("fig2a", 4, monkeypatch)
+    assert np.array_equal(cold_start != 0, hot_start != 0)
+    assert not np.array_equal(cold.hamiltonian, hot.hamiltonian)
+    for models in ((cold, hot), (hot, cold)):
+        assert_reuse_keeps_bits(lambda m: _sector_block(m, cold_start), models)
+        assert_reuse_keeps_bits(steady_state, models)
+
+
+def test_a_layout_serves_its_own_key_alone(monkeypatch):
+    # each pair's layouts differ in one part of the key alone: the seeds
+    # (none, then some), other seeds, the pattern of H and every D, or the
+    # nonzeros of an L (|0><1| + i |2><1| has the D pattern of |0><1|)
+    d = 4
+    lower = np.zeros((d, d), dtype=complex)
+    lower[0, 1] = 1.0
+    spread = lower.copy()
+    spread[2, 1] = 1j
+    h = np.diag(np.arange(1.0, d + 1.0)).astype(complex)
+    coupled = h.copy()
+    coupled[2, 3] = coupled[3, 2] = 0.5
+    base = LindbladModel(h, ((1.0, lower), (0.5, lower.T)))
+    ground = np.diag([0.0, 1.0, 0.0, 0.0]).astype(complex)
+    coherent = ground.copy()
+    coherent[0, 1] = coherent[1, 0] = 0.1
+    pairs = [
+        ((steady_state, base), (lambda m: _sector_block(m, ground), base)),
+        ((lambda m: _sector_block(m, ground), base),
+         (lambda m: _sector_block(m, coherent), base)),
+        ((lambda m: _sector_block(m, ground), base),
+         (lambda m: _sector_block(m, ground),
+          LindbladModel(coupled, base.channels))),
+        ((lambda m: _sector_block(m, ground), base),
+         (lambda m: _sector_block(m, ground),
+          LindbladModel(h, ((1.0, spread), (0.5, lower.T))))),
+    ]
+    for (first, stored), (second, model) in pairs:
+        monkeypatch.setattr(_Terms, "_layout", None)
+        expected = solved(second, model)
+        monkeypatch.setattr(_Terms, "_layout", None)
+        solved(first, stored)
+        assert solved(second, model) == expected
+
+
+def sign_twin(model):
+    """``model`` with the second channel's (2, 3) entry negated: the same
+    nonzero patterns, and the gadget's L (x) L^* terms add where those of
+    ``model`` cancel to an exact zero."""
+    (rate, first), (second_rate, second) = model.channels
+    second = second.copy()
+    second[2, 3] = -second[2, 3]
+    return LindbladModel(
+        model.hamiltonian, ((rate, first), (second_rate, second)), model.slow_rate
+    )
+
+
+@settings(max_examples=20, deadline=None, derandomize=True)
+@given(case=cancelling_models())
+def test_a_kept_layout_relabels_per_model(case):
+    # one layout serves both models, whose entries cancel differently; the
+    # relabelling of exact zeros is each model's own
+    model, rho, _, _ = case
+    assert_reuse_keeps_bits(lambda m: _sector_block(m, rho), (model, sign_twin(model)))
+
+
+# each model's steady state takes dense SVDs of blocks up to 961 x 961;
+# with the gadget cut off, the model's cancellation splits a block
+@settings(max_examples=2, deadline=None, derandomize=True)
+@given(case=cancelling_models().filter(lambda case: case[3]))
+def test_a_kept_layout_keeps_the_steady_state_bits(case):
+    model = case[0]
+    assert_reuse_keeps_bits(steady_state, (model, sign_twin(model)))
 
 
 def test_sector_holds_the_transpose_of_the_start_state():

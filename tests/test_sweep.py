@@ -1,6 +1,9 @@
 import csv
 import json
 import math
+import os
+import subprocess
+import sys
 import warnings
 from pathlib import Path
 
@@ -417,6 +420,24 @@ class TestGoldenCsv:
         report = captured.out.encode("utf-8")
         assert report == (GOLDEN_DIR / f"sweep_{name}.txt").read_bytes()
 
+    def test_fresh_process(self, tmp_path):
+        # a new interpreter, as a user runs it: what the tests above cannot
+        # see from inside one process, such as a warning at import, would
+        # reach its stderr
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")])
+        )
+        config = str(CONFIG_DIR / "fig2c.json")
+        run = subprocess.run(
+            [sys.executable, "-m", "ionotto.cli", "sweep", config, "--output", "fig2c.csv"],
+            cwd=tmp_path, env=env, capture_output=True, timeout=300,
+        )
+        assert run.returncode == 0, run.stderr.decode()
+        assert run.stderr == b""
+        produced = (tmp_path / "fig2c.csv").read_bytes()
+        assert produced == (REFERENCE_DIR / "fig2c.csv").read_bytes()
+
 
 @pytest.mark.bits
 class TestGoldenValidate:
@@ -674,6 +695,41 @@ class TestCli:
             flags = [row["flags"] for row in csv.DictReader(handle)]
         assert flags == ["adiabatic_ratio_low:hot"] * 3
         assert "[hot] kappa/(lambda*maxOmega) = 33.7 [LOW]" in validated.out
+
+    def test_half_fermi_dirac_occupation_is_not_warned(self, tmp_path, capsys):
+        # an occupation 1e-13 above 1/2 is valid: theta is about -1e-13
+        document = json.loads((CONFIG_DIR / "fig2b.json").read_text())
+        document["hot"]["n_occupation"]["value"] = 0.5 + 1e-13
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps(document))
+        out = tmp_path / "out.csv"
+        commands = [
+            ["sweep", str(config), "--xi-points", "3", "--output", str(out)],
+            ["validate", str(config)],
+            ["steadystate", str(config)],
+        ]
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            for command in commands:
+                assert main(command) == 0, command
+                assert capsys.readouterr().err == "", command
+        assert caught == []
+
+    def test_negative_zero_xi_is_written_as_zero(self, tmp_path):
+        written = []
+        for first in (-0.0, 0.0):
+            config = write_config(
+                tmp_path,
+                lambda d: d.update(
+                    sweep={"xi_grid": [first, 0.25], "modes": ["closed_form", "effective"]}
+                ),
+            )
+            out = tmp_path / "out.csv"
+            assert main(["sweep", str(config), "--output", str(out)]) == 0
+            written.append(out.read_bytes())
+        assert written[0] == written[1]
+        xis = {line.split(b",")[0] for line in written[0].splitlines()[1:]}
+        assert xis == {b"0", b"0.25"}
 
     @pytest.mark.parametrize(
         "path, first",
